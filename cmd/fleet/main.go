@@ -15,22 +15,16 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"spothost/internal/catalog"
+	"spothost/internal/cli"
 	"spothost/internal/experiments"
 	"spothost/internal/market"
-	"spothost/internal/obs"
-	"spothost/internal/runpool"
 	"spothost/internal/sim"
-	"spothost/internal/trace"
 )
 
 // strategyJSON is one strategy's machine-readable outcome.
@@ -58,39 +52,17 @@ type outputJSON struct {
 	Strategies []strategyJSON `json:"strategies"`
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "reduced seeds and horizon for a fast smoke run")
-	seeds := flag.Int("seeds", 0, "override the number of seeds (1-16)")
-	days := flag.Float64("days", 0, "override the horizon in days")
-	parallel := flag.Int("parallel", 0, "worker count for (strategy, seed) cells; 0 means GOMAXPROCS")
-	asJSON := flag.Bool("json", false, "emit a machine-readable JSON document instead of the table")
-	csvPath := flag.String("csv", "", "also write the per-strategy CSV to this path")
-	traceF := flag.String("trace", "", "write a run trace of every (strategy, seed) cell to this file")
-	traceFormat := flag.String("trace-format", "chrome", "trace export format: chrome (Perfetto trace_event JSON) | jsonl")
-	catalogF := flag.String("catalog", "", `instance catalog: "" (single-type legacy fleet), legacy, or default (ten heterogeneous types)`)
-	anchorF := flag.String("anchor", "small", "capacity anchor instance type; replicas must be at least this powerful (with -catalog)")
-	obsOn := flag.Bool("obs", false, "collect simulated-time telemetry (timelines, decision ledger, SLO alerts) for every cell")
-	obsOut := flag.String("obs-out", "fleet-obs", "output prefix for -obs: writes <prefix>-timeline.csv and <prefix>-ledger.ndjson")
-	flag.Parse()
+var (
+	run      = cli.Register(cli.Flags{Quick: true, Stride: 11, Parallel: true, Trace: true, ObsOut: "fleet-obs"})
+	asJSON   = flag.Bool("json", false, "emit a machine-readable JSON document instead of the table")
+	csvPath  = flag.String("csv", "", "also write the per-strategy CSV to this path")
+	catalogF = flag.String("catalog", "", `instance catalog: "" (single-type legacy fleet), legacy, or default (ten heterogeneous types)`)
+	anchorF  = flag.String("anchor", "small", "capacity anchor instance type; replicas must be at least this powerful (with -catalog)")
+)
 
-	opts := experiments.Defaults()
-	if *quick {
-		opts = experiments.Quick()
-	}
-	if *seeds > 0 && *seeds <= 16 {
-		opts.Seeds = opts.Seeds[:0]
-		for i := 0; i < *seeds; i++ {
-			opts.Seeds = append(opts.Seeds, int64(11*(i+1)))
-		}
-	}
-	if *days > 0 {
-		opts.Horizon = *days * sim.Day
-		opts.Market.Horizon = opts.Horizon
-	}
-	opts.Parallel = *parallel
-	if opts.Parallel <= 0 {
-		opts.Parallel = runpool.DefaultWorkers()
-	}
+func main() {
+	run.Parse()
+	opts := run.Options()
 	switch *catalogF {
 	case "":
 	case "legacy":
@@ -98,72 +70,22 @@ func main() {
 	case "default":
 		opts.Catalog = catalog.Default()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -catalog %q (want legacy or default)\n", *catalogF)
-		os.Exit(2)
+		cli.Check(cli.Usagef("unknown -catalog %q (want legacy or default)", *catalogF))
 	}
 	if opts.Catalog != nil {
 		opts.Anchor = market.InstanceType(*anchorF)
 		if _, ok := opts.Catalog.Lookup(opts.Anchor); !ok {
-			fmt.Fprintf(os.Stderr, "anchor type %q is not in catalog %q\n", *anchorF, *catalogF)
-			os.Exit(2)
+			cli.Check(cli.Usagef("anchor type %q is not in catalog %q", *anchorF, *catalogF))
 		}
-	}
-
-	// Ctrl-C (or SIGTERM) cancels every in-flight simulation cell; the
-	// run exits 130 instead of finishing the grid.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opts.Context = ctx
-
-	var col *trace.Collector
-	if *traceF != "" {
-		col = trace.NewCollector()
-		opts.Trace = col
-	}
-	var ocol *obs.Collector
-	if *obsOn {
-		ocol = obs.NewCollector(obs.Config{})
-		opts.Obs = ocol
 	}
 
 	res, err := experiments.Fleet(opts)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
+	cli.Check(err)
 	if *csvPath != "" {
-		if err := os.WriteFile(*csvPath, []byte(res.CSV()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		cli.Check(os.WriteFile(*csvPath, []byte(res.CSV()), 0o644))
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
-	if col != nil {
-		f, err := os.Create(*traceF)
-		if err == nil {
-			err = col.Export(f, *traceFormat)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceF)
-	}
-	if ocol != nil {
-		if err := ocol.WriteFiles(*obsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s-timeline.csv and %s-ledger.ndjson\n", *obsOut, *obsOut)
-	}
+	cli.Check(run.Export())
 
 	if !*asJSON {
 		fmt.Println(res.Render())
@@ -200,8 +122,5 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	cli.Check(enc.Encode(out))
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -24,6 +26,24 @@ func buildFleet(t *testing.T) string {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// TestFlagSurface pins every flag's name and default.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"anchor": "small", "catalog": "", "csv": "", "days": "0", "json": "false",
+		"obs": "false", "obs-out": "fleet-obs", "parallel": "0", "quick": "false",
+		"seeds": "0", "trace": "", "trace-format": "chrome",
+	}
+	got := map[string]string{}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got[f.Name] = f.DefValue
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags = %v\nwant %v", got, want)
+	}
 }
 
 // TestTraceAndObsTogether: -trace and -obs are independent switches and

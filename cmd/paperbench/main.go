@@ -9,72 +9,31 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 
+	"spothost/internal/cli"
 	"spothost/internal/experiments"
 	"spothost/internal/market"
-	"spothost/internal/runpool"
-	"spothost/internal/sim"
 	"spothost/internal/trace"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "reduced seeds and horizon for a fast smoke run")
-	only := flag.String("only", "", "run a single experiment by name (e.g. figure6)")
-	seeds := flag.Int("seeds", 0, "override the number of seeds (1-16)")
-	days := flag.Float64("days", 0, "override the horizon in days")
-	parallel := flag.Int("parallel", 0, "worker count for (config, seed) cells; 0 means GOMAXPROCS")
-	list := flag.Bool("list", false, "list experiment names and exit")
-	csvDir := flag.String("csv", "", "also write <experiment>.csv files into this directory")
-	traceF := flag.String("trace", "", "write a run trace of every simulation cell to this file")
-	traceFormat := flag.String("trace-format", "chrome", "trace export format: chrome (Perfetto trace_event JSON) | jsonl")
-	flag.Parse()
+var (
+	run    = cli.Register(cli.Flags{Quick: true, Stride: 11, Parallel: true, Trace: true})
+	only   = flag.String("only", "", "run a single experiment by name (e.g. figure6)")
+	list   = flag.Bool("list", false, "list experiment names and exit")
+	csvDir = flag.String("csv", "", "also write <experiment>.csv files into this directory")
+)
 
+func main() {
+	run.Parse()
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Println(e.Name)
 		}
 		return
-	}
-
-	opts := experiments.Defaults()
-	if *quick {
-		opts = experiments.Quick()
-	}
-	if *seeds > 0 && *seeds <= 16 {
-		opts.Seeds = opts.Seeds[:0]
-		for i := 0; i < *seeds; i++ {
-			opts.Seeds = append(opts.Seeds, int64(11*(i+1)))
-		}
-	}
-	if *days > 0 {
-		opts.Horizon = *days * sim.Day
-		opts.Market.Horizon = opts.Horizon
-	}
-	opts.Parallel = *parallel
-	if opts.Parallel <= 0 {
-		opts.Parallel = runpool.DefaultWorkers()
-	}
-	// Ctrl-C (or SIGTERM) cancels every in-flight simulation cell and the
-	// run exits promptly instead of finishing the grid; a second signal
-	// kills the process outright.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opts.Context = ctx
-	fail := func(err error) {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 	defer func() {
 		s := market.SharedCache().Stats()
@@ -82,81 +41,49 @@ func main() {
 			s.Hits, s.Misses, s.Universes)
 	}()
 
-	var col *trace.Collector
-	if *traceF != "" {
-		col = trace.NewCollector()
-	}
-	writeTrace := func() {
-		if col == nil {
-			return
-		}
-		f, err := os.Create(*traceF)
-		if err != nil {
-			fail(err)
-		}
-		if err := col.Export(f, *traceFormat); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceF)
-	}
-
-	writeCSV := func(name string, res experiments.Renderer) {
-		if *csvDir == "" {
-			return
-		}
-		exp, ok := res.(experiments.CSVExporter)
-		if !ok {
-			return
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		if err := os.WriteFile(path, []byte(exp.CSV()), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	// runOne executes one experiment under a per-experiment trace scope and
-	// logs its wall-clock phases (simulate, render) to stderr.
-	runOne := func(e experiments.Entry, banner bool) {
-		opts.Trace = col.Scope(e.Name)
-		ph := trace.NewPhases()
-		res, err := e.Run(opts)
-		if err != nil {
-			fail(err)
-		}
-		ph.Mark("sim")
-		text := res.Render()
-		ph.Mark("report")
-		if banner {
-			fmt.Printf("=== %s ===\n%s\n", e.Name, text)
-		} else {
-			fmt.Println(text)
-		}
-		writeCSV(e.Name, res)
-		fmt.Fprintf(os.Stderr, "timing %s: %s\n", e.Name, ph)
-	}
-
 	if *only != "" {
-		e, ok := experiments.Find(*only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *only)
-			os.Exit(2)
+		runOne(*only, false)
+	} else {
+		for _, e := range experiments.All() {
+			runOne(e.Name, true)
 		}
-		runOne(e, false)
-		writeTrace()
-		return
 	}
-	for _, e := range experiments.All() {
-		runOne(e, true)
+	cli.Check(run.Export())
+}
+
+// runOne executes one experiment, prints its rendered result (under a
+// banner when the whole paper runs), and logs its wall-clock phases
+// (simulate, render) to stderr.
+func runOne(name string, banner bool) {
+	ph := trace.NewPhases()
+	res, err := run.Experiment(name)
+	cli.Check(err)
+	ph.Mark("sim")
+	text := res.Render()
+	ph.Mark("report")
+	if banner {
+		fmt.Printf("=== %s ===\n%s\n", name, text)
+	} else {
+		fmt.Println(text)
 	}
-	writeTrace()
+	cli.Check(writeCSV(name, res))
+	fmt.Fprintf(os.Stderr, "timing %s: %s\n", name, ph)
+}
+
+// writeCSV writes the experiment's CSV series into -csv, when set and
+// the experiment exports one.
+func writeCSV(name string, res experiments.Renderer) error {
+	exp, ok := res.(experiments.CSVExporter)
+	if *csvDir == "" || !ok {
+		return nil
+	}
+	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(*csvDir, name+".csv")
+	if err := os.WriteFile(path, []byte(exp.CSV()), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
 }

@@ -10,12 +10,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"spothost/internal/cli"
 	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/metrics"
@@ -71,48 +71,35 @@ func parseMarkets(s string) ([]market.ID, error) {
 	return out, nil
 }
 
-func main() {
-	policyF := flag.String("policy", "proactive", "bidding policy")
-	mechF := flag.String("mechanism", "ckpt-lr-live", "migration mechanism")
-	regionF := flag.String("region", "us-east-1a", "home region")
-	typeF := flag.String("type", "small", "home instance type")
-	marketsF := flag.String("markets", "", "candidate spot markets as region/type,... (default: the home market)")
-	vmsF := flag.Int("vms", 0, "host a fleet of N unit VMs instead of one market-sized VM")
-	daysF := flag.Float64("days", 30, "horizon in days")
-	seedsF := flag.Int("seeds", 3, "number of synthetic-universe seeds to average over")
-	tracesF := flag.String("traces", "", "trace file to replay instead of synthetic prices")
-	formatF := flag.String("format", "csv", "trace file format: csv (tracegen), aws-json (describe-spot-price-history), aws-legacy (ec2-api-tools)")
-	productF := flag.String("product", "Linux/UNIX", "product filter for AWS trace formats")
-	pessimistF := flag.Bool("pessimistic", false, "use worst-case migration constants")
-	verboseF := flag.Bool("v", false, "print each seed's report")
-	traceOutF := flag.String("trace", "", "write a run trace to this file")
-	traceFormatF := flag.String("trace-format", "chrome", "trace export format: chrome (Perfetto trace_event JSON) | jsonl")
-	flag.Parse()
+var (
+	run        = cli.Register(cli.Flags{Seeds: 3, Stride: 17, Days: 30, Trace: true})
+	policyF    = flag.String("policy", "proactive", "bidding policy")
+	mechF      = flag.String("mechanism", "ckpt-lr-live", "migration mechanism")
+	regionF    = flag.String("region", "us-east-1a", "home region")
+	typeF      = flag.String("type", "small", "home instance type")
+	marketsF   = flag.String("markets", "", "candidate spot markets as region/type,... (default: the home market)")
+	vmsF       = flag.Int("vms", 0, "host a fleet of N unit VMs instead of one market-sized VM")
+	tracesF    = flag.String("traces", "", "trace file to replay instead of synthetic prices")
+	formatF    = flag.String("format", "csv", "trace file format: csv (tracegen), aws-json (describe-spot-price-history), aws-legacy (ec2-api-tools)")
+	productF   = flag.String("product", "Linux/UNIX", "product filter for AWS trace formats")
+	pessimistF = flag.Bool("pessimistic", false, "use worst-case migration constants")
+	verboseF   = flag.Bool("v", false, "print each seed's report")
+)
 
+func main() {
+	run.Parse()
 	ph := trace.NewPhases()
-	var col *trace.Collector
-	if *traceOutF != "" {
-		col = trace.NewCollector()
-	}
 
 	policy, err := parsePolicy(*policyF)
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	mech, err := parseMechanism(*mechF)
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	extraMarkets, err := parseMarkets(*marketsF)
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 
 	home := market.ID{Region: market.Region(*regionF), Type: market.InstanceType(*typeF)}
 	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	cfg.Bidding = policy
 	cfg.Mechanism = mech
 	if *pessimistF {
@@ -128,13 +115,11 @@ func main() {
 		}
 	}
 
-	horizon := *daysF * sim.Day
+	horizon := run.Days() * sim.Day
 	var reports []metrics.Report
 	if *tracesF != "" {
 		f, err := os.Open(*tracesF)
-		if err != nil {
-			fatal(err)
-		}
+		cli.Check(err)
 		var set *market.Set
 		switch *formatF {
 		case "csv":
@@ -147,31 +132,21 @@ func main() {
 			err = fmt.Errorf("unknown trace format %q", *formatF)
 		}
 		f.Close()
-		if err != nil {
-			fatal(err)
-		}
+		cli.Check(err)
 		ph.Mark("load")
-		rec := col.Run("replay")
-		r, err := sched.RunTracedCtx(context.Background(), set, cloud.DefaultParams(1), cfg, horizon, rec)
-		if err != nil {
-			fatal(err)
-		}
-		col.Done(rec)
+		rec := run.Trace.Run("replay")
+		r, err := sched.RunTracedCtx(run.Context(), set, cloud.DefaultParams(1), cfg, horizon, rec)
+		cli.Check(err)
+		run.Trace.Done(rec)
 		reports = append(reports, r)
 	} else {
 		mcfg := market.DefaultConfig(0)
 		if horizon > mcfg.Horizon {
 			mcfg.Horizon = horizon
 		}
-		var seeds []int64
-		for i := 0; i < *seedsF; i++ {
-			seeds = append(seeds, int64(17*(i+1)))
-		}
 		ph.Mark("load")
-		reports, err = sched.RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, horizon, seeds, 0, col)
-		if err != nil {
-			fatal(err)
-		}
+		reports, err = sched.RunSeedsTracedCtx(run.Context(), mcfg, cloud.DefaultParams(0), cfg, horizon, run.Seeds(), 0, run.Trace)
+		cli.Check(err)
 	}
 	ph.Mark("sim")
 
@@ -182,25 +157,7 @@ func main() {
 	}
 	avg := metrics.Average(reports)
 	fmt.Printf("=== average over %d run(s) ===\n%s\n", len(reports), avg)
-	if col != nil {
-		f, err := os.Create(*traceOutF)
-		if err != nil {
-			fatal(err)
-		}
-		if err := col.Export(f, *traceFormatF); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOutF)
-	}
+	cli.Check(run.Export())
 	ph.Mark("report")
 	fmt.Fprintf(os.Stderr, "timing: %s\n", ph)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -105,7 +106,7 @@ func TestRunGridCSV(t *testing.T) {
 		Region:    "us-east-1a",
 		Type:      "small",
 		Days:      2,
-		Seeds:     1,
+		Seeds:     []int64{23},
 		WarmStart: true,
 	})
 	if err != nil {
@@ -134,7 +135,7 @@ func TestRunGridCSV(t *testing.T) {
 	}
 
 	// Grid parse errors surface instead of printing anything.
-	if err := runGrid(context.Background(), &out, gridOpts{Grid: "warp=1", Seeds: 1}); err == nil {
+	if err := runGrid(context.Background(), &out, gridOpts{Grid: "warp=1", Seeds: []int64{23}}); err == nil {
 		t.Fatal("runGrid accepted an unknown knob")
 	}
 }
@@ -187,5 +188,40 @@ func TestExperimentTraceAndObsTogether(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "-obs applies to -experiment runs only") {
 		t.Fatalf("missing -obs warning in knob mode:\n%s", out)
+	}
+
+	// Grid cells carry no recorders: -trace is refused with a warning and
+	// writes no file.
+	gridTrace := filepath.Join(dir, "grid.json")
+	warn = exec.Command(bin, "-grid", "bid=2,4", "-days", "1", "-seeds", "1", "-trace", gridTrace)
+	out, err = warn.CombinedOutput()
+	if err != nil {
+		t.Fatalf("grid sweep with -trace failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-trace applies to knob and -experiment runs only") {
+		t.Fatalf("missing -trace warning in grid mode:\n%s", out)
+	}
+	if _, err := os.Stat(gridTrace); !os.IsNotExist(err) {
+		t.Fatalf("grid mode wrote a trace file (stat: %v)", err)
+	}
+}
+
+// TestFlagSurface pins every flag's name and default.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"days": "30", "experiment": "", "fork": "false", "grid": "", "knob": "bid",
+		"obs": "false", "obs-out": "sweep-obs", "parallel": "0", "progress": "false",
+		"prune": "false", "region": "us-east-1a", "seeds": "3", "trace": "",
+		"trace-format": "chrome", "type": "small", "values": "", "vms": "0",
+		"warm-start": "false",
+	}
+	got := map[string]string{}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got[f.Name] = f.DefValue
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags = %v\nwant %v", got, want)
 	}
 }

@@ -329,12 +329,6 @@ func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 // to prove the fast path places exactly like the full candidate scan.
 var useEnvelope = true
 
-// SetEnvelopeFastPath toggles the envelope fast path. It exists only so
-// cross-package equivalence tests can render experiments against the
-// reference candidate scan; production code leaves the fast path on.
-// Not safe to flip while runs are in flight.
-func SetEnvelopeFastPath(on bool) { useEnvelope = on }
-
 // Start primes the price statistics, subscribes to price changes, runs
 // the first autoscaling tick at the current time and schedules the rest.
 func (c *Controller) Start() {
@@ -474,15 +468,6 @@ func (c *Controller) candidates(sizeMask int) []Candidate {
 // one-anchor deficit does not buy a many-unit box at full price; when
 // every market is bigger, the cheapest per-unit one wins.
 func (c *Controller) computeCheapestOnDemand() market.ID {
-	if c.cfg.Catalog == nil {
-		best := c.markets[0]
-		for _, id := range c.markets[1:] {
-			if c.prov.OnDemandPrice(id) < c.prov.OnDemandPrice(best) {
-				best = id
-			}
-		}
-		return best
-	}
 	bestIdx, bestAnyIdx := -1, -1
 	var bestPer, bestAnyPer float64
 	for i, id := range c.markets {

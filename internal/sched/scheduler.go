@@ -129,12 +129,6 @@ func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 // scan picks.
 var useEnvelope = true
 
-// SetEnvelopeFastPath toggles the precomputed-envelope fast path. It exists
-// only so cross-package equivalence tests can render experiments against
-// the reference linear scan; production code leaves the fast path on.
-// Not safe to flip while runs are in flight.
-func SetEnvelopeFastPath(on bool) { useEnvelope = on }
-
 // SetTrack labels this service's lane in trace exports; Portfolio.Add sets
 // it to the service name. Must be called before Start.
 func (s *Scheduler) SetTrack(name string) { s.track = name }
