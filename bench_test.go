@@ -283,8 +283,8 @@ func BenchmarkSchedulerMonth(b *testing.B) {
 	}
 	mcfg := market.DefaultConfig(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.RunSeeds(mcfg, cloud.DefaultParams(0), cfg,
-			30*sim.Day, []int64{int64(i + 1)}); err != nil {
+		if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg,
+			30*sim.Day, []int64{int64(i + 1)}, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -326,8 +326,8 @@ func BenchmarkFleetMonth(b *testing.B) {
 	mcfg := market.DefaultConfig(0)
 	var lost int
 	for i := 0; i < b.N; i++ {
-		reps, err := fleet.RunSeeds(mcfg, cloud.DefaultParams(0), cfg,
-			30*sim.Day, []int64{int64(i + 1)})
+		reps, err := fleet.RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg,
+			30*sim.Day, []int64{int64(i + 1)}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,18 +352,12 @@ func BenchmarkFleetMonthObs(b *testing.B) {
 		Planner:  fleet.LinearPlanner{PerReplica: 6},
 	}
 	mcfg := market.DefaultConfig(0)
-	cache := market.SharedCache()
 	var decisions int
 	for i := 0; i < b.N; i++ {
-		seed := int64(i + 1)
-		mc := mcfg
-		mc.Seed = seed
-		set, err := cache.Generate(mc)
+		set, cp, err := cloud.Seeded(mcfg, cloud.DefaultParams(0), int64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		cp := cloud.DefaultParams(0)
-		cp.Seed = seed
 		ob := obs.NewRecorder("bench", obs.Config{})
 		if _, err := fleet.RunObsCtx(context.Background(), set, cp, cfg,
 			30*sim.Day, nil, ob); err != nil {
@@ -391,8 +385,8 @@ func BenchmarkRunSeedsParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.RunSeedsParallel(mcfg, cloud.DefaultParams(0), cfg,
-					10*sim.Day, seeds, workers); err != nil {
+				if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg,
+					10*sim.Day, seeds, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -706,8 +700,8 @@ func BenchmarkFleetMonthCatalog(b *testing.B) {
 	mcfg.Types = cat.TypeSpecs()
 	var lost int
 	for i := 0; i < b.N; i++ {
-		reps, err := fleet.RunSeeds(mcfg, cloud.DefaultParams(0), cfg,
-			30*sim.Day, []int64{int64(i + 1)})
+		reps, err := fleet.RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg,
+			30*sim.Day, []int64{int64(i + 1)}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

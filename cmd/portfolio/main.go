@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -72,7 +73,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := sc.Run()
+	res, err := sc.RunCtx(context.Background(), nil)
 	if err != nil {
 		fatal(err)
 	}

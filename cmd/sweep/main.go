@@ -117,35 +117,27 @@ func runKnob() error {
 	if err != nil {
 		return err
 	}
-	days, seeds, col := run.Days(), run.Seeds(), run.Trace
+	days := run.Days()
 	mcfg := universe(days)
 	home := market.ID{Region: market.Region(*region), Type: market.InstanceType(*typeF)}
 
-	// Flatten the sweep into independent (value, seed) simulation cells so
-	// one pool keeps every worker busy across the whole sweep; rows print
-	// in value order once all cells finish.
+	// One (value, seed) grid keeps every worker busy across the whole
+	// sweep; rows print in value order once all cells finish.
 	cfgs := make([]sched.Config, len(values))
 	for i, v := range values {
 		if cfgs[i], err = buildConfig(*knob, v, home, *fleet); err != nil {
 			return err
 		}
 	}
-	ns := len(seeds)
-	cache := market.SharedCache()
-	cells := make([]int, len(values)*ns)
-	reports, err := runpool.MapCtx(run.Context(), run.Parallel(), cells, func(ctx context.Context, i, _ int) (metrics.Report, error) {
-		mc := mcfg
-		mc.Seed = seeds[i%ns]
-		set, err := cache.Generate(mc)
+	reports, err := runpool.Grid(run.Context(), run.Parallel(), len(values), run.Seeds(), func(ctx context.Context, i int, seed int64) (metrics.Report, error) {
+		set, cp, err := cloud.Seeded(mcfg, cloud.DefaultParams(0), seed)
 		if err != nil {
 			return metrics.Report{}, err
 		}
-		cp := cloud.DefaultParams(0)
-		cp.Seed = seeds[i%ns]
-		rec := col.Run(fmt.Sprintf("%s=%g/seed%d", *knob, values[i/ns], seeds[i%ns]))
-		rep, err := sched.RunTracedCtx(ctx, set, cp, cfgs[i/ns], days*sim.Day, rec)
+		rec := run.Trace.Run(fmt.Sprintf("%s=%g/seed%d", *knob, values[i], seed))
+		rep, err := sched.RunTracedCtx(ctx, set, cp, cfgs[i], days*sim.Day, rec)
 		if err == nil {
-			col.Done(rec)
+			run.Trace.Done(rec)
 		}
 		return rep, err
 	})
@@ -155,7 +147,7 @@ func runKnob() error {
 
 	fmt.Printf("knob,value,normalized_cost,unavailability,forced_per_hr,voluntary_per_hr,migrations\n")
 	for i, v := range values {
-		r := metrics.Average(reports[i*ns : (i+1)*ns])
+		r := metrics.Average(reports[i])
 		fmt.Printf("%s,%g,%.5f,%.7f,%.5f,%.5f,%d\n",
 			*knob, v, r.NormalizedCost(), r.Unavailability(),
 			r.ForcedPerHour(), r.PlannedReversePerHour(), r.Migrations.Total())

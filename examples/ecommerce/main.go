@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,6 +30,7 @@ func main() {
 	mcfg := market.DefaultConfig(0)
 	home := market.ID{Region: "us-east-1a", Type: "medium"} // the shop's server size
 	seeds := []int64{101, 202, 303}
+	ctx := context.Background()
 
 	fmt.Println("E-commerce hosting study: four-nines availability on spot servers")
 	fmt.Printf("market %s, %d seeds x 30 days\n\n", home, len(seeds))
@@ -46,7 +48,7 @@ func main() {
 			// A busy shop dirties memory faster than the default.
 			cfg.Service.VM.DirtyRateMBps = 12
 
-			reports, err := sched.RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 30*sim.Day, seeds)
+			reports, err := sched.RunSeedsTracedCtx(ctx, mcfg, cloud.DefaultParams(0), cfg, 30*sim.Day, seeds, 0, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -74,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reports, err := sched.RunSeeds(mcfg, cloud.DefaultParams(0), bestCfg, 30*sim.Day, seeds)
+	reports, err := sched.RunSeedsTracedCtx(ctx, mcfg, cloud.DefaultParams(0), bestCfg, 30*sim.Day, seeds, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,8 +30,8 @@ func run(name string, markets []market.ID, home market.ID, seeds []int64) metric
 		Count: 4,
 	}
 	cfg.Markets = markets
-	reports, err := sched.RunSeeds(market.DefaultConfig(0), cloud.DefaultParams(0),
-		cfg, 30*sim.Day, seeds)
+	reports, err := sched.RunSeedsTracedCtx(context.Background(), market.DefaultConfig(0),
+		cloud.DefaultParams(0), cfg, 30*sim.Day, seeds, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,6 +69,17 @@ func DefaultParams(seed int64) Params {
 	}
 }
 
+// Seeded returns the inputs of one seeded run: seed's universe of mc,
+// drawn from the process-wide market.SharedCache, and p with its seed set
+// to match. Every multi-seed run grid builds its cells this way, so the
+// same seed always pairs the same prices with the same provider draws.
+func Seeded(mc market.Config, p Params, seed int64) (*market.Set, Params, error) {
+	mc.Seed = seed
+	p.Seed = seed
+	set, err := market.SharedCache().Generate(mc)
+	return set, p, err
+}
+
 // StartupClass maps an availability-zone-style region name ("us-east-1a")
 // to its startup-latency class ("us-east-1"). It is market.RegionClass,
 // re-exported under the name the latency tables use.

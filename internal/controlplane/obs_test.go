@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -90,6 +92,64 @@ func TestTimelinePublished(t *testing.T) {
 	col.WritePrometheus(&buf, "spotserve")
 	if !strings.Contains(buf.String(), "spotserve_obs_runs_total 1") {
 		t.Fatalf("collector missed the finished run:\n%s", buf.String())
+	}
+}
+
+// TestDoneImpliesRetired pins the finish order of a run: by the time its
+// done state is visible, its telemetry recorder is counted by the
+// collector and its eviction stamp is set. The shard once published
+// StateDone first, so a reader could see a done fleet that /metrics did
+// not count yet (and eviction could meet a terminal run with doneSeq 0).
+// The hook inspects every run on the shard goroutine right after each
+// publish, so the old order fails on every run rather than by chance.
+func TestDoneImpliesRetired(t *testing.T) {
+	col := obs.NewAggregateCollector(obs.Config{})
+	var (
+		mu       sync.Mutex
+		finished int
+		problems []string
+	)
+	afterPublish = func(r *run) {
+		if r.snapshot().State != StateDone {
+			return
+		}
+		r.mu.Lock()
+		seq := r.doneSeq
+		r.mu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		finished++
+		var buf bytes.Buffer
+		col.WritePrometheus(&buf, "spotserve")
+		if want := fmt.Sprintf("spotserve_obs_runs_total %d\n", finished); !strings.Contains(buf.String(), want) {
+			problems = append(problems, fmt.Sprintf("%s done but collector not at %q", r.name, strings.TrimSpace(want)))
+		}
+		if seq == 0 {
+			problems = append(problems, fmt.Sprintf("%s done with doneSeq 0", r.name))
+		}
+	}
+	p := New(Config{Shards: 1, Slice: 7 * sim.Hour, Obs: col})
+	defer func() {
+		p.Close() // stops the shard goroutine before the hook is cleared
+		afterPublish = nil
+	}()
+
+	names := []string{"a", "b", "c"}
+	for i, name := range names {
+		if _, err := p.Register("acme", name, testSpec(int64(i+1), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range names {
+		waitState(t, p, "acme", name, StateDone)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if finished != len(names) {
+		t.Fatalf("hook saw %d runs finish, want %d", finished, len(names))
+	}
+	if len(problems) > 0 {
+		t.Fatal(strings.Join(problems, "\n"))
 	}
 }
 

@@ -334,7 +334,8 @@ func (sh *shard) advance(r *run) {
 		}
 		s, err := buildSim(r.spec, r.fcfg, r.horizon, r.rec, r.ob)
 		if err != nil {
-			sh.finish(r, err)
+			r.fail(err)
+			sh.retire(r)
 			return
 		}
 		r.sim = s
@@ -368,20 +369,29 @@ func (sh *shard) advance(r *run) {
 		}
 		r.ledgerN = len(ds)
 	}
-	r.publish(r.sim.Report(), now, done, tl, lines)
+	rep := r.sim.Report()
 	if done {
-		sh.finish(r, nil)
-		return
+		// Retire before publishing: a reader that sees the done state must
+		// also see the run counted by the collectors and stamped for
+		// eviction.
+		sh.retire(r)
 	}
-	sh.enqueue(r)
+	r.publish(rep, now, done, tl, lines)
+	if afterPublish != nil {
+		afterPublish(r)
+	}
+	if !done {
+		sh.enqueue(r)
+	}
 }
 
-// finish retires a run: terminal state, eviction stamp, trace hand-back,
-// simulation released.
-func (sh *shard) finish(r *run, err error) {
-	if err != nil {
-		r.fail(err)
-	}
+// afterPublish, when set (by tests only), runs on the shard goroutine
+// right after each slice's state is published.
+var afterPublish func(*run)
+
+// retire releases a finished run: eviction stamp, trace and telemetry
+// hand-back to the collectors, simulation released.
+func (sh *shard) retire(r *run) {
 	// Take the plane lock (nextDoneSeq) before the run lock: the eviction
 	// scan acquires them in that order too.
 	seq := sh.plane.nextDoneSeq()

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/metrics"
 	"spothost/internal/runpool"
 	"spothost/internal/sched"
-	"spothost/internal/trace"
 	"spothost/internal/vm"
 )
 
@@ -25,31 +25,19 @@ func runPolicy(opts Options, cfg sched.Config) (metrics.Report, error) {
 	return metrics.Average(rs), nil
 }
 
-// runPolicies executes several scheduler configurations across all option
-// seeds through one flat worker pool. Every (config, seed) cell is an
-// independent single-threaded simulation, so flattening them into a
-// single pool keeps all workers busy instead of draining one config's
-// seed batch at a time (and avoids nested pools multiplying workers).
+// runPolicies executes several scheduler configurations across all
+// option seeds as one runpool.Grid, so a single pool keeps every worker
+// busy across configs instead of draining one config's seeds at a time.
 // Reports are averaged per config in seed order, exactly as running the
 // configs serially through runPolicy would.
 func runPolicies(opts Options, cfgs []sched.Config) ([]metrics.Report, error) {
-	ns := len(opts.Seeds)
-	cache := market.SharedCache()
-	cells := make([]int, len(cfgs)*ns)
-	reports, err := runpool.MapCtx(opts.Context, opts.Parallel, cells, func(ctx context.Context, i, _ int) (metrics.Report, error) {
-		mc := opts.Market
-		mc.Seed = opts.Seeds[i%ns]
-		set, err := cache.Generate(mc)
+	grid, err := runpool.Grid(opts.Context, opts.Parallel, len(cfgs), opts.Seeds, func(ctx context.Context, c int, seed int64) (metrics.Report, error) {
+		set, cp, err := cloud.Seeded(opts.Market, opts.Cloud, seed)
 		if err != nil {
 			return metrics.Report{}, err
 		}
-		cp := opts.Cloud
-		cp.Seed = opts.Seeds[i%ns]
-		var rec *trace.Recorder
-		if opts.Trace != nil {
-			rec = opts.Trace.Run(fmt.Sprintf("cfg%02d/seed%d", i/ns, opts.Seeds[i%ns]))
-		}
-		rep, err := sched.RunTracedCtx(ctx, set, cp, cfgs[i/ns], opts.Horizon, rec)
+		rec := opts.Trace.Run(fmt.Sprintf("cfg%02d/seed%d", c, seed))
+		rep, err := sched.RunTracedCtx(ctx, set, cp, cfgs[c], opts.Horizon, rec)
 		if err == nil {
 			opts.Trace.Done(rec)
 		}
@@ -59,8 +47,8 @@ func runPolicies(opts Options, cfgs []sched.Config) ([]metrics.Report, error) {
 		return nil, err
 	}
 	out := make([]metrics.Report, len(cfgs))
-	for c := range cfgs {
-		out[c] = metrics.Average(reports[c*ns : (c+1)*ns])
+	for c, reps := range grid {
+		out[c] = metrics.Average(reps)
 	}
 	return out, nil
 }

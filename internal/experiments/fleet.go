@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"sync"
 
+	"spothost/internal/catalog"
+	"spothost/internal/cloud"
 	"spothost/internal/fleet"
 	"spothost/internal/market"
-	"spothost/internal/obs"
 	"spothost/internal/runpool"
 	"spothost/internal/sim"
 	"spothost/internal/tpcw"
@@ -52,6 +53,64 @@ func fleetMarkets(opts Options) []market.ID {
 	return ids
 }
 
+// fleetBase is the configuration every fleet cell shares: the
+// experiment's diurnal demand, capacity planner, bid multiple and replica
+// cap. Cells set the strategy and the candidate markets.
+func fleetBase(opts Options) (fleet.Config, error) {
+	planner, err := fleetPlanner()
+	if err != nil {
+		return fleet.Config{}, err
+	}
+	dcfg := fleet.DefaultDiurnalConfig(opts.Horizon, fleetDemandSeed)
+	dcfg.Base = fleetBaseLoad
+	dcfg.Peak = fleetPeakLoad
+	demand, err := fleet.NewDiurnalDemand(dcfg)
+	if err != nil {
+		return fleet.Config{}, err
+	}
+	return fleet.Config{
+		Demand:      demand,
+		Planner:     planner,
+		BidMultiple: fleetBidMultiple,
+		MaxReplicas: fleetMaxReplicas,
+	}, nil
+}
+
+// catalogMarkets is a typed fleet's candidate universe: every market of
+// the first seed's universe of mc that the catalog deems compatible with
+// the anchor type.
+func catalogMarkets(opts Options, mc market.Config, cat *catalog.Catalog, anchor market.InstanceType) ([]market.ID, error) {
+	set, _, err := cloud.Seeded(mc, opts.Cloud, opts.Seeds[0])
+	if err != nil {
+		return nil, err
+	}
+	return cat.CompatibleMarkets(set, anchor)
+}
+
+// fleetGrid runs one fleet configuration per row on every option seed's
+// universe of mc as one runpool.Grid. row returns the row's config and
+// its run label: each cell records into col and opts.Obs under
+// "<label>/seed<N>" (either collector may be nil).
+func fleetGrid(opts Options, mc market.Config, col *trace.Collector, rows int,
+	row func(r int) (fleet.Config, string)) ([][]fleet.Report, error) {
+
+	return runpool.Grid(opts.Context, opts.Parallel, rows, opts.Seeds, func(ctx context.Context, r int, seed int64) (fleet.Report, error) {
+		set, cp, err := cloud.Seeded(mc, opts.Cloud, seed)
+		if err != nil {
+			return fleet.Report{}, err
+		}
+		cfg, name := row(r)
+		label := fmt.Sprintf("%s/seed%d", name, seed)
+		rec, ob := col.Run(label), opts.Obs.Run(label)
+		rep, err := fleet.RunObsCtx(ctx, set, cp, cfg, opts.Horizon, rec, ob)
+		if err == nil {
+			col.Done(rec)
+			opts.Obs.Done(ob)
+		}
+		return rep, err
+	})
+}
+
 // FleetRow is one allocation strategy's cross-seed outcome.
 type FleetRow struct {
 	Strategy string
@@ -86,81 +145,34 @@ func Fleet(opts Options) (FleetResult, error) {
 	if anchor == "" {
 		anchor = heterogeneityAnchor
 	}
+	base, err := fleetBase(opts)
+	if err != nil {
+		return res, err
+	}
+	mc := opts.Market
 	if opts.Catalog != nil {
 		// The candidate universe is every catalog-compatible market of
 		// the widened set, not the per-region small markets.
-		mc := opts.Market
-		mc.Seed = opts.Seeds[0]
 		mc.Types = opts.Catalog.TypeSpecs()
-		set, err := market.SharedCache().Generate(mc)
-		if err != nil {
+		if res.Markets, err = catalogMarkets(opts, mc, opts.Catalog, anchor); err != nil {
 			return res, err
 		}
-		if res.Markets, err = opts.Catalog.CompatibleMarkets(set, anchor); err != nil {
-			return res, err
-		}
-	}
-	planner, err := fleetPlanner()
-	if err != nil {
-		return res, err
-	}
-	dcfg := fleet.DefaultDiurnalConfig(opts.Horizon, fleetDemandSeed)
-	dcfg.Base = fleetBaseLoad
-	dcfg.Peak = fleetPeakLoad
-	demand, err := fleet.NewDiurnalDemand(dcfg)
-	if err != nil {
-		return res, err
+		base.Catalog, base.AnchorType = opts.Catalog, anchor
+	} else {
+		base.Markets = res.Markets
 	}
 	strategies := fleet.Strategies()
-	ns := len(opts.Seeds)
-	cache := market.SharedCache()
-	cells := make([]int, len(strategies)*ns)
-	reports, err := runpool.MapCtx(opts.Context, opts.Parallel, cells, func(ctx context.Context, i, _ int) (fleet.Report, error) {
-		seed := opts.Seeds[i%ns]
-		mc := opts.Market
-		mc.Seed = seed
-		if opts.Catalog != nil {
-			mc.Types = opts.Catalog.TypeSpecs()
-		}
-		set, err := cache.Generate(mc)
-		if err != nil {
-			return fleet.Report{}, err
-		}
-		cp := opts.Cloud
-		cp.Seed = seed
-		cfg := fleet.Config{
-			Strategy:    strategies[i/ns],
-			Demand:      demand,
-			Planner:     planner,
-			BidMultiple: fleetBidMultiple,
-			MaxReplicas: fleetMaxReplicas,
-		}
-		if opts.Catalog != nil {
-			cfg.Catalog = opts.Catalog
-			cfg.AnchorType = anchor
-		} else {
-			cfg.Markets = res.Markets
-		}
-		var rec *trace.Recorder
-		if opts.Trace != nil {
-			rec = opts.Trace.Run(fmt.Sprintf("%s/seed%d", strategies[i/ns].Name(), seed))
-		}
-		var ob *obs.Recorder
-		if opts.Obs != nil {
-			ob = opts.Obs.Run(fmt.Sprintf("%s/seed%d", strategies[i/ns].Name(), seed))
-		}
-		rep, err := fleet.RunObsCtx(ctx, set, cp, cfg, opts.Horizon, rec, ob)
-		if err == nil {
-			opts.Trace.Done(rec)
-			opts.Obs.Done(ob)
-		}
-		return rep, err
+	reports, err := fleetGrid(opts, mc, opts.Trace, len(strategies), func(s int) (fleet.Config, string) {
+		cfg := base
+		cfg.Strategy = strategies[s]
+		return cfg, strategies[s].Name()
 	})
 	if err != nil {
 		return res, err
 	}
+	ns := len(opts.Seeds)
 	for s, strat := range strategies {
-		perSeed := reports[s*ns : (s+1)*ns]
+		perSeed := reports[s]
 		row := FleetRow{
 			Strategy:     strat.Name(),
 			Mean:         fleet.Average(perSeed),

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"spothost/internal/catalog"
 	"spothost/internal/fleet"
 	"spothost/internal/market"
-	"spothost/internal/obs"
-	"spothost/internal/runpool"
 )
 
 // heterogeneityAnchor is the capacity anchor both arms plan in: the
@@ -53,78 +50,44 @@ func Heterogeneity(opts Options) (HeterogeneityResult, error) {
 	opts = opts.normalize()
 	cat := catalog.Default()
 	res := HeterogeneityResult{}
-	planner, err := fleetPlanner()
-	if err != nil {
-		return res, err
-	}
-	dcfg := fleet.DefaultDiurnalConfig(opts.Horizon, fleetDemandSeed)
-	dcfg.Base = fleetBaseLoad
-	dcfg.Peak = fleetPeakLoad
-	demand, err := fleet.NewDiurnalDemand(dcfg)
+	base, err := fleetBase(opts)
 	if err != nil {
 		return res, err
 	}
 	singleMarkets := fleetMarkets(opts)
 	res.SingleMarkets = len(singleMarkets)
 
+	// Rows are arm-major (single, then typed), then strategy. Both arms
+	// share the typed universe via the market cache.
+	mc := opts.Market
+	mc.Types = cat.TypeSpecs()
 	strategies := fleet.Strategies()
-	ns := len(opts.Seeds)
-	cache := market.SharedCache()
-	// Cell layout: arm-major, then strategy, then seed. Both arms share
-	// the typed universe via the market cache.
-	cells := make([]int, 2*len(strategies)*ns)
-	reports, err := runpool.MapCtx(opts.Context, opts.Parallel, cells, func(ctx context.Context, i, _ int) (fleet.Report, error) {
-		typed := i >= len(strategies)*ns
-		j := i % (len(strategies) * ns)
-		seed := opts.Seeds[j%ns]
-		mc := opts.Market
-		mc.Seed = seed
-		mc.Types = cat.TypeSpecs()
-		set, err := cache.Generate(mc)
-		if err != nil {
-			return fleet.Report{}, err
-		}
-		cp := opts.Cloud
-		cp.Seed = seed
-		cfg := fleet.Config{
-			Strategy:    strategies[j/ns],
-			Demand:      demand,
-			Planner:     planner,
-			BidMultiple: fleetBidMultiple,
-			MaxReplicas: fleetMaxReplicas,
-		}
+	half := len(strategies)
+	reports, err := fleetGrid(opts, mc, nil, 2*half, func(r int) (fleet.Config, string) {
+		cfg := base
+		cfg.Strategy = strategies[r%half]
 		arm := "single"
-		if typed {
+		if r >= half {
 			cfg.Catalog = cat
 			cfg.AnchorType = heterogeneityAnchor
 			arm = "typed"
 		} else {
 			cfg.Markets = singleMarkets
 		}
-		var ob *obs.Recorder
-		if opts.Obs != nil {
-			ob = opts.Obs.Run(fmt.Sprintf("%s/%s/seed%d", arm, strategies[j/ns].Name(), seed))
-		}
-		rep, err := fleet.RunObsCtx(ctx, set, cp, cfg, opts.Horizon, nil, ob)
-		if err == nil {
-			opts.Obs.Done(ob)
-		}
-		return rep, err
+		return cfg, arm + "/" + strategies[r%half].Name()
 	})
 	if err != nil {
 		return res, err
 	}
 
-	// The typed arm's candidate universe: every market of the typed set
-	// compatible with the anchor.
-	if ids, err := typedUniverseSize(opts, cat); err == nil {
-		res.TypedMarkets = ids
+	// The typed arm's candidate universe (the cache already holds the
+	// first seed's set).
+	if ids, err := catalogMarkets(opts, mc, cat, heterogeneityAnchor); err == nil {
+		res.TypedMarkets = len(ids)
 	}
 
-	half := len(strategies) * ns
 	for s, strat := range strategies {
-		singleSeeds := reports[s*ns : (s+1)*ns]
-		typedSeeds := reports[half+s*ns : half+(s+1)*ns]
+		singleSeeds, typedSeeds := reports[s], reports[half+s]
 		row := HeterogeneityRow{
 			Strategy:    strat.Name(),
 			Single:      fleet.Average(singleSeeds),
@@ -147,23 +110,6 @@ func Heterogeneity(opts Options) (HeterogeneityResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// typedUniverseSize counts the typed arm's candidate markets without
-// rerunning generation (the cache already holds the first seed's set).
-func typedUniverseSize(opts Options, cat *catalog.Catalog) (int, error) {
-	mc := opts.Market
-	mc.Seed = opts.Seeds[0]
-	mc.Types = cat.TypeSpecs()
-	set, err := market.SharedCache().Generate(mc)
-	if err != nil {
-		return 0, err
-	}
-	ids, err := cat.CompatibleMarkets(set, heterogeneityAnchor)
-	if err != nil {
-		return 0, err
-	}
-	return len(ids), nil
 }
 
 // Render prints the single-type vs catalog comparison.

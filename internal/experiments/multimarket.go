@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/metrics"
 	"spothost/internal/sched"
@@ -118,12 +119,9 @@ func Figure8(opts Options) (Figure8Result, error) {
 // the option seeds. Universes come from the shared cache, so the fleet
 // runs that already generated them make these lookups free.
 func regionCorrelation(opts Options, r market.Region) (float64, error) {
-	cache := market.SharedCache()
 	sum := 0.0
 	for _, seed := range opts.Seeds {
-		mc := opts.Market
-		mc.Seed = seed
-		set, err := cache.Generate(mc)
+		set, _, err := cloud.Seeded(opts.Market, opts.Cloud, seed)
 		if err != nil {
 			return 0, err
 		}
@@ -217,16 +215,13 @@ func Figure9(opts Options) (Figure9Result, error) {
 	if err != nil {
 		return res, err
 	}
-	cache := market.SharedCache()
 	for i, pr := range pairs {
 		a, b := pr.a, pr.b
 		group := reports[3*i : 3*i+3]
 
 		corr := 0.0
 		for _, seed := range opts.Seeds {
-			mc := opts.Market
-			mc.Seed = seed
-			set, err := cache.Generate(mc)
+			set, _, err := cloud.Seeded(opts.Market, opts.Cloud, seed)
 			if err != nil {
 				return res, err
 			}

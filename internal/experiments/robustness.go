@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/metrics"
 	"spothost/internal/runpool"
@@ -30,39 +31,35 @@ type RobustnessResult struct {
 
 // Robustness runs the three policies under three price regimes. Every
 // (policy, regime, seed) cell is an independent simulation, so they all
-// fan out over one flat worker pool; the shared market cache generates
-// each regime's universe once per seed instead of once per policy.
+// fan out over one runpool.Grid; the shared market cache generates each
+// regime's universe once per seed instead of once per policy.
 func Robustness(opts Options) (RobustnessResult, error) {
 	opts = opts.normalize()
 	home := market.ID{Region: opts.Region, Type: "small"}
 	policies := []sched.Bidding{sched.Reactive, sched.Proactive, sched.PureSpot}
 	const regimes = 3 // banded, spiky, baseline
-	cache := market.SharedCache()
 
-	generate := func(regime int, seed int64) (*market.Set, error) {
-		switch regime {
-		case 0, 1:
-			rcfg := market.DefaultReserveConfig(seed)
-			rcfg.Horizon = opts.Horizon
-			if regime == 1 {
-				rcfg.SpikesPerDay = 3
-			}
-			return cache.GenerateReserve(rcfg)
-		default:
-			mc := opts.Market
-			mc.Seed = seed
-			return cache.Generate(mc)
+	// universe returns a regime's universe for one seed: the banded
+	// regimes come from the reserve-price generator, the baseline from the
+	// calibrated one.
+	universe := func(regime int, seed int64) (*market.Set, cloud.Params, error) {
+		if regime == 2 {
+			return cloud.Seeded(opts.Market, opts.Cloud, seed)
 		}
+		rcfg := market.DefaultReserveConfig(seed)
+		rcfg.Horizon = opts.Horizon
+		if regime == 1 {
+			rcfg.SpikesPerDay = 3
+		}
+		set, err := market.SharedCache().GenerateReserve(rcfg)
+		cp := opts.Cloud
+		cp.Seed = seed
+		return set, cp, err
 	}
 
-	var res RobustnessResult
-	ns := len(opts.Seeds)
-	cells := make([]int, len(policies)*regimes*ns)
-	reports, err := runpool.MapCtx(opts.Context, opts.Parallel, cells, func(ctx context.Context, i, _ int) (metrics.Report, error) {
-		policy := policies[i/(regimes*ns)]
-		regime := (i / ns) % regimes
-		seed := opts.Seeds[i%ns]
-		set, err := generate(regime, seed)
+	// Rows are policy-major, then regime.
+	reports, err := runpool.Grid(opts.Context, opts.Parallel, len(policies)*regimes, opts.Seeds, func(ctx context.Context, r int, seed int64) (metrics.Report, error) {
+		set, cp, err := universe(r%regimes, seed)
 		if err != nil {
 			return metrics.Report{}, err
 		}
@@ -70,23 +67,21 @@ func Robustness(opts Options) (RobustnessResult, error) {
 		if err != nil {
 			return metrics.Report{}, err
 		}
-		cfg.Bidding = policy
+		cfg.Bidding = policies[r/regimes]
 		cfg.Mechanism = vm.CKPTLazyLive
 		cfg.VMParams = opts.VM
-		cp := opts.Cloud
-		cp.Seed = seed
 		return sched.RunCtx(ctx, set, cp, cfg, opts.Horizon)
 	})
+	var res RobustnessResult
 	if err != nil {
 		return res, err
 	}
 	for p, b := range policies {
-		base := p * regimes * ns
 		res.Rows = append(res.Rows, RobustnessRow{
 			Policy:   b,
-			Banded:   metrics.Average(reports[base : base+ns]),
-			Spiky:    metrics.Average(reports[base+ns : base+2*ns]),
-			Baseline: metrics.Average(reports[base+2*ns : base+3*ns]),
+			Banded:   metrics.Average(reports[p*regimes]),
+			Spiky:    metrics.Average(reports[p*regimes+1]),
+			Baseline: metrics.Average(reports[p*regimes+2]),
 		})
 	}
 	return res, nil

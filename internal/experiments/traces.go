@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
 )
@@ -27,9 +28,7 @@ type DailyPrice struct {
 // Figure1 generates the traces and computes the Fig. 1 views.
 func Figure1(opts Options) (Figure1Result, error) {
 	opts = opts.normalize()
-	mc := opts.Market
-	mc.Seed = opts.Seeds[0]
-	set, err := market.SharedCache().Generate(mc)
+	set, _, err := cloud.Seeded(opts.Market, opts.Cloud, opts.Seeds[0])
 	if err != nil {
 		return Figure1Result{}, err
 	}
@@ -110,11 +109,8 @@ func Figure10(opts Options) (Figure10Result, error) {
 	opts = opts.normalize()
 	res := Figure10Result{StdDev: map[market.Region]map[market.InstanceType]float64{}}
 	n := 0
-	cache := market.SharedCache()
 	for _, seed := range opts.Seeds {
-		mc := opts.Market
-		mc.Seed = seed
-		set, err := cache.Generate(mc)
+		set, _, err := cloud.Seeded(opts.Market, opts.Cloud, seed)
 		if err != nil {
 			return Figure10Result{}, err
 		}

@@ -19,13 +19,13 @@ func newCatalogSim(t testing.TB, set *market.Set) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSim(set, cloud.DefaultParams(1), Config{
+	s, err := NewSimObs(set, cloud.DefaultParams(1), Config{
 		Catalog:    cat,
 		AnchorType: "small",
 		Strategy:   Diversified{},
 		Demand:     demand,
 		Planner:    LinearPlanner{PerReplica: 6},
-	}, 30*sim.Day, nil)
+	}, 30*sim.Day, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

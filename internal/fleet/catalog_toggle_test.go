@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -50,11 +51,11 @@ func TestCatalogToggleEquivalence(t *testing.T) {
 		typed.Catalog = single
 		typed.AnchorType = "small"
 
-		want, err := RunSeeds(mcfg, cloud.DefaultParams(0), legacy, horizon, seeds)
+		want, err := RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), legacy, horizon, seeds, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunSeeds(mcfg, cloud.DefaultParams(0), typed, horizon, seeds)
+		got, err := RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), typed, horizon, seeds, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,11 +90,11 @@ func TestCatalogExplicitMarketsEquivalence(t *testing.T) {
 	typed.Catalog = catalog.Legacy()
 	typed.AnchorType = "small"
 
-	want, err := RunSeeds(mcfg, cloud.DefaultParams(0), legacy, horizon, seeds)
+	want, err := RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), legacy, horizon, seeds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSeeds(mcfg, cloud.DefaultParams(0), typed, horizon, seeds)
+	got, err := RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), typed, horizon, seeds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestCatalogMixedPlacement(t *testing.T) {
 		Catalog:    catalog.Default(),
 		AnchorType: "small",
 	}
-	reps, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, horizon, []int64{9})
+	reps, err := RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, horizon, []int64{9}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

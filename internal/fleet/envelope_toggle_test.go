@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -29,13 +30,13 @@ func TestEnvelopeToggleEquivalence(t *testing.T) {
 		seeds := []int64{1, 2, 3}
 
 		useEnvelope = true
-		fast, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds)
+		fast, err := RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds, 0)
 		if err != nil {
 			useEnvelope = true
 			t.Fatal(err)
 		}
 		useEnvelope = false
-		slow, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds)
+		slow, err := RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds, 0)
 		useEnvelope = true
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -45,7 +46,7 @@ func TestDiversificationReducesSimultaneousLoss(t *testing.T) {
 			// A low bid keeps revocations frequent enough to measure.
 			BidMultiple: 1.3,
 		}
-		reps, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, horizon, seeds)
+		reps, err := RunSeedsParallelCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, horizon, seeds, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}

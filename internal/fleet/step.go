@@ -32,25 +32,19 @@ type Sim struct {
 	done    bool
 }
 
-// NewSim builds a resumable fleet simulation over the price set: the
-// controller is started (its first autoscaling tick runs at virtual time
-// zero) but no events execute until the first Step. A zero, negative, or
-// over-long horizon is clamped to the traces' extent, exactly as in Run.
-func NewSim(set *market.Set, cloudParams cloud.Params, cfg Config,
-	horizon sim.Duration, rec *trace.Recorder) (*Sim, error) {
-	return NewSimObs(set, cloudParams, cfg, horizon, rec, nil)
-}
-
-// NewSimObs is NewSim with a telemetry recorder attached to the run's
-// engine: the controller's capacity accounting, its decision ledger and
-// the provider's billing all record into it. A nil recorder is exactly
-// NewSim — the disabled path adds no allocations (TestObsOffAllocs).
+// NewSimObs builds a resumable fleet simulation over the price set, with
+// recorders attached to the run's engine: the trace recorder gets replica
+// lifecycles, the telemetry recorder the controller's capacity
+// accounting, its decision ledger and the provider's billing. Either may
+// be nil at no cost — the disabled path adds no allocations
+// (TestObsOffAllocs). The controller is started (its first autoscaling
+// tick runs at virtual time zero) but no events execute until the first
+// Step. A zero, negative, or over-long horizon is clamped to the traces'
+// extent, exactly as in Run.
 func NewSimObs(set *market.Set, cloudParams cloud.Params, cfg Config,
 	horizon sim.Duration, rec *trace.Recorder, ob *obs.Recorder) (*Sim, error) {
 
-	if horizon <= 0 || horizon > set.Horizon() {
-		horizon = set.Horizon()
-	}
+	horizon = set.ClampHorizon(horizon)
 	eng := sim.NewEngine()
 	eng.SetRecorder(rec)
 	eng.SetObs(ob)

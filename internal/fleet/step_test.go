@@ -45,7 +45,7 @@ func TestSteppedRunByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := NewSim(set, cloud.DefaultParams(seed), steppedTestConfig(t, horizon, seed), horizon, nil)
+	s, err := NewSimObs(set, cloud.DefaultParams(seed), steppedTestConfig(t, horizon, seed), horizon, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -489,7 +489,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	done := s.serving.StartKind(kind)
 	start := time.Now()
-	res, err := sc.RunTracedCtx(ctx, s.traces.Scope("scenario"))
+	res, err := sc.RunCtx(ctx, s.traces.Scope("scenario"))
 	done(err)
 	s.logger.Printf("run scenario services=%d fleets=%d dur=%s err=%v",
 		len(sc.Services), len(sc.Fleets), time.Since(start).Round(time.Millisecond), err)

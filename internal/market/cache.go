@@ -98,7 +98,7 @@ func (c *Cache) Purge() {
 }
 
 // sharedCache is the process-wide universe cache used by the simulation
-// harness (sched.RunSeeds, the experiments) by default.
+// harness (cloud.Seeded, hence every seeded run grid) by default.
 var sharedCache = NewCache()
 
 // SharedCache returns the process-wide universe cache.

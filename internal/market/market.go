@@ -434,6 +434,15 @@ func (s *Set) TypeSpec(t InstanceType) (TypeSpec, bool) {
 // Horizon returns the common usable end time across all traces.
 func (s *Set) Horizon() sim.Time { return s.end }
 
+// ClampHorizon is the horizon a run over the set uses: h itself, or the
+// traces' common extent when h is zero, negative or longer than it.
+func (s *Set) ClampHorizon(h sim.Duration) sim.Duration {
+	if h <= 0 || h > s.end {
+		return s.end
+	}
+	return h
+}
+
 // IDs returns all market identifiers, sorted for determinism.
 func (s *Set) IDs() []ID {
 	ids := make([]ID, 0, len(s.traces))

@@ -201,55 +201,86 @@ func (r Report) String() string {
 }
 
 // Average combines reports from repeated runs (different seeds) of the
-// same configuration into one mean report. Counts are averaged and
-// rounded; it panics on an empty input because that is always a harness
-// bug.
+// same configuration into one mean report: the Mean of an Accum fed every
+// report in order. It panics on an empty input because that is always a
+// harness bug.
 func Average(rs []Report) Report {
 	if len(rs) == 0 {
 		panic("metrics: Average of no reports")
 	}
-	out := rs[0]
-	n := float64(len(rs))
-	var cost, base, spotS, odS, down, degr, horizon float64
-	var forced, planned, reverse, xr, lost, eps float64
-	var ckpt float64
-	var longest sim.Duration
+	var a Accum
 	for _, r := range rs {
-		ckpt += r.CheckpointGB
-		cost += r.Cost
-		base += r.BaselineCost
-		spotS += r.SpotSeconds
-		odS += r.OnDemandSeconds
-		down += r.DowntimeSeconds
-		degr += r.DegradedSeconds
-		horizon += float64(r.Horizon)
-		forced += float64(r.Migrations.Forced)
-		planned += float64(r.Migrations.Planned)
-		reverse += float64(r.Migrations.Reverse)
-		xr += float64(r.Migrations.CrossRegion)
-		lost += float64(r.Migrations.MemoryLost)
-		eps += float64(r.DownEpisodes)
-		if r.LongestDowntime > longest {
-			longest = r.LongestDowntime
-		}
+		a.Add(r)
 	}
-	out.DowntimeLog = nil // per-seed logs are not averageable
-	out.CheckpointGB = ckpt / n
-	out.Cost = cost / n
-	out.BaselineCost = base / n
-	out.SpotSeconds = spotS / n
-	out.OnDemandSeconds = odS / n
-	out.DowntimeSeconds = down / n
-	out.DegradedSeconds = degr / n
-	out.Horizon = horizon / n
-	out.DownEpisodes = int(eps/n + 0.5)
-	out.LongestDowntime = longest
+	return a.Mean()
+}
+
+// Accum is a streaming mean of reports: Add them one at a time and Mean
+// returns the cross-run average without ever holding more than one
+// report. Continuous quantities are averaged, counts are averaged and
+// rounded, LongestDowntime is the maximum, and the non-averaged fields
+// (policy and mechanism labels, VM count) come from the first report.
+// Per-run downtime logs are dropped: they are not averageable. The zero
+// value is an empty accumulator.
+type Accum struct {
+	n     int
+	first Report
+
+	ckpt, cost, base, spotS, odS, down, degr, horizon float64
+	forced, planned, reverse, xr, lost, eps           float64
+	longest                                           sim.Duration
+}
+
+// Add folds one run's report into the mean.
+func (a *Accum) Add(r Report) {
+	if a.n == 0 {
+		a.first = r
+		a.first.DowntimeLog = nil
+	}
+	a.n++
+	a.ckpt += r.CheckpointGB
+	a.cost += r.Cost
+	a.base += r.BaselineCost
+	a.spotS += r.SpotSeconds
+	a.odS += r.OnDemandSeconds
+	a.down += r.DowntimeSeconds
+	a.degr += r.DegradedSeconds
+	a.horizon += float64(r.Horizon)
+	a.forced += float64(r.Migrations.Forced)
+	a.planned += float64(r.Migrations.Planned)
+	a.reverse += float64(r.Migrations.Reverse)
+	a.xr += float64(r.Migrations.CrossRegion)
+	a.lost += float64(r.Migrations.MemoryLost)
+	a.eps += float64(r.DownEpisodes)
+	if r.LongestDowntime > a.longest {
+		a.longest = r.LongestDowntime
+	}
+}
+
+// Mean returns the mean of the reports added so far, the zero Report when
+// there are none.
+func (a *Accum) Mean() Report {
+	if a.n == 0 {
+		return Report{}
+	}
+	out := a.first
+	n := float64(a.n)
+	out.CheckpointGB = a.ckpt / n
+	out.Cost = a.cost / n
+	out.BaselineCost = a.base / n
+	out.SpotSeconds = a.spotS / n
+	out.OnDemandSeconds = a.odS / n
+	out.DowntimeSeconds = a.down / n
+	out.DegradedSeconds = a.degr / n
+	out.Horizon = a.horizon / n
+	out.DownEpisodes = int(a.eps/n + 0.5)
+	out.LongestDowntime = a.longest
 	out.Migrations = MigrationCounts{
-		Forced:      int(forced/n + 0.5),
-		Planned:     int(planned/n + 0.5),
-		Reverse:     int(reverse/n + 0.5),
-		CrossRegion: int(xr/n + 0.5),
-		MemoryLost:  int(lost/n + 0.5),
+		Forced:      int(a.forced/n + 0.5),
+		Planned:     int(a.planned/n + 0.5),
+		Reverse:     int(a.reverse/n + 0.5),
+		CrossRegion: int(a.xr/n + 0.5),
+		MemoryLost:  int(a.lost/n + 0.5),
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,4 +120,14 @@ func TestAverageEmptyPanics(t *testing.T) {
 		}
 	}()
 	Average(nil)
+}
+
+// TestAccumEmptyMean pins the streaming mean's empty case: a zero Report
+// rather than Average's panic, so a sweep point that ran no seeds (every
+// one pruned) reports zeros.
+func TestAccumEmptyMean(t *testing.T) {
+	var a Accum
+	if got := a.Mean(); !reflect.DeepEqual(got, Report{}) {
+		t.Fatalf("empty Accum mean = %+v, want the zero Report", got)
+	}
 }

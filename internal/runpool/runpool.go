@@ -213,3 +213,28 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T,
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
+
+// Grid runs fn over every (row, seed) cell of a rows × len(seeds) grid —
+// the shape of every multi-seed evaluation: a row is one configuration,
+// and each of its cells is that configuration run on one seed. All cells
+// share one MapCtx pool (flattened row-major, so workers stay busy across
+// rows instead of draining one row's seeds at a time), and the results
+// come back config-major: out[row][k] is row's run on seeds[k], in that
+// order at any worker count. Errors and cancellation follow MapCtx; on
+// failure Grid returns no results.
+func Grid[R any](ctx context.Context, workers, rows int, seeds []int64,
+	fn func(ctx context.Context, row int, seed int64) (R, error)) ([][]R, error) {
+
+	ns := len(seeds)
+	flat, err := MapCtx(ctx, workers, make([]struct{}, rows*ns), func(ctx context.Context, i int, _ struct{}) (R, error) {
+		return fn(ctx, i/ns, seeds[i%ns])
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]R, rows)
+	for r := range out {
+		out[r] = flat[r*ns : (r+1)*ns : (r+1)*ns]
+	}
+	return out, nil
+}

@@ -540,23 +540,13 @@ type Result struct {
 	Totals   sched.Totals
 }
 
-// Run executes the scenario end to end.
-func (sc Scenario) Run() (Result, error) {
-	return sc.RunCtx(context.Background())
-}
-
-// RunCtx is Run under a context: a cancel aborts the portfolio simulation
-// within one engine cancellation-poll batch and returns ctx's error, so a
-// serving layer can bound or abandon a scenario run.
-func (sc Scenario) RunCtx(ctx context.Context) (Result, error) {
-	return sc.RunTracedCtx(ctx, nil)
-}
-
-// RunTracedCtx is RunCtx with an optional trace collector: the portfolio
-// records every service onto its own track of one "portfolio" run, and
-// each fleet records into a run named after it. A nil collector traces
-// nothing at no cost.
-func (sc Scenario) RunTracedCtx(ctx context.Context, col *trace.Collector) (Result, error) {
+// RunCtx executes the scenario end to end under a context: a cancel
+// aborts the simulation within one engine cancellation-poll batch and
+// returns ctx's error, so a serving layer can bound or abandon a scenario
+// run. The portfolio records every service onto its own track of one
+// "portfolio" run of col, and each fleet records into a run named after
+// it; a nil collector traces nothing at no cost.
+func (sc Scenario) RunCtx(ctx context.Context, col *trace.Collector) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -616,16 +606,14 @@ func (sc Scenario) RunTracedCtx(ctx context.Context, col *trace.Collector) (Resu
 	// Each fleet is its own simulation over the same price universe: the
 	// controller manages capacity, not individual long-lived VMs, so it
 	// shares traces with the portfolio but not a bill.
-	if fh := set.Horizon(); horizon <= 0 || horizon > fh {
-		horizon = fh
-	}
+	horizon = set.ClampHorizon(horizon)
 	for _, fd := range sc.Fleets {
 		cfg, err := fd.config(horizon, sc.Seed)
 		if err != nil {
 			return Result{}, fmt.Errorf("scenario: fleet %q: %w", fd.Name, err)
 		}
 		frec := col.Run(fd.Name)
-		rep, err := fleet.RunTracedCtx(ctx, set, cp, cfg, horizon, frec)
+		rep, err := fleet.RunObsCtx(ctx, set, cp, cfg, horizon, frec, nil)
 		if err != nil {
 			return Result{}, fmt.Errorf("scenario: fleet %q: %w", fd.Name, err)
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,7 +72,7 @@ func TestScenarioRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
+	res, err := sc.RunCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestScenarioFleetOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
+	res, err := sc.RunCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestScenarioMixedServicesAndFleets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
+	res, err := sc.RunCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestScenarioFleetUnknownMarket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Run(); err == nil {
+	if _, err := sc.RunCtx(context.Background(), nil); err == nil {
 		t.Fatal("unknown fleet market ran")
 	}
 }
@@ -206,7 +207,7 @@ func TestScenarioUnknownMarketFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Run(); err == nil {
+	if _, err := sc.RunCtx(context.Background(), nil); err == nil {
 		t.Fatal("unknown region ran")
 	}
 }
@@ -231,7 +232,7 @@ func TestScenarioReplaysCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
+	res, err := sc.RunCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +249,12 @@ func TestScenarioBadTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Run(); err == nil {
+	if _, err := sc.RunCtx(context.Background(), nil); err == nil {
 		t.Fatal("missing traces file ran")
 	}
 	sc.Traces = "scenario.go" // exists but wrong format
 	sc.TracesFormat = "carrier-pigeon"
-	if _, err := sc.Run(); err == nil {
+	if _, err := sc.RunCtx(context.Background(), nil); err == nil {
 		t.Fatal("unknown format ran")
 	}
 }
@@ -300,7 +301,7 @@ func TestScenarioCatalogFleetRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
+	res, err := sc.RunCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

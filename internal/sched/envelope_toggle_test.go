@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -24,12 +25,12 @@ func TestEnvelopeToggleEquivalence(t *testing.T) {
 
 	defer func() { useEnvelope = true }()
 	useEnvelope = true
-	fast, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds)
+	fast, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	useEnvelope = false
-	slow, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds)
+	slow, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

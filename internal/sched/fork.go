@@ -363,12 +363,7 @@ func (l *ForkLog) LastCheckpointAtOrBefore(t sim.Time) *Checkpoint {
 // own trajectory and report are byte-identical to RunCtx's (the ticker
 // only advances event sequence numbers, which preserves ordering).
 func RunWithCheckpointsCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params, cfg Config, horizon sim.Duration, every sim.Duration) (metrics.Report, *ForkLog, error) {
-	if horizon <= 0 || horizon > set.Horizon() {
-		horizon = set.Horizon()
-	}
-	eng := sim.NewEngine()
-	prov := cloud.NewProvider(eng, set, cloudParams)
-	s, err := New(prov, cfg)
+	eng, s, horizon, err := build(set, cloudParams, cfg, horizon, nil)
 	if err != nil {
 		return metrics.Report{}, nil, err
 	}
@@ -394,9 +389,7 @@ func RunWithCheckpointsCtx(ctx context.Context, set *market.Set, cloudParams clo
 // precedes the first divergence point between cfg and the pilot's
 // configuration, the report is byte-identical to a cold RunCtx of cfg.
 func RunForkedCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params, cfg Config, horizon sim.Duration, ck *Checkpoint) (metrics.Report, error) {
-	if horizon <= 0 || horizon > set.Horizon() {
-		horizon = set.Horizon()
-	}
+	horizon = set.ClampHorizon(horizon)
 	if ck.at > horizon {
 		return metrics.Report{}, fmt.Errorf("sched: checkpoint at t=%v is past the horizon %v", ck.at, horizon)
 	}

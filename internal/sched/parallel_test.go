@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,12 +23,12 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 	mcfg.Horizon = 4 * sim.Day
 	seeds := []int64{3, 5, 8, 13, 21}
 
-	serial, err := RunSeedsParallel(mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, 1)
+	serial, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, len(seeds), 2 * len(seeds)} {
-		parallel, err := RunSeedsParallel(mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, workers)
+		parallel, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,12 +45,12 @@ func TestRunSeedsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSeeds(market.DefaultConfig(0), cloud.DefaultParams(0), cfg, 0, nil); err == nil {
+	if _, err := RunSeedsTracedCtx(context.Background(), market.DefaultConfig(0), cloud.DefaultParams(0), cfg, 0, nil, 0, nil); err == nil {
 		t.Fatal("want error for empty seed list")
 	}
 }
 
-// TestRunSeedsUsesSharedCache checks repeated RunSeeds calls hit the
+// TestRunSeedsUsesSharedCache checks repeated RunSeedsTracedCtx calls hit the
 // universe cache rather than regenerating.
 func TestRunSeedsUsesSharedCache(t *testing.T) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
@@ -65,10 +66,10 @@ func TestRunSeedsUsesSharedCache(t *testing.T) {
 
 	before := market.SharedCache().Stats()
 	seeds := []int64{101, 102}
-	if _, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 2*sim.Day, seeds); err != nil {
+	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 2*sim.Day, seeds, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 2*sim.Day, seeds); err != nil {
+	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 2*sim.Day, seeds, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := market.SharedCache().Stats()

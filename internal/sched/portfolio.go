@@ -120,9 +120,7 @@ func (p *Portfolio) RunCtx(ctx context.Context, horizon sim.Duration) error {
 		return fmt.Errorf("sched: empty portfolio")
 	}
 	p.ran = true
-	if max := p.prov.Markets().Horizon(); horizon <= 0 || horizon > max {
-		horizon = max
-	}
+	horizon = p.prov.Markets().ClampHorizon(horizon)
 	for _, name := range p.names {
 		s := p.scheds[name]
 		if at := p.startAt[name]; at > 0 {

@@ -37,13 +37,7 @@ func RunCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params,
 func RunTracedCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params,
 	cfg Config, horizon sim.Duration, rec *trace.Recorder) (metrics.Report, error) {
 
-	if horizon <= 0 || horizon > set.Horizon() {
-		horizon = set.Horizon()
-	}
-	eng := sim.NewEngine()
-	eng.SetRecorder(rec)
-	prov := cloud.NewProvider(eng, set, cloudParams)
-	s, err := New(prov, cfg)
+	eng, s, horizon, err := build(set, cloudParams, cfg, horizon, rec)
 	if err != nil {
 		return metrics.Report{}, err
 	}
@@ -55,40 +49,26 @@ func RunTracedCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params
 	return s.Report(), nil
 }
 
-// RunSeeds runs the same configuration against synthetic universes for
-// each seed and returns the per-seed reports in seed order. The market
-// config's Seed field is overridden per run. Runs execute in parallel
-// with one worker per CPU; results are identical to a serial run (see
-// RunSeedsParallel).
-func RunSeeds(mcfg market.Config, cloudParams cloud.Params, cfg Config,
-	horizon sim.Duration, seeds []int64) ([]metrics.Report, error) {
-	return RunSeedsParallel(mcfg, cloudParams, cfg, horizon, seeds, 0)
+// build wires one run's engine (recording into rec), provider and
+// scheduler, and clamps horizon to the traces' extent. The scheduler is
+// not started, so a caller can arm its own events first.
+func build(set *market.Set, cloudParams cloud.Params, cfg Config, horizon sim.Duration,
+	rec *trace.Recorder) (*sim.Engine, *Scheduler, sim.Duration, error) {
+
+	eng := sim.NewEngine()
+	eng.SetRecorder(rec)
+	s, err := New(cloud.NewProvider(eng, set, cloudParams), cfg)
+	return eng, s, set.ClampHorizon(horizon), err
 }
 
-// RunSeedsParallel is RunSeeds with an explicit bound on the number of
-// runs in flight (workers <= 0 means one per CPU). Each run is an
-// independent single-threaded simulation; parallelism is strictly across
-// runs, results are collected in seed order, and universes come from the
-// process-wide market.SharedCache, so the reports are byte-identical for
-// any worker count.
-func RunSeedsParallel(mcfg market.Config, cloudParams cloud.Params, cfg Config,
-	horizon sim.Duration, seeds []int64, workers int) ([]metrics.Report, error) {
-	return RunSeedsParallelCtx(context.Background(), mcfg, cloudParams, cfg, horizon, seeds, workers)
-}
-
-// RunSeedsParallelCtx is RunSeedsParallel under a context: canceling ctx
-// (or any seed failing) cancels every in-flight seed simulation via
-// runpool.MapCtx, so the pool's workers free up promptly instead of
-// finishing their month-long runs.
-func RunSeedsParallelCtx(ctx context.Context, mcfg market.Config, cloudParams cloud.Params,
-	cfg Config, horizon sim.Duration, seeds []int64, workers int) ([]metrics.Report, error) {
-	return RunSeedsTracedCtx(ctx, mcfg, cloudParams, cfg, horizon, seeds, workers, nil)
-}
-
-// RunSeedsTracedCtx is RunSeedsParallelCtx with a trace collector: each
-// seed's run records into its own recorder (labeled "seed<N>", scoped by
-// the collector) and hands it back on completion, so concurrent runs never
-// share a recorder. A nil collector mints nil recorders and traces
+// RunSeedsTracedCtx runs the same configuration against synthetic
+// universes for each seed (the market config's and cloud parameters' Seed
+// fields are overridden per run, see cloud.Seeded) and returns the
+// per-seed reports in seed order. Seeds fan out over runpool.Grid with at
+// most workers in flight (workers <= 0 means one per CPU), so the reports
+// are byte-identical for any worker count, and canceling ctx (or any seed
+// failing) cancels every in-flight run. Each seed's run records into its
+// own recorder from col, labeled "seed<N>"; a nil collector traces
 // nothing.
 func RunSeedsTracedCtx(ctx context.Context, mcfg market.Config, cloudParams cloud.Params,
 	cfg Config, horizon sim.Duration, seeds []int64, workers int, col *trace.Collector) ([]metrics.Report, error) {
@@ -96,16 +76,11 @@ func RunSeedsTracedCtx(ctx context.Context, mcfg market.Config, cloudParams clou
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sched: no seeds")
 	}
-	cache := market.SharedCache()
-	return runpool.MapCtx(ctx, workers, seeds, func(ctx context.Context, _ int, seed int64) (metrics.Report, error) {
-		mc := mcfg
-		mc.Seed = seed
-		set, err := cache.Generate(mc)
+	reps, err := runpool.Grid(ctx, workers, 1, seeds, func(ctx context.Context, _ int, seed int64) (metrics.Report, error) {
+		set, cp, err := cloud.Seeded(mcfg, cloudParams, seed)
 		if err != nil {
 			return metrics.Report{}, err
 		}
-		cp := cloudParams
-		cp.Seed = seed
 		rec := col.Run(fmt.Sprintf("seed%d", seed))
 		rep, err := RunTracedCtx(ctx, set, cp, cfg, horizon, rec)
 		if err == nil {
@@ -113,4 +88,8 @@ func RunSeedsTracedCtx(ctx context.Context, mcfg market.Config, cloudParams clou
 		}
 		return rep, err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
 }

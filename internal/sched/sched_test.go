@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -449,7 +450,7 @@ func TestRunSeedsAveraging(t *testing.T) {
 	mcfg := market.DefaultConfig(0)
 	mcfg.Horizon = 4 * sim.Day
 	cfg := mustConfig(t)
-	rs, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, []int64{1, 2, 3})
+	rs, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, []int64{1, 2, 3}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +461,7 @@ func TestRunSeedsAveraging(t *testing.T) {
 	if avg.BaselineCost <= 0 || avg.Horizon <= 0 {
 		t.Fatalf("bad average: %+v", avg)
 	}
-	if _, err := RunSeeds(mcfg, cloud.DefaultParams(0), cfg, 0, nil); err == nil {
+	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 0, nil, 0, nil); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -154,11 +155,11 @@ func TestStabilityAwareOnGeneratedUniverse(t *testing.T) {
 	}
 
 	seeds := []int64{3, 9}
-	greedy, err := RunSeeds(mcfg, cloud.DefaultParams(0), mk(0), 15*sim.Day, seeds)
+	greedy, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), mk(0), 15*sim.Day, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := RunSeeds(mcfg, cloud.DefaultParams(0), mk(1.0), 15*sim.Day, seeds)
+	aware, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), mk(1.0), 15*sim.Day, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

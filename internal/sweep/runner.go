@@ -143,7 +143,7 @@ type seedStat struct {
 // pointState is the per-grid-point running state: a streaming mean
 // accumulator plus the compact per-seed stats and reuse tallies.
 type pointState struct {
-	accum       reportAccum
+	accum       metrics.Accum
 	stats       []seedStat
 	sharedSeeds int
 	forkedSeeds int
@@ -276,10 +276,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		horizon := spec.Horizon
-		if horizon <= 0 || horizon > set.Horizon() {
-			horizon = set.Horizon()
-		}
+		horizon := set.ClampHorizon(spec.Horizon)
 
 		// Plan the wave. Phase 1 runs cold simulations (family pilots of
 		// forking families capture checkpoints); phase 2 resumes every
@@ -484,7 +481,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 				sharedCt.Add(1)
 				done.Add(1)
 			}
-			st.accum.add(r.rep)
+			st.accum.Add(r.rep)
 			st.stats = append(st.stats, seedStat{cost: r.rep.NormalizedCost(), unav: r.rep.Unavailability()})
 			if r.shared {
 				st.sharedSeeds++
@@ -538,7 +535,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			Point:       p,
 			Values:      plan.Points[p].Values,
 			SeedsRun:    len(st.stats),
-			Mean:        st.accum.mean(),
+			Mean:        st.accum.Mean(),
 			SharedSeeds: st.sharedSeeds,
 			ForkedSeeds: st.forkedSeeds,
 			Pilot:       st.pilot,

@@ -2,12 +2,10 @@ package sweep
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"spothost/internal/market"
-	"spothost/internal/metrics"
 	"spothost/internal/sim"
 )
 
@@ -360,43 +358,5 @@ func TestPruneDominatedUnit(t *testing.T) {
 	// Running again changes nothing: 1 is out, no new dominance appears.
 	if again := pruneDominated(states, 2); len(again) != 0 {
 		t.Fatalf("second pass cut %v", again)
-	}
-}
-
-func TestAccumMatchesAverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	reports := make([]metrics.Report, 7)
-	for i := range reports {
-		reports[i] = metrics.Report{
-			Policy:          "proactive",
-			Mechanism:       "ckpt+lazy+live",
-			VMs:             4,
-			Horizon:         30 * sim.Day,
-			Cost:            rng.Float64() * 100,
-			BaselineCost:    100,
-			CheckpointGB:    rng.Float64() * 50,
-			SpotSeconds:     rng.Float64() * 2e6,
-			OnDemandSeconds: rng.Float64() * 1e5,
-			DowntimeSeconds: rng.Float64() * 300,
-			DegradedSeconds: rng.Float64() * 900,
-			DownEpisodes:    rng.Intn(20),
-			LongestDowntime: sim.Duration(rng.Intn(120)),
-			Migrations: metrics.MigrationCounts{
-				Forced:      rng.Intn(30),
-				Planned:     rng.Intn(30),
-				Reverse:     rng.Intn(30),
-				CrossRegion: rng.Intn(5),
-				MemoryLost:  rng.Intn(5),
-			},
-			DowntimeLog: []metrics.Interval{{Start: 1, End: 2}},
-		}
-	}
-	var acc reportAccum
-	for _, r := range reports {
-		acc.add(r)
-	}
-	want := metrics.Average(reports)
-	if got := acc.mean(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("streaming mean differs from metrics.Average:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
