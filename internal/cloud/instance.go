@@ -100,6 +100,7 @@ type Callbacks struct {
 type Instance struct {
 	id        InstanceID
 	market    market.ID
+	ms        *marketState // the provider's state for market
 	lifecycle Lifecycle
 	bid       float64 // spot only; 0 for on-demand
 

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 
 	"spothost/internal/market"
 	"spothost/internal/randx"
@@ -18,23 +19,18 @@ type Provider struct {
 	params Params
 	rng    *randx.Stream
 
-	// markets holds the per-market hot-path state: a monotone trace cursor
-	// (the simulation clock only moves forward) and the persistent price-
-	// event closure, so the steady-state price chain allocates nothing.
+	// markets maps each market to its hot-path state. The map is consulted
+	// only where a caller names a market by ID; instances and price events
+	// hold their *marketState directly.
 	markets map[market.ID]*marketState
 
 	nextID    InstanceID
 	instances map[InstanceID]*Instance
-	// byMarket holds the live spot instances per market for revocation
-	// checks on price changes.
-	byMarket map[market.ID]map[InstanceID]*Instance
-	// spotScratch is reused by liveSpot to snapshot a market's live spot
-	// instances without allocating per price change.
+	// spotScratch is reused by onPriceChange to snapshot a market's live
+	// spot instances without allocating per price change.
 	spotScratch []*Instance
 
 	ledger Ledger
-
-	priceSubs map[market.ID][]func(t sim.Time, price float64)
 
 	nextVolumeID VolumeID
 	volumes      map[VolumeID]*Volume
@@ -62,16 +58,14 @@ func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
 		rng:              randx.Derive(params.Seed, "cloud/provider"),
 		markets:          map[market.ID]*marketState{},
 		instances:        map[InstanceID]*Instance{},
-		byMarket:         map[market.ID]map[InstanceID]*Instance{},
-		priceSubs:        map[market.ID][]func(sim.Time, float64){},
 		volumes:          map[VolumeID]*Volume{},
 		spotRequestsOpen: map[SpotRequestID]*SpotRequest{},
 	}
 	for _, id := range set.IDs() {
-		ms := &marketState{p: p, id: id, cursor: market.NewCursor(set.Trace(id))}
+		ms := &marketState{p: p, cursor: market.NewCursor(set.Trace(id)), onDemand: set.OnDemand(id)}
 		ms.stepFn = func() {
 			at, price := ms.nextAt, ms.nextPrice
-			p.onPriceChange(ms.id, price)
+			p.onPriceChange(ms, price)
 			ms.arm(at)
 		}
 		p.markets[id] = ms
@@ -81,15 +75,32 @@ func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
 }
 
 // marketState is the per-market hot-path state: a monotone cursor over the
-// trace and one persistent closure that drives the whole price-event chain.
+// trace (the simulation clock only moves forward), one persistent closure
+// that drives the whole price-event chain, and everything a price change
+// or billing hour reads, so neither hashes a market.ID.
 type marketState struct {
-	p      *Provider
-	id     market.ID
-	cursor *market.Cursor
-	stepFn func()
+	p        *Provider
+	cursor   *market.Cursor
+	onDemand float64
+	stepFn   func()
 	// nextAt/nextPrice describe the armed price change stepFn will deliver.
 	nextAt    sim.Time
 	nextPrice float64
+	// subs are the price subscribers, in subscription order.
+	subs []func(t sim.Time, price float64)
+	// live holds the market's live spot instances in ascending instance
+	// ID: instances append in nextID order and removal keeps the order.
+	live []*Instance
+}
+
+// removeLive drops a terminated spot instance from the live list.
+func (ms *marketState) removeLive(in *Instance) {
+	for i, x := range ms.live {
+		if x == in {
+			ms.live = slices.Delete(ms.live, i, i+1)
+			return
+		}
+	}
 }
 
 // arm schedules the next price change strictly after the given time.
@@ -114,15 +125,14 @@ func (p *Provider) Params() Params { return p.params }
 // Ledger returns the billing ledger.
 func (p *Provider) Ledger() *Ledger { return &p.ledger }
 
-// SpotPrice returns the current spot price of a market.
+// SpotPrice returns the current spot price of a market. It panics on a
+// market outside the provider's set.
 func (p *Provider) SpotPrice(id market.ID) float64 {
-	if ms := p.markets[id]; ms != nil {
-		return ms.cursor.PriceAt(p.eng.Now())
-	}
-	return p.set.Trace(id).PriceAt(p.eng.Now())
+	return p.markets[id].cursor.PriceAt(p.eng.Now())
 }
 
-// OnDemandPrice returns the fixed on-demand price of a market.
+// OnDemandPrice returns the fixed on-demand price of a market, or 0 when
+// unknown.
 func (p *Provider) OnDemandPrice(id market.ID) float64 {
 	return p.set.OnDemand(id)
 }
@@ -134,46 +144,31 @@ func (p *Provider) MaxBid(id market.ID) float64 {
 }
 
 // SubscribePrice registers fn to run on every price change of market id.
-// The subscription lasts for the life of the provider.
+// The subscription lasts for the life of the provider. Subscribing to a
+// market outside the set is a no-op: it never changes price.
 func (p *Provider) SubscribePrice(id market.ID, fn func(t sim.Time, price float64)) {
-	p.priceSubs[id] = append(p.priceSubs[id], fn)
+	if ms := p.markets[id]; ms != nil {
+		ms.subs = append(ms.subs, fn)
+	}
 }
 
-func (p *Provider) onPriceChange(id market.ID, price float64) {
+func (p *Provider) onPriceChange(ms *marketState, price float64) {
 	now := p.eng.Now()
-	// Revoke or cancel spot instances whose bid the price now exceeds.
-	for _, in := range p.liveSpot(id) {
-		if price > in.bid {
-			p.beginRevocation(in)
+	// Revoke or cancel spot instances whose bid the price now exceeds, in
+	// ascending instance ID. Their callbacks may launch or terminate
+	// instances in this market, so walk a snapshot of the live list; the
+	// scratch buffer is free again before any other price event runs.
+	if len(ms.live) > 0 {
+		p.spotScratch = append(p.spotScratch[:0], ms.live...)
+		for _, in := range p.spotScratch {
+			if price > in.bid {
+				p.beginRevocation(in)
+			}
 		}
 	}
-	for _, fn := range p.priceSubs[id] {
+	for _, fn := range ms.subs {
 		fn(now, price)
 	}
-}
-
-// liveSpot snapshots a market's live spot instances in deterministic order
-// (ascending instance ID) into a reused scratch buffer. The result is only
-// valid until the next call; the simulation is single-threaded, so the one
-// caller (onPriceChange) finishes with it before anyone else can ask.
-func (p *Provider) liveSpot(id market.ID) []*Instance {
-	m := p.byMarket[id]
-	if len(m) == 0 {
-		return nil
-	}
-	out := p.spotScratch[:0]
-	for _, in := range m {
-		out = append(out, in)
-	}
-	// Insertion sort: the per-market population is small and this avoids
-	// sort.Slice's closure allocation on every price change.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].id < out[j-1].id; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	p.spotScratch = out
-	return out
 }
 
 // RequestSpot requests a spot instance in market id at the given bid. The
@@ -183,8 +178,8 @@ func (p *Provider) liveSpot(id market.ID) []*Instance {
 // sampled allocation latency unless the price overtakes the bid first, in
 // which case OnTerminated(ReasonNeverGranted) fires instead.
 func (p *Provider) RequestSpot(id market.ID, bid float64, cb Callbacks) (*Instance, error) {
-	tr := p.set.Trace(id)
-	if tr == nil {
+	ms := p.markets[id]
+	if ms == nil {
 		return nil, fmt.Errorf("cloud: unknown market %s", id)
 	}
 	if bid <= 0 {
@@ -193,18 +188,11 @@ func (p *Provider) RequestSpot(id market.ID, bid float64, cb Callbacks) (*Instan
 	if max := p.MaxBid(id); bid > max+1e-12 {
 		return nil, fmt.Errorf("cloud: bid %v exceeds cap %v for %s", bid, max, id)
 	}
-	now := p.eng.Now()
-	var cur float64
-	if ms := p.markets[id]; ms != nil {
-		cur = ms.cursor.PriceAt(now)
-	} else {
-		cur = tr.PriceAt(now)
-	}
-	if cur > bid {
+	if cur := ms.cursor.PriceAt(p.eng.Now()); cur > bid {
 		return nil, fmt.Errorf("cloud: current price %v above bid %v in %s", cur, bid, id)
 	}
 	p.spotRequests++
-	in := p.newInstance(id, Spot, bid, cb)
+	in := p.newInstance(ms, id, Spot, bid, cb)
 	delay := p.rng.LognormalMeanCV(p.params.spotStartup(id.Region), p.params.StartupCV)
 	p.eng.PostAfter(delay, func() { p.finishAllocation(in) })
 	return in, nil
@@ -213,19 +201,21 @@ func (p *Provider) RequestSpot(id market.ID, bid float64, cb Callbacks) (*Instan
 // RequestOnDemand requests a non-revocable on-demand instance. OnRunning
 // fires after the sampled allocation latency.
 func (p *Provider) RequestOnDemand(id market.ID, cb Callbacks) (*Instance, error) {
-	if p.set.Trace(id) == nil {
+	ms := p.markets[id]
+	if ms == nil {
 		return nil, fmt.Errorf("cloud: unknown market %s", id)
 	}
-	in := p.newInstance(id, OnDemand, 0, cb)
+	in := p.newInstance(ms, id, OnDemand, 0, cb)
 	delay := p.rng.LognormalMeanCV(p.params.onDemandStartup(id.Region), p.params.StartupCV)
 	p.eng.PostAfter(delay, func() { p.finishAllocation(in) })
 	return in, nil
 }
 
-func (p *Provider) newInstance(id market.ID, lc Lifecycle, bid float64, cb Callbacks) *Instance {
+func (p *Provider) newInstance(ms *marketState, id market.ID, lc Lifecycle, bid float64, cb Callbacks) *Instance {
 	in := &Instance{
 		id:          p.nextID,
 		market:      id,
+		ms:          ms,
 		lifecycle:   lc,
 		bid:         bid,
 		state:       Pending,
@@ -238,10 +228,7 @@ func (p *Provider) newInstance(id market.ID, lc Lifecycle, bid float64, cb Callb
 	p.nextID++
 	p.instances[in.id] = in
 	if lc == Spot {
-		if p.byMarket[id] == nil {
-			p.byMarket[id] = map[InstanceID]*Instance{}
-		}
-		p.byMarket[id][in.id] = in
+		ms.live = append(ms.live, in)
 	}
 	return in
 }
@@ -275,16 +262,12 @@ func (p *Provider) chargeHour(in *Instance) {
 	}
 	now := p.eng.Now()
 	rec := p.eng.Recorder()
-	rate := p.set.OnDemand(in.market)
+	rate := in.ms.onDemand
 	class := "on-demand"
 	if in.lifecycle == Spot {
 		// "billed on an hourly basis, based on the spot price (not the
 		// bid price) at the beginning of each hour".
-		if ms := p.markets[in.market]; ms != nil {
-			rate = ms.cursor.PriceAt(now)
-		} else {
-			rate = p.set.Trace(in.market).PriceAt(now)
-		}
+		rate = in.ms.cursor.PriceAt(now)
 		class = "spot"
 		rec.ObserveSpotPrice(rate)
 	}
@@ -374,7 +357,7 @@ func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 		in.hourEvent = nil
 	}
 	if in.lifecycle == Spot {
-		delete(p.byMarket[in.market], in.id)
+		in.ms.removeLive(in)
 	}
 	// Detach any volumes still attached.
 	for _, v := range p.volumes {

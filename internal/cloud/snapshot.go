@@ -1,7 +1,9 @@
 package cloud
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"spothost/internal/market"
 	"spothost/internal/randx"
@@ -125,9 +127,14 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 		onDemandTotal: s.ledgerOD,
 	}
 	for _, si := range s.insts {
+		ms := p.markets[si.market]
+		if ms == nil {
+			return nil, fmt.Errorf("cloud: snapshot instance %d in unknown market %s", si.id, si.market)
+		}
 		in := &Instance{
 			id:           si.id,
 			market:       si.market,
+			ms:           ms,
 			lifecycle:    si.lifecycle,
 			bid:          si.bid,
 			state:        si.state,
@@ -144,13 +151,15 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 		p.instances[in.id] = in
 		if in.Alive() {
 			if in.lifecycle == Spot {
-				if p.byMarket[in.market] == nil {
-					p.byMarket[in.market] = map[InstanceID]*Instance{}
-				}
-				p.byMarket[in.market][in.id] = in
+				ms.live = append(ms.live, in)
 			}
 			in.hourEvent = eng.Schedule(si.lastHourAt+sim.Hour, in.hourFn)
 		}
+	}
+	// Revocation walks each live list in instance-ID order, whatever order
+	// the snapshot listed its instances in.
+	for _, ms := range p.markets {
+		slices.SortFunc(ms.live, func(a, b *Instance) int { return cmp.Compare(a.id, b.id) })
 	}
 	return p, nil
 }

@@ -143,6 +143,9 @@ func TestDoneImpliesRetired(t *testing.T) {
 	for _, name := range names {
 		waitState(t, p, "acme", name, StateDone)
 	}
+	// The hook runs just after the publish that waitState observes; once
+	// Close has stopped the shard goroutine, every hook call has returned.
+	p.Close()
 	mu.Lock()
 	defer mu.Unlock()
 	if finished != len(names) {

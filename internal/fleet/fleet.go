@@ -143,6 +143,8 @@ type replica struct {
 	// its market prices.
 	units    int
 	invUnits float64
+	// mi is the replica's market, as an index into Controller.markets.
+	mi int
 }
 
 // Controller is the fleet controller. All methods must be called from
@@ -153,7 +155,6 @@ type Controller struct {
 	prov    *cloud.Provider
 	cfg     Config
 	markets []market.ID // sorted by ID
-	moments map[market.ID]*forecast.DecayingMoments
 
 	started  bool
 	target   int        // anchor-replica target from the Planner, clamped
@@ -165,10 +166,18 @@ type Controller struct {
 	// to the pre-catalog controller.
 	anchorUnits int
 	targetUnits int
-	mixed       bool      // any configured market bigger than one unit
-	mktUnits    []int     // per c.markets index: the type's units
-	mktInv      []float64 // per c.markets index: exact 1/units
-	mktIdx      map[market.ID]int
+	mixed       bool // any configured market bigger than one unit
+
+	// Per-market state, indexed like c.markets and built at construction,
+	// so the per-tick and per-candidate paths index instead of hashing a
+	// market.ID. mktIdx maps back from an ID for the per-launch paths.
+	mktUnits   []int            // the type's capacity units
+	mktInv     []float64        // exact 1/units
+	mktBid     []float64        // the fleet's spot bid; see New
+	mktOD      []float64        // fixed on-demand price
+	mktPrice   []*market.Cursor // spot price source, same trace as the provider's
+	mktMoments []*forecast.DecayingMoments
+	mktIdx     map[market.ID]int
 
 	// Hot-path caches: the shared cheapest-market envelope (only for
 	// strategies whose pick it can reproduce exactly), the persistent tick
@@ -178,7 +187,7 @@ type Controller struct {
 	// controller).
 	envCur *market.EnvelopeCursor
 	tickFn func()
-	odBest market.ID
+	odBest int // index into c.markets
 
 	// Tick-path scratch, reused across calls so building the strategy
 	// input allocates nothing after the first tick (the candidate slice
@@ -186,7 +195,7 @@ type Controller struct {
 	// slice returned by candidates is valid only until the next call;
 	// no caller retains it.
 	candScratch []Candidate
-	occScratch  map[market.ID]int
+	occScratch  []int // per c.markets index
 
 	// Time-integrated accounting, advanced before every state change.
 	lastAccounted sim.Time
@@ -194,7 +203,7 @@ type Controller struct {
 	servedSecs    float64
 	spotSecs      float64
 	odSecs        float64
-	marketSecs    map[market.ID]*MarketUsage
+	marketSecs    []MarketUsage // per c.markets index
 
 	// Counters.
 	launches     int
@@ -274,22 +283,35 @@ func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("fleet: market %s not in set", id)
 		}
 	}
+	n := len(sorted)
 	c := &Controller{
 		eng:         prov.Engine(),
 		prov:        prov,
 		cfg:         cfg,
 		markets:     sorted,
-		moments:     map[market.ID]*forecast.DecayingMoments{},
-		marketSecs:  map[market.ID]*MarketUsage{},
+		marketSecs:  make([]MarketUsage, n),
 		lossAt:      map[sim.Time]int{},
 		lastSample:  -sim.Hour,
 		anchorUnits: 1,
+		mktUnits:    make([]int, n),
+		mktInv:      make([]float64, n),
+		mktBid:      make([]float64, n),
+		mktOD:       make([]float64, n),
+		mktPrice:    make([]*market.Cursor, n),
+		mktMoments:  make([]*forecast.DecayingMoments, n),
+		mktIdx:      make(map[market.ID]int, n),
+		candScratch: make([]Candidate, 0, n),
+		occScratch:  make([]int, n),
 	}
-	c.mktUnits = make([]int, len(sorted))
-	c.mktInv = make([]float64, len(sorted))
-	c.mktIdx = make(map[market.ID]int, len(sorted))
 	for i, id := range sorted {
-		c.marketSecs[id] = &MarketUsage{}
+		// The bid is BidMultiple x on-demand, clamped to the provider's cap.
+		od := prov.OnDemandPrice(id)
+		c.mktOD[i] = od
+		c.mktBid[i] = cfg.BidMultiple * od
+		if max := prov.MaxBid(id); c.mktBid[i] > max {
+			c.mktBid[i] = max
+		}
+		c.mktPrice[i] = market.NewCursor(prov.Markets().Trace(id))
 		c.mktUnits[i], c.mktInv[i] = 1, 1
 		if cfg.Catalog != nil {
 			e, _ := cfg.Catalog.Lookup(id.Type) // validated above
@@ -338,11 +360,10 @@ func (c *Controller) Start() {
 	c.started = true
 	now := c.eng.Now()
 	c.lastAccounted = now
-	for _, id := range c.markets {
-		id := id
+	for i, id := range c.markets {
 		dm := forecast.NewDecayingMoments(c.cfg.VolatilityHalflife)
-		dm.Observe(now, c.prov.SpotPrice(id))
-		c.moments[id] = dm
+		dm.Observe(now, c.spotPrice(i))
+		c.mktMoments[i] = dm
 		c.prov.SubscribePrice(id, func(t sim.Time, price float64) { dm.Observe(t, price) })
 	}
 	c.tick()
@@ -372,14 +393,9 @@ func (c *Controller) tick() {
 	c.eng.PostAfter(c.cfg.Tick, c.tickFn)
 }
 
-// bid returns the fleet's spot bid for a market: BidMultiple x on-demand,
-// clamped to the provider's cap.
-func (c *Controller) bid(id market.ID) float64 {
-	b := c.cfg.BidMultiple * c.prov.OnDemandPrice(id)
-	if max := c.prov.MaxBid(id); b > max {
-		b = max
-	}
-	return b
+// spotPrice returns the current spot price of market c.markets[i].
+func (c *Controller) spotPrice(i int) float64 {
+	return c.mktPrice[i].PriceAt(c.eng.Now())
 }
 
 // capacityUnits sums the capacity units of replicas the controller
@@ -398,18 +414,15 @@ func (c *Controller) capacityUnits() int {
 	return n
 }
 
-// spotInMarket sums in-flight spot capacity units per market (pending or
-// alive, including doomed ones — they still occupy the market).
-func (c *Controller) spotInMarket() map[market.ID]int {
-	if c.occScratch == nil {
-		c.occScratch = make(map[market.ID]int, len(c.markets))
-	} else {
-		clear(c.occScratch)
-	}
+// spotInMarket sums in-flight spot capacity units per market index
+// (pending or alive, including doomed ones — they still occupy the
+// market).
+func (c *Controller) spotInMarket() []int {
 	out := c.occScratch
+	clear(out)
 	for _, r := range c.replicas {
 		if r.spot {
-			out[r.in.Market()] += r.units
+			out[r.mi] += r.units
 		}
 	}
 	return out
@@ -432,27 +445,24 @@ func minSizeMask(min int) int { return ^(min - 1) }
 func (c *Controller) candidates(sizeMask int) []Candidate {
 	now := c.eng.Now()
 	occ := c.spotInMarket()
-	if c.candScratch == nil {
-		c.candScratch = make([]Candidate, 0, len(c.markets))
-	}
 	cands := c.candScratch[:0]
 	for i, id := range c.markets {
 		u := c.mktUnits[i]
 		if u&sizeMask == 0 {
 			continue
 		}
-		spot := c.prov.SpotPrice(id)
-		if spot > c.bid(id) {
+		spot := c.mktPrice[i].PriceAt(now)
+		if spot > c.mktBid[i] {
 			continue
 		}
-		dm := c.moments[id]
+		dm := c.mktMoments[i]
 		cands = append(cands, Candidate{
 			ID:       id,
 			Spot:     spot,
-			OnDemand: c.prov.OnDemandPrice(id),
+			OnDemand: c.mktOD[i],
 			Mean:     dm.Mean(now),
 			Vol:      dm.Std(now),
-			Replicas: occ[id],
+			Replicas: occ[i],
 			Units:    u,
 			InvUnits: c.mktInv[i],
 		})
@@ -467,11 +477,11 @@ func (c *Controller) candidates(sizeMask int) []Candidate {
 // bigger than the anchor are preferred so an on-demand fallback for a
 // one-anchor deficit does not buy a many-unit box at full price; when
 // every market is bigger, the cheapest per-unit one wins.
-func (c *Controller) computeCheapestOnDemand() market.ID {
+func (c *Controller) computeCheapestOnDemand() int {
 	bestIdx, bestAnyIdx := -1, -1
 	var bestPer, bestAnyPer float64
-	for i, id := range c.markets {
-		per := c.prov.OnDemandPrice(id) * c.mktInv[i]
+	for i, od := range c.mktOD {
+		per := od * c.mktInv[i]
 		if bestAnyIdx < 0 || per < bestAnyPer {
 			bestAnyIdx, bestAnyPer = i, per
 		}
@@ -482,13 +492,8 @@ func (c *Controller) computeCheapestOnDemand() market.ID {
 	if bestIdx < 0 {
 		bestIdx = bestAnyIdx
 	}
-	return c.markets[bestIdx]
+	return bestIdx
 }
-
-// cheapestOnDemand returns the construction-time cheapest on-demand
-// market: on-demand prices never change and the catalog is fixed per
-// controller, so no rescans happen on the replacement/report hot path.
-func (c *Controller) cheapestOnDemand() market.ID { return c.odBest }
 
 // fastPick resolves the strategy's placement via the precomputed envelope
 // without building a candidate slice. It returns the picked market and
@@ -511,13 +516,12 @@ func (c *Controller) fastPick(sizeMask int) (market.ID, float64, bool) {
 	if c.envCur == nil {
 		return market.ID{}, 0, false
 	}
-	id, price, weighted := c.envCur.At(c.eng.Now())
-	if price > c.bid(id) {
+	// The envelope's candidates are c.markets, so its index is ours.
+	i, price, weighted := c.envCur.AtIndex(c.eng.Now())
+	if price > c.mktBid[i] || c.mktUnits[i]&sizeMask == 0 {
 		return market.ID{}, 0, false
 	}
-	if c.mktUnits[c.mktIdx[id]]&sizeMask == 0 {
-		return market.ID{}, 0, false
-	}
+	id := c.markets[i]
 	switch st := c.cfg.Strategy.(type) {
 	case LowestPrice:
 		return id, weighted, true
@@ -532,7 +536,7 @@ func (c *Controller) fastPick(sizeMask int) (market.ID, float64, bool) {
 		}
 		occ := 0
 		for _, r := range c.replicas {
-			if r.spot && r.in.Market() == id {
+			if r.spot && r.mi == i {
 				occ += r.units
 			}
 		}
@@ -759,16 +763,15 @@ func (c *Controller) gateConsolidation(id market.ID, eff float64, u, deficit int
 // class labels the request in the decision ledger ("on-demand" fallback
 // or "bridge").
 func (c *Controller) requestOnDemand(class string) *replica {
-	odID := c.cheapestOnDemand()
-	r := &replica{}
-	i := c.mktIdx[odID]
-	r.units, r.invUnits = c.mktUnits[i], c.mktInv[i]
+	i := c.odBest
+	odID := c.markets[i]
+	r := &replica{units: c.mktUnits[i], invUnits: c.mktInv[i], mi: i}
 	in, err := c.prov.RequestOnDemand(odID, c.callbacks(r))
 	if err != nil {
 		return nil // unreachable: markets were validated at construction
 	}
 	if o := c.eng.Obs(); o != nil {
-		c.recordDecision(o, class, odID, i, c.prov.OnDemandPrice(odID), 0, "", nil)
+		c.recordDecision(o, class, odID, i, c.mktOD[i], 0, "", nil)
 	}
 	r.in = in
 	if rec := c.eng.Recorder(); rec != nil {
@@ -784,20 +787,19 @@ func (c *Controller) requestOnDemand(class string) *replica {
 // replaces once it boots. Returns false when the provider rejects the
 // request.
 func (c *Controller) requestSpot(id market.ID, replaces *replica, class string) bool {
-	r := &replica{spot: true, replaces: replaces}
 	i := c.mktIdx[id]
-	r.units, r.invUnits = c.mktUnits[i], c.mktInv[i]
+	r := &replica{spot: true, replaces: replaces, units: c.mktUnits[i], invUnits: c.mktInv[i], mi: i}
 	o := c.eng.Obs()
 	margin, note := c.obsMargin, c.obsNote
 	if o != nil {
 		c.obsMargin, c.obsNote = 0, ""
 	}
-	in, err := c.prov.RequestSpot(id, c.bid(id), c.callbacks(r))
+	in, err := c.prov.RequestSpot(id, c.mktBid[i], c.callbacks(r))
 	if err != nil {
 		return false
 	}
 	if o != nil {
-		c.recordDecision(o, class, id, i, c.prov.SpotPrice(id), margin, note, replaces)
+		c.recordDecision(o, class, id, i, c.spotPrice(i), margin, note, replaces)
 	}
 	r.in = in
 	if rec := c.eng.Recorder(); rec != nil {
@@ -812,9 +814,9 @@ func (c *Controller) requestSpot(id market.ID, replaces *replica, class string) 
 // for spot replicas, the fixed on-demand price otherwise.
 func (c *Controller) priceOf(r *replica) float64 {
 	if r.spot {
-		return c.prov.SpotPrice(r.in.Market())
+		return c.spotPrice(r.mi)
 	}
-	return c.prov.OnDemandPrice(r.in.Market())
+	return c.mktOD[r.mi]
 }
 
 // surplusPool returns the counted replicas in scale-down victim order:
@@ -899,7 +901,7 @@ func (c *Controller) reverseReplace() {
 				}
 			}
 		}
-		odPrice := c.prov.OnDemandPrice(r.in.Market())
+		odPrice := c.mktOD[r.mi]
 		if pickSpot >= (1-c.cfg.ReverseHysteresis)*odPrice*r.invUnits {
 			return // best spot offer not cheap enough yet
 		}
@@ -1157,7 +1159,7 @@ func (c *Controller) onWarning(r *replica) {
 	// successor boots, so the on-demand premium is paid only for one spot
 	// boot time. One-unit losses keep the legacy spot-replacement path.
 	if c.mixed && r.spot && r.units > c.anchorUnits {
-		bridgeUnits := c.mktUnits[c.mktIdx[c.odBest]]
+		bridgeUnits := c.mktUnits[c.odBest]
 		for covered := 0; covered < r.units; covered += bridgeUnits {
 			b := c.requestOnDemand("bridge")
 			if b == nil {
@@ -1237,7 +1239,7 @@ func (c *Controller) advance(now sim.Time) {
 		}
 		alive += r.units
 		ds := dt * float64(r.units)
-		u := c.marketSecs[r.in.Market()]
+		u := &c.marketSecs[r.mi]
 		if r.spot {
 			c.spotSecs += ds
 			u.SpotSeconds += ds
@@ -1283,7 +1285,7 @@ func (c *Controller) recordDecision(o *obs.Recorder, action string, id market.ID
 		QuotaUnits:    c.cfg.MaxReplicas * c.anchorUnits,
 	}
 	if action != "on-demand" && action != "bridge" {
-		d.Bid = c.bid(id)
+		d.Bid = c.mktBid[idx]
 	}
 	if c.envCur != nil {
 		am, _, weighted := c.envCur.At(c.eng.Now())
@@ -1378,9 +1380,8 @@ func (c *Controller) Alive() int {
 func (c *Controller) Report() Report {
 	now := c.eng.Now()
 	var dTarget, dServed, dSpot, dOD float64
-	var dm map[market.ID]MarketUsage
+	dm := make([]MarketUsage, len(c.markets))
 	if dt := float64(now - c.lastAccounted); dt > 0 {
-		dm = make(map[market.ID]MarketUsage, 4)
 		alive := 0
 		for _, r := range c.replicas {
 			if !r.in.Alive() {
@@ -1388,7 +1389,7 @@ func (c *Controller) Report() Report {
 			}
 			alive += r.units
 			ds := dt * float64(r.units)
-			u := dm[r.in.Market()]
+			u := &dm[r.mi]
 			if r.spot {
 				dSpot += ds
 				u.SpotSeconds += ds
@@ -1396,7 +1397,6 @@ func (c *Controller) Report() Report {
 				dOD += ds
 				u.OnDemandSeconds += ds
 			}
-			dm[r.in.Market()] = u
 		}
 		dTarget = float64(c.targetUnits) * dt
 		served := alive
@@ -1429,13 +1429,12 @@ func (c *Controller) Report() Report {
 	// All-on-demand baseline: serving the full target from the cheapest
 	// on-demand market (per capacity unit in catalog mode), billed
 	// continuously.
-	odRate := c.prov.OnDemandPrice(c.odBest) * c.mktInv[c.mktIdx[c.odBest]]
+	odRate := c.mktOD[c.odBest] * c.mktInv[c.odBest]
 	rep.BaselineCost = rep.TargetReplicaSeconds / float64(sim.Hour) * odRate
-	for id, u := range c.marketSecs {
-		m := *u
-		d := dm[id]
-		m.SpotSeconds += d.SpotSeconds
-		m.OnDemandSeconds += d.OnDemandSeconds
+	for i, id := range c.markets {
+		m := c.marketSecs[i]
+		m.SpotSeconds += dm[i].SpotSeconds
+		m.OnDemandSeconds += dm[i].OnDemandSeconds
 		rep.MarketSeconds[id] = m
 	}
 	times := make([]sim.Time, 0, len(c.lossAt))

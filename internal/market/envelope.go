@@ -141,6 +141,13 @@ func (e *Envelope) Cursor() *EnvelopeCursor { return &EnvelopeCursor{e: e} }
 // At returns the cheapest candidate at time t with O(1) amortized cost for
 // non-decreasing t; backward queries re-seek with a binary search.
 func (c *EnvelopeCursor) At(t sim.Time) (id ID, price, weighted float64) {
+	arg, price, weighted := c.AtIndex(t)
+	return c.e.ids[arg], price, weighted
+}
+
+// AtIndex is At naming the cheapest candidate by its index in IDs, for
+// callers that keep per-candidate state in slices.
+func (c *EnvelopeCursor) AtIndex(t sim.Time) (arg int, price, weighted float64) {
 	segs := c.e.segs
 	i := c.i
 	if segs[i].t > t {
@@ -162,5 +169,5 @@ func (c *EnvelopeCursor) At(t sim.Time) (id ID, price, weighted float64) {
 	}
 	c.i = i
 	s := segs[i]
-	return c.e.ids[s.arg], s.price, s.weighted
+	return s.arg, s.price, s.weighted
 }

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -51,33 +50,86 @@ func (e *Event) At() Time { return e.at }
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e.canceled }
 
-type eventHeap []*Event
+// before reports whether a fires before b: earlier time first, then
+// earlier scheduling. seq is unique per engine, so this is a strict total
+// order and the pop sequence is independent of the heap's internal layout.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventQueue is a binary min-heap of events under before. It is written
+// out by hand rather than through container/heap so every comparison and
+// move is a direct, inlinable call on the hot path. Each event's index
+// tracks its slot, so Cancel removes in O(log n).
+type eventQueue []*Event
+
+func (q *eventQueue) push(ev *Event) {
+	ev.index = len(*q)
+	*q = append(*q, ev)
+	q.up(ev.index)
+}
+
+// remove deletes the event at slot i and returns it with index -1.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	n := len(h) - 1
+	ev := h[i]
+	h[i] = h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n {
+		h[i].index = i
+		if !q.down(i) {
+			q.up(i)
+		}
 	}
-	return h[i].seq < h[j].seq
+	ev.index = -1
+	return ev
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up moves the event at slot i toward the root until its parent fires
+// before it.
+func (q eventQueue) up(i int) {
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := q[p]
+		if !before(ev, parent) {
+			break
+		}
+		q[i] = parent
+		parent.index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// down moves the event at slot i toward the leaves until it fires before
+// both children, reporting whether it moved.
+func (q eventQueue) down(i int) bool {
+	n := len(q)
+	ev := q[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		child := q[c]
+		if !before(child, ev) {
+			break
+		}
+		q[i] = child
+		child.index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
+	return i > start
 }
 
 // Engine is a discrete-event simulation kernel. The zero value is not
@@ -85,7 +137,7 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now     Time
 	seq     uint64
-	pending eventHeap
+	pending eventQueue
 	stopped bool
 	// processed counts events executed, exposed for tests and reports.
 	processed uint64
@@ -251,7 +303,7 @@ func (e *Engine) schedule(at Time, fn func(), pooled bool) *Event {
 		panic(fmt.Sprintf("sim: Schedule at %v before now %v", at, e.now))
 	}
 	ev := e.acquire(at, fn, pooled)
-	heap.Push(&e.pending, ev)
+	e.pending.push(ev)
 	return ev
 }
 
@@ -265,7 +317,7 @@ func (e *Engine) Cancel(ev *Event) {
 	// The event stays in the heap and is skipped when popped; removing it
 	// eagerly keeps the heap small when cancellation is common.
 	if ev.index >= 0 && ev.index < len(e.pending) && e.pending[ev.index] == ev {
-		heap.Remove(&e.pending, ev.index)
+		e.pending.remove(ev.index)
 	}
 }
 
@@ -325,13 +377,13 @@ func (e *Engine) step(limit Time) bool {
 	for len(e.pending) > 0 {
 		next := e.pending[0]
 		if next.canceled {
-			heap.Pop(&e.pending)
+			e.pending.remove(0)
 			continue
 		}
 		if next.at > limit {
 			return false
 		}
-		heap.Pop(&e.pending)
+		e.pending.remove(0)
 		e.now = next.at
 		e.processed++
 		fn := next.fn

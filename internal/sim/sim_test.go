@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -193,33 +195,95 @@ func TestNextHourBoundaryProperty(t *testing.T) {
 	}
 }
 
-// TestHeapProperty drives the engine with a large random schedule and checks
-// events fire in non-decreasing time order.
+// TestHeapProperty drives the engine with seeded random traffic — dense
+// timestamp ties, Schedule and Post mixed, cancels of events deep inside
+// the heap, and handlers that post, schedule and cancel as they fire — and
+// checks the fired sequence is exactly the (at, submission order) sort of
+// every event that was not canceled before it fired.
 func TestHeapProperty(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		checkExactOrder(t, seed)
+	}
+}
+
+func checkExactOrder(t *testing.T, seed int64) {
+	t.Helper()
+	type rec struct {
+		at       Time
+		fired    bool
+		canceled bool
+	}
+	const maxEvents = 4000
+	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine()
-	rng := rand.New(rand.NewSource(99))
-	var times []Time
-	for i := 0; i < 5000; i++ {
-		at := Time(rng.Intn(100000))
-		times = append(times, at)
-		e.Schedule(at, func() {})
+	var recs []rec       // by submission order, which is the engine's seq order
+	var handles []*Event // Schedule handles, indexed like ids
+	var ids []int        // submission id of each handle
+	var fired []int
+	var submit func(at Time)
+	var cancelRandom func()
+	submit = func(at Time) {
+		id := len(recs)
+		recs = append(recs, rec{at: at})
+		fn := func() {
+			recs[id].fired = true
+			fired = append(fired, id)
+			if len(recs) < maxEvents {
+				for k := rng.Intn(3); k > 0; k-- {
+					// Delay 0 lands on the current instant, behind it.
+					submit(e.Now() + Time(rng.Intn(4)))
+				}
+			}
+			if rng.Intn(3) == 0 {
+				cancelRandom()
+			}
+		}
+		if rng.Intn(2) == 0 {
+			e.Post(at, fn)
+			return
+		}
+		handles = append(handles, e.Schedule(at, fn))
+		ids = append(ids, id)
 	}
-	var fired []Time
-	// Wrap: re-register with observers.
-	e2 := NewEngine()
-	for _, at := range times {
-		at := at
-		e2.Schedule(at, func() { fired = append(fired, at) })
+	cancelRandom = func() {
+		if len(handles) == 0 {
+			return
+		}
+		k := rng.Intn(len(handles))
+		if r := &recs[ids[k]]; !r.fired {
+			r.canceled = true
+		}
+		e.Cancel(handles[k])
 	}
-	e2.Run()
-	if !sort.Float64sAreSorted(fired) {
-		t.Fatal("events fired out of order")
+	for i := 0; i < 1000; i++ {
+		submit(Time(rng.Intn(50)))
 	}
-	if len(fired) != len(times) {
-		t.Fatalf("fired %d events, want %d", len(fired), len(times))
+	for i := 0; i < 200; i++ {
+		cancelRandom()
 	}
-	if e2.Processed() != uint64(len(times)) {
-		t.Fatalf("Processed = %d", e2.Processed())
+	e.Run()
+
+	var want []int
+	for id, r := range recs {
+		if !r.canceled {
+			want = append(want, id)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return recs[want[i]].at < recs[want[j]].at })
+	if len(fired) != len(want) {
+		t.Fatalf("seed %d: fired %d events, want %d", seed, len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("seed %d: event %d fired #%d, want event %d (at %v vs %v)",
+				seed, fired[i], i, want[i], recs[fired[i]].at, recs[want[i]].at)
+		}
+	}
+	if e.Processed() != uint64(len(want)) {
+		t.Fatalf("seed %d: Processed = %d, want %d", seed, e.Processed(), len(want))
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("seed %d: %d events left pending", seed, e.Pending())
 	}
 }
 
@@ -357,5 +421,41 @@ func TestSteadyStateEventLoopZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state event loop allocated %.2f per window, want 0", allocs)
+	}
+}
+
+// BenchmarkEngineChurn measures the dispatch layer alone: a steady
+// population of resident pooled events, each reposting itself at a spread
+// of delays when it fires (the shape of the price-chain and billing
+// traffic under a fleet month). One op is one executed event.
+func BenchmarkEngineChurn(b *testing.B) {
+	for _, resident := range []int{40, 200} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			// Delays are drawn up front so the loop times the engine only.
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]Duration, 1024)
+			for i := range delays {
+				delays[i] = Duration(1 + rng.Intn(3600))
+			}
+			e := NewEngine()
+			k := 0
+			var step func()
+			step = func() {
+				e.PostAfter(delays[k%len(delays)], step)
+				k++
+			}
+			for i := 0; i < resident; i++ {
+				e.Post(Time(i), step)
+			}
+			for i := 0; i < 10*resident; i++ {
+				e.step(math.Inf(1))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.step(math.Inf(1))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
 	}
 }
