@@ -1,9 +1,10 @@
 // Package catalog is the typed source of truth for instance types: what
 // hardware each type carries (vCPU, memory, capacity units) and what it
 // costs on demand, plus the AutoSpotting-style compatible-replacement
-// matcher — "at least as powerful as the anchor type, as cheap as
-// possible right now" — ranking candidates over the types × markets
-// cross product by effective ($/capacity-unit-hour) spot price.
+// rule — "at least as powerful as the anchor type" — that selects a
+// fleet's candidate markets from the types × markets cross product. The
+// fleet ranks those candidates by effective ($/capacity-unit-hour) spot
+// price.
 //
 // The catalog generalizes the four-size table the paper evaluates
 // (market.DefaultTypes) without changing it: Legacy() reproduces those
@@ -17,10 +18,8 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 
 	"spothost/internal/market"
-	"spothost/internal/sim"
 )
 
 // Entry describes one instance type: its hardware capacity and its
@@ -40,10 +39,6 @@ type Entry struct {
 	// factor.
 	OnDemand float64
 }
-
-// PerUnitOnDemand returns the baseline on-demand price per capacity
-// unit.
-func (e Entry) PerUnitOnDemand() float64 { return e.OnDemand / float64(e.Units) }
 
 // InvUnits returns 1/Units — exact for the power-of-two unit counts New
 // enforces, so price*InvUnits == price/Units bit-for-bit.
@@ -133,26 +128,6 @@ func Default() *Catalog {
 	})
 }
 
-// FromTypes bridges a market.TypeSpec table (e.g. one parsed from a
-// price file) into a catalog, taking VCPU = Units.
-func FromTypes(types []market.TypeSpec) (*Catalog, error) {
-	entries := make([]Entry, 0, len(types))
-	for _, ts := range types {
-		entries = append(entries, Entry{
-			Name: ts.Name, VCPU: ts.Units, MemoryGB: ts.MemoryGB,
-			Units: ts.Units, OnDemand: ts.OnDemand,
-		})
-	}
-	return New(entries)
-}
-
-// Entries returns the catalog's entries in construction order. Callers
-// must not modify the result.
-func (c *Catalog) Entries() []Entry { return c.entries }
-
-// Len returns the number of types.
-func (c *Catalog) Len() int { return len(c.entries) }
-
 // Lookup returns the entry named t, with ok=false when absent.
 func (c *Catalog) Lookup(t market.InstanceType) (Entry, bool) {
 	e, ok := c.byName[t]
@@ -181,22 +156,6 @@ func Compatible(anchor, cand Entry) bool {
 	return cand.VCPU >= anchor.VCPU && cand.MemoryGB >= anchor.MemoryGB
 }
 
-// CompatibleTypes returns the entries that can replace anchor, in
-// catalog order. The anchor itself is always included.
-func (c *Catalog) CompatibleTypes(anchor market.InstanceType) ([]Entry, error) {
-	a, ok := c.byName[anchor]
-	if !ok {
-		return nil, fmt.Errorf("catalog: unknown instance type %q", anchor)
-	}
-	var out []Entry
-	for _, e := range c.entries {
-		if Compatible(a, e) {
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
 // CompatibleMarkets returns every market of the set whose instance type
 // the catalog knows and can replace anchor, sorted by market ID — the
 // candidate universe a fleet anchored at that type places over.
@@ -215,49 +174,5 @@ func (c *Catalog) CompatibleMarkets(set *market.Set, anchor market.InstanceType)
 	if len(out) == 0 {
 		return nil, fmt.Errorf("catalog: no market in the set is compatible with %q", anchor)
 	}
-	return out, nil
-}
-
-// Candidate is one ranked replacement offer: a compatible instance type
-// in a market, priced at a moment in time.
-type Candidate struct {
-	ID    market.ID
-	Entry Entry
-	// Spot is the market's spot price at the ranking instant; PerUnit is
-	// Spot normalized by the type's capacity units — the ranking key.
-	Spot    float64
-	PerUnit float64
-	// OnDemand is the market's fixed on-demand price.
-	OnDemand float64
-}
-
-// RankAt ranks every compatible (type, market) pair of the set by
-// effective per-unit spot price at time t, cheapest first, ties broken
-// by market ID. This is the matcher's reference answer — the fleet's
-// hot path reproduces its argmin through the per-unit weighted envelope
-// instead of calling it per decision.
-func (c *Catalog) RankAt(set *market.Set, anchor market.InstanceType, t sim.Time) ([]Candidate, error) {
-	ids, err := c.CompatibleMarkets(set, anchor)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Candidate, 0, len(ids))
-	for _, id := range ids {
-		e := c.byName[id.Type]
-		spot := set.Trace(id).PriceAt(t)
-		out = append(out, Candidate{
-			ID:       id,
-			Entry:    e,
-			Spot:     spot,
-			PerUnit:  spot * e.InvUnits(),
-			OnDemand: set.OnDemand(id),
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].PerUnit != out[j].PerUnit {
-			return out[i].PerUnit < out[j].PerUnit
-		}
-		return out[i].ID.String() < out[j].ID.String()
-	})
 	return out, nil
 }

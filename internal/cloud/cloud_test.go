@@ -65,7 +65,7 @@ func TestOnDemandLifecycleAndBilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.State() != Pending || in.Lifecycle() != OnDemand {
+	if in.State() != Pending {
 		t.Fatalf("fresh instance: %v", in)
 	}
 	// Run until well into the third billing hour, then terminate.
@@ -316,69 +316,6 @@ func TestSpotPriceAndMaxBid(t *testing.T) {
 	}
 }
 
-func TestVolumes(t *testing.T) {
-	eng, p := newTestProvider(t)
-	v, err := p.CreateVolume("us-east-1a", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.CreateVolume("us-east-1a", 0); err == nil {
-		t.Error("zero-size volume accepted")
-	}
-	in, _ := p.RequestOnDemand(mSmall, Callbacks{})
-	other, _ := p.RequestOnDemand(mLarge, Callbacks{})
-	eng.RunUntil(200)
-
-	attached := false
-	if err := p.AttachVolume(v, in, func() { attached = true }); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(300)
-	if !attached {
-		t.Fatal("attach completion not delivered")
-	}
-	if id, ok := v.Attached(); !ok || id != in.ID() {
-		t.Fatalf("attachment state: %v %v", id, ok)
-	}
-	// Double attach fails.
-	if err := p.AttachVolume(v, in, nil); err == nil {
-		t.Error("double attach accepted")
-	}
-	// Delete while attached fails.
-	if err := p.DeleteVolume(v); err == nil {
-		t.Error("delete of attached volume accepted")
-	}
-	// Cross-region attach fails.
-	v2, _ := p.CreateVolume("us-east-1a", 5)
-	if err := p.AttachVolume(v2, other, nil); err == nil {
-		t.Error("cross-region attach accepted")
-	}
-	// Terminating the instance auto-detaches.
-	if err := p.Terminate(in); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := v.Attached(); ok {
-		t.Error("volume still attached after instance termination")
-	}
-	if err := p.DeleteVolume(v); err != nil {
-		t.Fatal(err)
-	}
-	if p.Volume(v.ID()) != nil {
-		t.Error("deleted volume still present")
-	}
-}
-
-func TestVolumeAttachToDeadInstance(t *testing.T) {
-	eng, p := newTestProvider(t)
-	in, _ := p.RequestOnDemand(mSmall, Callbacks{})
-	eng.RunUntil(200)
-	_ = p.Terminate(in)
-	v, _ := p.CreateVolume("us-east-1a", 10)
-	if err := p.AttachVolume(v, in, nil); err == nil {
-		t.Fatal("attach to terminated instance accepted")
-	}
-}
-
 func TestStartupClass(t *testing.T) {
 	cases := map[market.Region]string{
 		"us-east-1a": "us-east-1",
@@ -468,5 +405,33 @@ func TestGeneratedUniverseRevocations(t *testing.T) {
 	}
 	if p.Ledger().Total() <= 0 {
 		t.Error("no spend recorded")
+	}
+}
+
+// TestSnapshotRefusesTransients pins Snapshot's two refusal paths, which
+// forking relies on: an allocation in flight (Pending) and a revocation
+// inside its grace window (Revoking) hold one-shot event closures a
+// snapshot cannot carry, so the provider must report ok=false until both
+// have settled.
+func TestSnapshotRefusesTransients(t *testing.T) {
+	eng, p := newTestProvider(t)
+	in, err := p.RequestSpot(mSmall, 0.06, Callbacks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Snapshot(); ok || in.State() != Pending {
+		t.Fatalf("snapshot taken while %v allocates", in)
+	}
+	eng.RunUntil(1000) // booted at 240
+	if _, ok := p.Snapshot(); !ok || in.State() != Running {
+		t.Fatalf("snapshot refused with %v running", in)
+	}
+	eng.RunUntil(7200 + 60) // warned at 7200, terminated at 7320
+	if _, ok := p.Snapshot(); ok || in.State() != Revoking {
+		t.Fatalf("snapshot taken while %v is in its grace window", in)
+	}
+	eng.RunUntil(8000)
+	if _, ok := p.Snapshot(); !ok || in.State() != Terminated {
+		t.Fatalf("snapshot refused after %v settled", in)
 	}
 }

@@ -32,7 +32,7 @@ func TestProviderRandomWorkload(t *testing.T) {
 	ids := set.IDs()
 	var mine []*Instance
 	launch := func() {
-		id := ids[rng.Intn(len(ids))]
+		id := ids[int(rng.Uniform(0, float64(len(ids))))]
 		od := prov.OnDemandPrice(id)
 		var in *Instance
 		var err error
@@ -57,7 +57,7 @@ func TestProviderRandomWorkload(t *testing.T) {
 			if len(mine) == 0 {
 				return
 			}
-			in := mine[rng.Intn(len(mine))]
+			in := mine[int(rng.Uniform(0, float64(len(mine))))]
 			if in.State() == Running || in.State() == Pending {
 				_ = prov.Terminate(in)
 			}

@@ -120,8 +120,6 @@ type Instance struct {
 	lastHourAt   sim.Time
 	lastHourCost float64
 	charged      float64
-
-	revocationCheckDone bool // guards double warnings
 }
 
 // ID returns the instance identifier.
@@ -130,23 +128,8 @@ func (in *Instance) ID() InstanceID { return in.id }
 // Market returns the (region, type) market the instance runs in.
 func (in *Instance) Market() market.ID { return in.market }
 
-// Region returns the instance's region.
-func (in *Instance) Region() market.Region { return in.market.Region }
-
-// Type returns the instance's size.
-func (in *Instance) Type() market.InstanceType { return in.market.Type }
-
-// Lifecycle returns Spot or OnDemand.
-func (in *Instance) Lifecycle() Lifecycle { return in.lifecycle }
-
-// Bid returns the spot bid price (0 for on-demand instances).
-func (in *Instance) Bid() float64 { return in.bid }
-
 // State returns the current lifecycle state.
 func (in *Instance) State() State { return in.state }
-
-// RequestedAt returns when the instance was requested.
-func (in *Instance) RequestedAt() sim.Time { return in.requestedAt }
 
 // RunningAt returns when the instance booted (meaningful once Running).
 func (in *Instance) RunningAt() sim.Time { return in.runningAt }
@@ -154,9 +137,6 @@ func (in *Instance) RunningAt() sim.Time { return in.runningAt }
 // TerminatedAt returns when the instance terminated (meaningful once
 // Terminated).
 func (in *Instance) TerminatedAt() sim.Time { return in.terminatedAt }
-
-// WarnDeadline returns the revocation deadline (meaningful once Revoking).
-func (in *Instance) WarnDeadline() sim.Time { return in.warnDeadline }
 
 // Reason returns the termination reason (meaningful once Terminated).
 func (in *Instance) Reason() TerminationReason { return in.reason }

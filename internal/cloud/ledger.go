@@ -58,60 +58,11 @@ func (l *Ledger) OnDemandTotal() float64 { return l.onDemandTotal }
 // Entries returns the raw ledger. Callers must not modify the result.
 func (l *Ledger) Entries() []Charge { return l.entries }
 
-// ByMarket returns net spend per market.
-func (l *Ledger) ByMarket() map[market.ID]float64 {
-	out := map[market.ID]float64{}
-	for _, c := range l.entries {
-		out[c.Market] += c.Amount
-	}
-	return out
-}
-
 // ByInstance returns net spend per instance.
 func (l *Ledger) ByInstance() map[InstanceID]float64 {
 	out := map[InstanceID]float64{}
 	for _, c := range l.entries {
 		out[c.Instance] += c.Amount
-	}
-	return out
-}
-
-// WindowTotal returns net spend charged within [t0, t1).
-func (l *Ledger) WindowTotal(t0, t1 sim.Time) float64 {
-	total := 0.0
-	for _, c := range l.entries {
-		if c.At >= t0 && c.At < t1 {
-			total += c.Amount
-		}
-	}
-	return total
-}
-
-// Refunds returns the total amount refunded (as a positive number) for
-// provider-revoked partial hours.
-func (l *Ledger) Refunds() float64 {
-	total := 0.0
-	for _, c := range l.entries {
-		if c.Kind == ChargeRefund {
-			total -= c.Amount
-		}
-	}
-	return total
-}
-
-// HourlySpend buckets net spend into consecutive windows of the given
-// width over [0, horizon), for cost-over-time reporting.
-func (l *Ledger) HourlySpend(bucket sim.Duration, horizon sim.Duration) []float64 {
-	if bucket <= 0 || horizon <= 0 {
-		return nil
-	}
-	n := int(horizon/bucket) + 1
-	out := make([]float64, n)
-	for _, c := range l.entries {
-		i := int(c.At / bucket)
-		if i >= 0 && i < n {
-			out[i] += c.Amount
-		}
 	}
 	return out
 }

@@ -23,24 +23,6 @@ func buildLedgerFixture(t *testing.T) (*sim.Engine, *Provider) {
 	return eng, p
 }
 
-func TestLedgerByMarket(t *testing.T) {
-	_, p := buildLedgerFixture(t)
-	by := p.Ledger().ByMarket()
-	if len(by) != 2 {
-		t.Fatalf("markets in ledger = %d", len(by))
-	}
-	sum := 0.0
-	for _, v := range by {
-		sum += v
-	}
-	if math.Abs(sum-p.Ledger().Total()) > 1e-9 {
-		t.Fatalf("by-market sum %v != total %v", sum, p.Ledger().Total())
-	}
-	if by[mLarge] <= 0 {
-		t.Fatalf("on-demand market spend = %v", by[mLarge])
-	}
-}
-
 func TestLedgerByInstance(t *testing.T) {
 	_, p := buildLedgerFixture(t)
 	by := p.Ledger().ByInstance()
@@ -56,37 +38,13 @@ func TestLedgerByInstance(t *testing.T) {
 func TestLedgerRefunds(t *testing.T) {
 	_, p := buildLedgerFixture(t)
 	// The revoked spot instance's in-progress hour was refunded.
-	if got := p.Ledger().Refunds(); got <= 0 {
-		t.Fatalf("refunds = %v, want positive", got)
+	refunded := 0.0
+	for _, c := range p.Ledger().Entries() {
+		if c.Kind == ChargeRefund {
+			refunded -= c.Amount
+		}
 	}
-}
-
-func TestLedgerWindowTotal(t *testing.T) {
-	_, p := buildLedgerFixture(t)
-	l := p.Ledger()
-	whole := l.WindowTotal(0, 100*sim.Hour)
-	if math.Abs(whole-l.Total()) > 1e-9 {
-		t.Fatalf("whole-window %v != total %v", whole, l.Total())
-	}
-	first := l.WindowTotal(0, 2*sim.Hour)
-	rest := l.WindowTotal(2*sim.Hour, 100*sim.Hour)
-	if math.Abs(first+rest-whole) > 1e-9 {
-		t.Fatal("window partition not additive")
-	}
-}
-
-func TestLedgerHourlySpend(t *testing.T) {
-	_, p := buildLedgerFixture(t)
-	l := p.Ledger()
-	buckets := l.HourlySpend(sim.Hour, 10*sim.Hour)
-	sum := 0.0
-	for _, b := range buckets {
-		sum += b
-	}
-	if math.Abs(sum-l.Total()) > 1e-9 {
-		t.Fatalf("bucket sum %v != total %v", sum, l.Total())
-	}
-	if l.HourlySpend(0, 10) != nil || l.HourlySpend(10, 0) != nil {
-		t.Fatal("degenerate buckets accepted")
+	if refunded <= 0 {
+		t.Fatalf("refunds = %v, want positive", refunded)
 	}
 }

@@ -32,12 +32,6 @@ type Provider struct {
 
 	ledger Ledger
 
-	nextVolumeID VolumeID
-	volumes      map[VolumeID]*Volume
-
-	nextSpotReqID    SpotRequestID
-	spotRequestsOpen map[SpotRequestID]*SpotRequest
-
 	// Counters for reports and tests.
 	revocations   int
 	spotRequests  int
@@ -52,14 +46,12 @@ type Provider struct {
 // time 0.
 func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
 	p := &Provider{
-		eng:              eng,
-		set:              set,
-		params:           params,
-		rng:              randx.Derive(params.Seed, "cloud/provider"),
-		markets:          map[market.ID]*marketState{},
-		instances:        map[InstanceID]*Instance{},
-		volumes:          map[VolumeID]*Volume{},
-		spotRequestsOpen: map[SpotRequestID]*SpotRequest{},
+		eng:       eng,
+		set:       set,
+		params:    params,
+		rng:       randx.Derive(params.Seed, "cloud/provider"),
+		markets:   map[market.ID]*marketState{},
+		instances: map[InstanceID]*Instance{},
 	}
 	for _, id := range set.IDs() {
 		ms := &marketState{p: p, cursor: market.NewCursor(set.Trace(id)), onDemand: set.OnDemand(id)}
@@ -118,9 +110,6 @@ func (p *Provider) Engine() *sim.Engine { return p.eng }
 
 // Markets returns the market universe.
 func (p *Provider) Markets() *market.Set { return p.set }
-
-// Params returns the provider parameters.
-func (p *Provider) Params() Params { return p.params }
 
 // Ledger returns the billing ledger.
 func (p *Provider) Ledger() *Ledger { return &p.ledger }
@@ -358,12 +347,6 @@ func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 	}
 	if in.lifecycle == Spot {
 		in.ms.removeLive(in)
-	}
-	// Detach any volumes still attached.
-	for _, v := range p.volumes {
-		if v.attachedTo == in.id {
-			v.attachedTo = -1
-		}
 	}
 	if in.cb.OnTerminated != nil {
 		in.cb.OnTerminated(in, reason)

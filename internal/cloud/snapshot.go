@@ -49,18 +49,12 @@ type Snapshot struct {
 	counters Counters
 }
 
-// At returns the simulation time the snapshot was taken.
-func (s *Snapshot) At() sim.Time { return s.at }
-
 // Snapshot captures the provider's state if it is quiescent: no allocation
-// in flight (Pending), no revocation mid-grace (Revoking), no open spot
-// requests, and no network volumes. Those transients hold one-shot event
-// closures that cannot be re-derived from model state, so a provider in
-// such a state reports ok=false and the caller skips this checkpoint.
+// in flight (Pending) and no revocation mid-grace (Revoking). Those
+// transients hold one-shot event closures that cannot be re-derived from
+// model state, so a provider in such a state reports ok=false and the
+// caller skips this checkpoint.
 func (p *Provider) Snapshot() (*Snapshot, bool) {
-	if len(p.spotRequestsOpen) != 0 || len(p.volumes) != 0 {
-		return nil, false
-	}
 	s := &Snapshot{
 		at:          p.eng.Now(),
 		rng:         p.rng.State(),

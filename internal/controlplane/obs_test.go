@@ -156,6 +156,61 @@ func TestDoneImpliesRetired(t *testing.T) {
 	}
 }
 
+// TestFailedImpliesRetired pins the same order on the failure path: a
+// spec that Register accepts but the shard cannot build (its only market
+// is absent from the universe) must be retired — counted by the collector
+// and stamped for eviction — by the time its failed state is visible.
+func TestFailedImpliesRetired(t *testing.T) {
+	col := obs.NewAggregateCollector(obs.Config{})
+	var (
+		mu       sync.Mutex
+		failed   int
+		problems []string
+	)
+	afterPublish = func(r *run) {
+		if r.snapshot().State != StateFailed {
+			return
+		}
+		r.mu.Lock()
+		seq := r.doneSeq
+		r.mu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		failed++
+		var buf bytes.Buffer
+		col.WritePrometheus(&buf, "spotserve")
+		if want := fmt.Sprintf("spotserve_obs_runs_total %d\n", failed); !strings.Contains(buf.String(), want) {
+			problems = append(problems, fmt.Sprintf("%s failed but collector not at %q", r.name, strings.TrimSpace(want)))
+		}
+		if seq == 0 {
+			problems = append(problems, fmt.Sprintf("%s failed with doneSeq 0", r.name))
+		}
+	}
+	p := New(Config{Shards: 1, Obs: col})
+	defer func() {
+		p.Close() // stops the shard goroutine before the hook is cleared
+		afterPublish = nil
+	}()
+
+	spec := testSpec(1, 1)
+	spec.Fleet.Markets = []string{"nowhere-1a/small"}
+	if _, err := p.Register("acme", "ghost", spec); err != nil {
+		t.Fatalf("Register rejected a syntactically valid spec: %v", err)
+	}
+	if s := waitState(t, p, "acme", "ghost", StateFailed); s.Error == "" {
+		t.Fatal("failed fleet carries no error")
+	}
+	p.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if failed != 1 {
+		t.Fatalf("hook saw %d runs fail, want 1", failed)
+	}
+	if len(problems) > 0 {
+		t.Fatal(strings.Join(problems, "\n"))
+	}
+}
+
 // TestTimelineDisabled pins the off switch: a plane without a collector
 // refuses timeline reads with ErrNoObs and runs fleets untouched.
 func TestTimelineDisabled(t *testing.T) {

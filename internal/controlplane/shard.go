@@ -334,8 +334,12 @@ func (sh *shard) advance(r *run) {
 		}
 		s, err := buildSim(r.spec, r.fcfg, r.horizon, r.rec, r.ob)
 		if err != nil {
-			r.fail(err)
+			// Retire before publishing, as on the done path.
 			sh.retire(r)
+			r.fail(err)
+			if afterPublish != nil {
+				afterPublish(r)
+			}
 			return
 		}
 		r.sim = s
@@ -386,7 +390,7 @@ func (sh *shard) advance(r *run) {
 }
 
 // afterPublish, when set (by tests only), runs on the shard goroutine
-// right after each slice's state is published.
+// right after each slice's state, or a build failure, is published.
 var afterPublish func(*run)
 
 // retire releases a finished run: eviction stamp, trace and telemetry

@@ -105,24 +105,3 @@ func (a Analysis) String() string {
 		"savings=$%.2f lost(down)=$%.2f lost(degraded)=$%.2f net=$%.2f headroom=%.1fx worth-it=%v",
 		a.Savings, a.LostToDowntime, a.LostToDegradation, a.Net, a.HeadroomFactor, a.WorthIt())
 }
-
-// MaxTolerableUnavailability returns the unavailability fraction at which
-// the given normalized savings fraction is exactly cancelled, for a
-// service whose revenue rate is revenuePerHour and whose on-demand
-// baseline costs baselinePerHour. Above it, stay on-demand.
-//
-//	savings/hour = baselinePerHour x (1 - normalizedCost)
-//	loss/hour    = revenuePerHour x unavailability
-func MaxTolerableUnavailability(baselinePerHour, normalizedCost, revenuePerHour float64) float64 {
-	if revenuePerHour <= 0 {
-		return 1
-	}
-	u := baselinePerHour * (1 - normalizedCost) / revenuePerHour
-	if u > 1 {
-		u = 1
-	}
-	if u < 0 {
-		u = 0
-	}
-	return u
-}

@@ -111,36 +111,3 @@ func TestAnalyzeZeroDowntimeHeadroom(t *testing.T) {
 		t.Fatalf("zero-downtime headroom should be unbounded: %v", a.HeadroomFactor)
 	}
 }
-
-func TestMaxTolerableUnavailability(t *testing.T) {
-	// Baseline $0.06/hr, spot at 20%: saves $0.048/hr. Revenue $48/hr:
-	// tolerable unavailability = 0.048/48 = 0.1%.
-	got := MaxTolerableUnavailability(0.06, 0.2, 48)
-	if math.Abs(got-0.001) > 1e-12 {
-		t.Fatalf("tolerable = %v, want 0.001", got)
-	}
-	// Free traffic tolerates anything.
-	if MaxTolerableUnavailability(0.06, 0.2, 0) != 1 {
-		t.Fatal("free traffic should tolerate 1")
-	}
-	// Tiny revenue: clamped to 1.
-	if MaxTolerableUnavailability(100, 0, 1) != 1 {
-		t.Fatal("clamp high failed")
-	}
-	// Negative savings: clamped to 0.
-	if MaxTolerableUnavailability(0.06, 1.5, 48) != 0 {
-		t.Fatal("clamp low failed")
-	}
-}
-
-// TestFourNinesConsistency ties the econ model back to the paper: with the
-// measured proactive numbers (19% cost, ~0.004% unavailability on a small
-// server) spot hosting pays off for any service whose revenue is below
-// ~$1.2/hr per $0.06/hr server — and the four-nines bar itself (0.01%) is
-// the tolerable limit when revenue is ~$0.48/hr per server.
-func TestFourNinesConsistency(t *testing.T) {
-	tolerable := MaxTolerableUnavailability(0.06, 0.19, 0.486)
-	if tolerable < 0.9999e-1 && math.Abs(tolerable-0.0001) > 2e-5 {
-		t.Fatalf("tolerable = %v, want ~1e-4 (four nines)", tolerable)
-	}
-}

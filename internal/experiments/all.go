@@ -1,11 +1,5 @@
 package experiments
 
-import (
-	"fmt"
-	"io"
-	"time"
-)
-
 // Renderer is any experiment result that can print itself.
 type Renderer interface {
 	Render() string
@@ -48,18 +42,4 @@ func Find(name string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// RunAll executes every experiment, writing rendered results to w as they
-// complete. It returns the first error encountered.
-func RunAll(opts Options, w io.Writer) error {
-	for _, e := range All() {
-		start := time.Now()
-		res, err := e.Run(opts)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", e.Name, err)
-		}
-		fmt.Fprintf(w, "=== %s (%.1fs) ===\n%s\n", e.Name, time.Since(start).Seconds(), res.Render())
-	}
-	return nil
 }

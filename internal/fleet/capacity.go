@@ -78,18 +78,6 @@ func NewTPCWPlanner(cfg tpcw.Config, targetMs float64, maxReplicas int, quantum 
 	}, nil
 }
 
-// DefaultTPCWPlanner returns the planner used by the Fleet experiment: the
-// paper's CPU-bound ordering mix on nested VMs, sized for a 250 ms mean
-// response-time target, with a shortened measurement window (the planner
-// runs the queueing model many times, and capacity plans are insensitive
-// to window length beyond a few hundred seconds).
-func DefaultTPCWPlanner(maxReplicas int, seed int64) (*TPCWPlanner, error) {
-	cfg := tpcw.DefaultConfig(1, false, true, seed)
-	cfg.Duration = 600
-	cfg.Warmup = 120
-	return NewTPCWPlanner(cfg, 250, maxReplicas, 8)
-}
-
 // Replicas implements Planner: the plan for the load rounded up to the
 // quantization grid. When even maxReplicas misses the target the planner
 // returns maxReplicas (degraded but maximal capacity).

@@ -207,7 +207,6 @@ type Controller struct {
 
 	// Counters.
 	launches     int
-	spotLaunches int
 	odFallbacks  int
 	reverses     int
 	downsizes    int
@@ -455,13 +454,11 @@ func (c *Controller) candidates(sizeMask int) []Candidate {
 		if spot > c.mktBid[i] {
 			continue
 		}
-		dm := c.mktMoments[i]
 		cands = append(cands, Candidate{
 			ID:       id,
 			Spot:     spot,
 			OnDemand: c.mktOD[i],
-			Mean:     dm.Mean(now),
-			Vol:      dm.Std(now),
+			Vol:      c.mktMoments[i].Std(now),
 			Replicas: occ[i],
 			Units:    u,
 			InvUnits: c.mktInv[i],
@@ -884,22 +881,9 @@ func (c *Controller) reverseReplace() {
 		}
 		// The replacement must carry at least the drained replica's units,
 		// and prices compare per unit (raw in legacy mode — invUnits 1).
-		_, pickSpot, havePick := c.fastPick(minSizeMask(r.units))
-		if !havePick {
-			cands := c.candidates(minSizeMask(r.units))
-			if len(cands) == 0 {
-				return
-			}
-			id, ok := c.cfg.Strategy.Pick(cands, c.targetUnits)
-			if !ok {
-				return
-			}
-			for _, cand := range cands {
-				if cand.ID == id {
-					pickSpot = cand.eff()
-					break
-				}
-			}
+		_, pickSpot, ok := c.pickEff(minSizeMask(r.units))
+		if !ok {
+			return
 		}
 		odPrice := c.mktOD[r.mi]
 		if pickSpot >= (1-c.cfg.ReverseHysteresis)*odPrice*r.invUnits {
@@ -1021,22 +1005,14 @@ func (c *Controller) downsize() {
 			if needed&s == 0 {
 				continue
 			}
-			cands := c.candidates(s)
-			if len(cands) == 0 {
-				feasible = false
-				break
-			}
-			id, ok := c.cfg.Strategy.Pick(cands, c.targetUnits)
+			id, eff, ok := c.pickEff(s)
 			if !ok {
 				feasible = false
 				break
 			}
-			for _, cand := range cands {
-				if cand.ID == id {
-					total += cand.Spot
-					break
-				}
-			}
+			// eff is Spot/s; s is a power of two, so this restores the
+			// raw spot price exactly.
+			total += eff * float64(s)
 			pieces = append(pieces, id)
 		}
 		if !feasible {
@@ -1354,20 +1330,6 @@ func (c *Controller) sampleOccupancy(now sim.Time) {
 		}
 	}
 	c.occupancy = append(c.occupancy, pt)
-}
-
-// Target returns the current replica target.
-func (c *Controller) Target() int { return c.target }
-
-// Alive returns the number of currently serving replicas.
-func (c *Controller) Alive() int {
-	n := 0
-	for _, r := range c.replicas {
-		if r.in.Alive() {
-			n++
-		}
-	}
-	return n
 }
 
 // Report returns the run report as of the engine's current time without

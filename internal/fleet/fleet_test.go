@@ -8,6 +8,7 @@ import (
 	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
+	"spothost/internal/tpcw"
 )
 
 // testSet builds a hand-crafted market universe from piecewise price
@@ -263,7 +264,10 @@ func TestDiurnalDemand(t *testing.T) {
 }
 
 func TestTPCWPlannerMonotoneAndMemoized(t *testing.T) {
-	p, err := DefaultTPCWPlanner(32, 1)
+	cfg := tpcw.DefaultConfig(1, false, true, 1)
+	cfg.Duration = 600
+	cfg.Warmup = 120
+	p, err := NewTPCWPlanner(cfg, 250, 32, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

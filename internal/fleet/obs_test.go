@@ -226,9 +226,9 @@ func TestObsSteppedTimelineIdentity(t *testing.T) {
 		ctx := context.Background()
 		if sliced {
 			var until sim.Time
-			for !s.Done() {
+			for done := false; !done; {
 				until += 7 * sim.Hour
-				if _, err := s.Step(ctx, until); err != nil {
+				if done, err = s.Step(ctx, until); err != nil {
 					t.Fatal(err)
 				}
 				_ = s.Timeline() // mid-run snapshots must not perturb the run

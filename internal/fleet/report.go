@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"sort"
 
 	"spothost/internal/market"
 	"spothost/internal/sim"
@@ -104,45 +103,12 @@ func (r Report) MaxSimultaneousLoss() int {
 	return max
 }
 
-// LossVariance buckets lost replicas into fixed windows over the horizon
-// (zero buckets included) and returns the variance of the per-window
-// counts. Concentrated strategies lose many replicas in few windows —
-// high variance; diversified ones spread smaller losses — low variance.
-func (r Report) LossVariance(window sim.Duration) float64 {
-	if window <= 0 || r.Horizon <= 0 {
-		return 0
-	}
-	n := int(math.Ceil(float64(r.Horizon) / float64(window)))
-	if n == 0 {
-		return 0
-	}
-	counts := make([]float64, n)
-	for _, e := range r.LossEvents {
-		i := int(float64(e.At) / float64(window))
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		counts[i] += float64(e.Lost)
-	}
-	var mean float64
-	for _, c := range counts {
-		mean += c
-	}
-	mean /= float64(n)
-	var v float64
-	for _, c := range counts {
-		d := c - mean
-		v += d * d
-	}
-	return v / float64(n)
-}
-
-// PooledLossVariance computes LossVariance over the concatenated windows
-// of several runs — the cross-seed statistic the Fleet experiment and
-// the diversification property test report.
+// PooledLossVariance buckets each run's lost replicas into fixed windows
+// over its horizon (zero buckets included) and returns the variance of the
+// per-window counts pooled across runs. Concentrated strategies lose many
+// replicas in few windows — high variance; diversified ones spread smaller
+// losses — low variance. It is the cross-seed statistic the Fleet
+// experiment and the diversification property test report.
 func PooledLossVariance(reports []Report, window sim.Duration) float64 {
 	if window <= 0 {
 		return 0
@@ -221,22 +187,4 @@ func Average(reports []Report) Report {
 	avg.ScaleDowns = round(scaleDowns)
 	avg.PeakTarget = round(peak)
 	return avg
-}
-
-// TopMarkets returns the markets by total occupancy seconds, descending,
-// ties broken by ID — for rendering occupancy tables deterministically.
-func (r Report) TopMarkets() []market.ID {
-	ids := make([]market.ID, 0, len(r.MarketSeconds))
-	for id := range r.MarketSeconds {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := r.MarketSeconds[ids[i]], r.MarketSeconds[ids[j]]
-		ta, tb := a.SpotSeconds+a.OnDemandSeconds, b.SpotSeconds+b.OnDemandSeconds
-		if ta != tb {
-			return ta > tb
-		}
-		return ids[i].String() < ids[j].String()
-	})
-	return ids
 }

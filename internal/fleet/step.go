@@ -87,10 +87,6 @@ func (s *Sim) Step(ctx context.Context, until sim.Time) (bool, error) {
 	return s.done, nil
 }
 
-// Obs returns the simulation's telemetry recorder, nil when telemetry is
-// off.
-func (s *Sim) Obs() *obs.Recorder { return s.ob }
-
 // Timeline snapshots the telemetry timeline as of the current virtual
 // time (see Controller.ObsTimeline); the zero Timeline when telemetry is
 // off.
@@ -101,9 +97,6 @@ func (s *Sim) Now() sim.Time { return s.eng.Now() }
 
 // Horizon returns the clamped run horizon.
 func (s *Sim) Horizon() sim.Duration { return s.horizon }
-
-// Done reports whether the run has reached its horizon.
-func (s *Sim) Done() bool { return s.done }
 
 // Report snapshots the fleet report as of the current virtual time. It is
 // safe to call between any two Steps (the controller is not mutated), and

@@ -56,9 +56,10 @@ func TestSteppedRunByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	var until sim.Time
 	steps := 0
-	for !s.Done() {
+	for done := false; !done; {
 		until += slices[steps%len(slices)]
-		done, err := s.Step(ctx, until)
+		var err error
+		done, err = s.Step(ctx, until)
 		if err != nil {
 			t.Fatal(err)
 		}

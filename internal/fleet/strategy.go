@@ -15,11 +15,9 @@ type Candidate struct {
 	// Spot and OnDemand are the market's current prices.
 	Spot     float64
 	OnDemand float64
-	// Mean and Vol are the exponentially-decayed price mean and standard
-	// deviation (see forecast.DecayingMoments), maintained online by the
-	// controller.
-	Mean float64
-	Vol  float64
+	// Vol is the exponentially-decayed price standard deviation (see
+	// forecast.DecayingMoments), maintained online by the controller.
+	Vol float64
 	// Replicas counts the fleet's spot capacity already placed (alive or
 	// allocating) in this market — replica count in legacy mode, capacity
 	// units in catalog mode.
@@ -42,13 +40,6 @@ func (c Candidate) eff() float64 {
 	}
 	return c.Spot
 }
-
-// EffectivePrice is the exported view of the ranking key strategies
-// compare: the current spot price normalized per capacity unit (raw when
-// the candidate carries no size information). Custom Strategy
-// implementations should rank by it rather than Spot so mixed-size
-// catalogs compare fairly.
-func (c Candidate) EffectivePrice() float64 { return c.eff() }
 
 // Strategy chooses the spot market for the next replica. Implementations
 // must be deterministic pure functions of their inputs: the controller

@@ -27,19 +27,3 @@ func ExampleDecayingMoments() {
 	// Output:
 	// steady beats jumpy despite the higher mean: true
 }
-
-// ExampleFitAR1 fits a mean-reverting model to a sampled price series and
-// forecasts its return to the mean.
-func ExampleFitAR1() {
-	series := []float64{10, 10.5, 10.2, 10.4, 9.9, 10.1, 10.0, 10.3, 9.8, 10.2,
-		10.0, 9.9, 10.1, 10.2, 10.0, 9.8, 10.1, 10.0, 10.2, 9.9}
-	m, err := forecast.FitAR1(series)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("mean-reverting=%v forecast-approaches-mu=%v\n",
-		m.Phi < 1, m.Forecast(12, 50) < 12)
-	// Output:
-	// mean-reverting=true forecast-approaches-mu=true
-}

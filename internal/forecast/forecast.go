@@ -1,13 +1,11 @@
-// Package forecast provides online spot-price statistics and simple
-// predictive models used by stability-aware bidding — the extension the
-// paper names as future work ("bidding strategies that take spot price
-// stability into account"): decaying moments over piecewise-constant price
-// signals, trailing-window trace statistics, excursion (spike) rates and
-// an AR(1) fit for mean-reverting log prices.
+// Package forecast provides the online spot-price statistics used by
+// stability-aware bidding — the extension the paper names as future work
+// ("bidding strategies that take spot price stability into account"):
+// decaying moments over piecewise-constant price signals, a trailing-window
+// standard deviation, and the mean-plus-volatility market score.
 package forecast
 
 import (
-	"errors"
 	"math"
 
 	"spothost/internal/market"
@@ -106,9 +104,6 @@ func (dm *DecayingMoments) Std(t sim.Time) float64 {
 	return math.Sqrt(v)
 }
 
-// Primed reports whether at least one observation has been recorded.
-func (dm *DecayingMoments) Primed() bool { return dm.primed }
-
 // TrailingStd returns the sampled standard deviation of a trace over the
 // window (t-window, t], using the given sampling step. It looks only at
 // the past, so it is a legitimate online statistic.
@@ -136,126 +131,6 @@ func TrailingStd(tr *market.Trace, t sim.Time, window, step sim.Duration) float6
 		return 0
 	}
 	return math.Sqrt(m2 / float64(n-1))
-}
-
-// TrailingMean returns the time-weighted mean of a trace over the window
-// (t-window, t].
-func TrailingMean(tr *market.Trace, t sim.Time, window sim.Duration) float64 {
-	start := t - window
-	if start < tr.Start() {
-		start = tr.Start()
-	}
-	if t <= start {
-		return tr.PriceAt(t)
-	}
-	return tr.TimeWeightedMean(start, t)
-}
-
-// ExcursionRate returns how many upward crossings of the threshold the
-// trace made per day over the trailing window — an empirical spike-hazard
-// estimate.
-func ExcursionRate(tr *market.Trace, t sim.Time, window sim.Duration, threshold float64) float64 {
-	start := t - window
-	if start < tr.Start() {
-		start = tr.Start()
-	}
-	if t <= start {
-		return 0
-	}
-	crossings := 0
-	c := market.NewCursor(tr)
-	prev := c.PriceAt(start)
-	cur := start
-	for {
-		nt, np, ok := c.NextChangeAfter(cur)
-		if !ok || nt > t {
-			break
-		}
-		if prev <= threshold && np > threshold {
-			crossings++
-		}
-		prev, cur = np, nt
-	}
-	return float64(crossings) / (float64(t-start) / sim.Day)
-}
-
-// AR1 is a first-order autoregressive model x_t = Mu + Phi*(x_{t-1} - Mu)
-// + eps, eps ~ N(0, Sigma^2), fitted to a uniformly sampled series.
-type AR1 struct {
-	Mu    float64
-	Phi   float64
-	Sigma float64
-}
-
-// ErrShortSeries is returned when there are too few points to fit.
-var ErrShortSeries = errors.New("forecast: series too short for AR(1) fit")
-
-// FitAR1 estimates an AR(1) model from a sampled series by least squares.
-func FitAR1(xs []float64) (AR1, error) {
-	n := len(xs)
-	if n < 3 {
-		return AR1{}, ErrShortSeries
-	}
-	// Regress x_t on x_{t-1}.
-	var sx, sy, sxx, sxy float64
-	m := float64(n - 1)
-	for i := 1; i < n; i++ {
-		x, y := xs[i-1], xs[i]
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	den := sxx - sx*sx/m
-	if den == 0 {
-		// Constant series: perfectly persistent, no noise.
-		return AR1{Mu: xs[0], Phi: 1, Sigma: 0}, nil
-	}
-	phi := (sxy - sx*sy/m) / den
-	alpha := (sy - phi*sx) / m
-	mu := alpha
-	if phi < 1 {
-		mu = alpha / (1 - phi)
-	}
-	// Residual standard deviation.
-	var ss float64
-	for i := 1; i < n; i++ {
-		r := xs[i] - (alpha + phi*xs[i-1])
-		ss += r * r
-	}
-	return AR1{Mu: mu, Phi: phi, Sigma: math.Sqrt(ss / m)}, nil
-}
-
-// Forecast returns the h-step-ahead conditional mean given the current
-// value x.
-func (m AR1) Forecast(x float64, h int) float64 {
-	if h <= 0 {
-		return x
-	}
-	p := math.Pow(m.Phi, float64(h))
-	return m.Mu + p*(x-m.Mu)
-}
-
-// ForecastStd returns the h-step-ahead conditional standard deviation.
-func (m AR1) ForecastStd(h int) float64 {
-	if h <= 0 {
-		return 0
-	}
-	phi2 := m.Phi * m.Phi
-	if phi2 >= 1 {
-		return m.Sigma * math.Sqrt(float64(h))
-	}
-	return m.Sigma * math.Sqrt((1-math.Pow(phi2, float64(h)))/(1-phi2))
-}
-
-// StationaryStd returns the model's long-run standard deviation (infinite
-// horizon), or +Inf for non-stationary fits.
-func (m AR1) StationaryStd() float64 {
-	phi2 := m.Phi * m.Phi
-	if phi2 >= 1 {
-		return math.Inf(1)
-	}
-	return m.Sigma / math.Sqrt(1-phi2)
 }
 
 // Score ranks a market for stability-aware bidding: expected hourly cost

@@ -70,13 +70,10 @@ func TestDecayingMomentsOutOfOrderIgnored(t *testing.T) {
 
 func TestDecayingMomentsUnprimed(t *testing.T) {
 	dm := NewDecayingMoments(100)
-	if dm.Primed() || dm.Mean(10) != 0 || dm.Std(10) != 0 {
+	if dm.Mean(10) != 0 || dm.Std(10) != 0 {
 		t.Fatal("unprimed tracker should be zero")
 	}
 	dm.Observe(0, 7)
-	if !dm.Primed() {
-		t.Fatal("not primed after observation")
-	}
 	// Single observation, no elapsed weight: mean falls back to the value.
 	if got := dm.Mean(0); got != 7 {
 		t.Fatalf("single-obs mean = %v", got)
@@ -119,115 +116,17 @@ func mkTrace(t *testing.T, pts []market.Point, end sim.Time) *market.Trace {
 
 func TestTrailingStats(t *testing.T) {
 	tr := mkTrace(t, []market.Point{{T: 0, Price: 1}, {T: 1000, Price: 3}}, 5000)
-	// Window covering only the flat tail: zero std, mean 3.
+	// Window covering only the flat tail: zero std.
 	if got := TrailingStd(tr, 3000, 1000, 100); got != 0 {
 		t.Fatalf("flat trailing std = %v", got)
 	}
-	if got := TrailingMean(tr, 3000, 1000); got != 3 {
-		t.Fatalf("trailing mean = %v", got)
-	}
-	// Window straddling the step: positive std, mean between levels.
+	// Window straddling the step: positive std.
 	if got := TrailingStd(tr, 1500, 1500, 100); got <= 0 {
 		t.Fatalf("straddling std = %v", got)
-	}
-	m := TrailingMean(tr, 2000, 2000)
-	if m <= 1 || m >= 3 {
-		t.Fatalf("straddling mean = %v", m)
 	}
 	// Degenerate inputs.
 	if TrailingStd(tr, 1000, 0, 100) != 0 || TrailingStd(tr, 1000, 100, 0) != 0 {
 		t.Fatal("degenerate windows should be 0")
-	}
-}
-
-func TestExcursionRate(t *testing.T) {
-	tr := mkTrace(t, []market.Point{
-		{T: 0, Price: 0.01},
-		{T: 10000, Price: 0.5}, {T: 11000, Price: 0.01},
-		{T: 50000, Price: 0.7}, {T: 51000, Price: 0.01},
-	}, 2*sim.Day)
-	// Two upward crossings of 0.1 in the first day.
-	got := ExcursionRate(tr, sim.Day, sim.Day, 0.1)
-	if math.Abs(got-2) > 1e-9 {
-		t.Fatalf("excursion rate = %v, want 2/day", got)
-	}
-	// No crossings of a very high threshold.
-	if got := ExcursionRate(tr, sim.Day, sim.Day, 10); got != 0 {
-		t.Fatalf("high-threshold rate = %v", got)
-	}
-	// Empty window.
-	if got := ExcursionRate(tr, 0, sim.Day, 0.1); got != 0 {
-		t.Fatalf("empty-window rate = %v", got)
-	}
-}
-
-func TestFitAR1Recovers(t *testing.T) {
-	// Simulate a known AR(1) and refit.
-	const mu, phi, sigma = 2.0, 0.9, 0.3
-	rng := rand.New(rand.NewSource(8))
-	xs := make([]float64, 20000)
-	xs[0] = mu
-	for i := 1; i < len(xs); i++ {
-		xs[i] = mu + phi*(xs[i-1]-mu) + sigma*rng.NormFloat64()
-	}
-	m, err := FitAR1(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Phi-phi) > 0.03 {
-		t.Fatalf("phi = %v, want ~%v", m.Phi, phi)
-	}
-	if math.Abs(m.Mu-mu) > 0.2 {
-		t.Fatalf("mu = %v, want ~%v", m.Mu, mu)
-	}
-	if math.Abs(m.Sigma-sigma) > 0.03 {
-		t.Fatalf("sigma = %v, want ~%v", m.Sigma, sigma)
-	}
-}
-
-func TestFitAR1Degenerate(t *testing.T) {
-	if _, err := FitAR1([]float64{1, 2}); err != ErrShortSeries {
-		t.Fatal("short series accepted")
-	}
-	m, err := FitAR1([]float64{5, 5, 5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sigma != 0 || m.Phi != 1 {
-		t.Fatalf("constant series fit: %+v", m)
-	}
-}
-
-func TestAR1Forecast(t *testing.T) {
-	m := AR1{Mu: 10, Phi: 0.5, Sigma: 1}
-	if got := m.Forecast(14, 1); math.Abs(got-12) > 1e-9 {
-		t.Fatalf("1-step forecast = %v, want 12", got)
-	}
-	if got := m.Forecast(14, 0); got != 14 {
-		t.Fatalf("0-step forecast = %v", got)
-	}
-	// Long-horizon forecast converges to the mean.
-	if got := m.Forecast(14, 100); math.Abs(got-10) > 1e-6 {
-		t.Fatalf("long forecast = %v, want mu", got)
-	}
-	// Forecast std grows toward the stationary value.
-	if m.ForecastStd(0) != 0 {
-		t.Fatal("0-step std should be 0")
-	}
-	s1, s10 := m.ForecastStd(1), m.ForecastStd(10)
-	if !(s1 < s10) {
-		t.Fatalf("std not increasing: %v vs %v", s1, s10)
-	}
-	if math.Abs(s10-m.StationaryStd()) > 0.01 {
-		t.Fatalf("10-step std %v far from stationary %v", s10, m.StationaryStd())
-	}
-	// Non-stationary model.
-	rw := AR1{Mu: 0, Phi: 1, Sigma: 1}
-	if !math.IsInf(rw.StationaryStd(), 1) {
-		t.Fatal("random walk should have infinite stationary std")
-	}
-	if got := rw.ForecastStd(4); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("random-walk 4-step std = %v, want 2", got)
 	}
 }
 

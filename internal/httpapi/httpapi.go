@@ -162,11 +162,6 @@ func New(cfg Config) *Server {
 // usable; registrations are refused afterwards.
 func (s *Server) Close() { s.plane.Close() }
 
-// Handler returns the API's http.Handler with default configuration.
-func Handler() http.Handler {
-	return New(Config{})
-}
-
 // statusWriter captures the response status for the request log.
 type statusWriter struct {
 	http.ResponseWriter

@@ -11,7 +11,7 @@ import (
 
 func newServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -111,9 +111,9 @@ func blockingServer(cfg Config, started chan<- struct{}, traces chan<- runTrace)
 			if ctx.Err() != nil && atCancel.Load() == 0 {
 				atCancel.Store(eng.Processed())
 			}
-			eng.PostAfter(sim.Second, tick)
+			eng.PostAfter(1, tick)
 		}
-		eng.PostAfter(sim.Second, tick)
+		eng.PostAfter(1, tick)
 		select {
 		case started <- struct{}{}:
 		default:

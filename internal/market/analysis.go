@@ -5,13 +5,6 @@ import (
 	"spothost/internal/stats"
 )
 
-// DefaultSampleStep is the grid formerly used to sample traces for
-// correlation and standard-deviation statistics (5 minutes, matching
-// typical spot price history granularity). The statistics below are now
-// exact closed forms over the piecewise-constant segments; the grid
-// remains as the slow-path reference their property tests compare against.
-const DefaultSampleStep sim.Duration = 5 * sim.Minute
-
 // Correlation returns the exact time-weighted Pearson correlation between
 // two traces over their shared horizon [0, min end), computed by a
 // two-pointer merge over the piecewise-constant segments — the statistic

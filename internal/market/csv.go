@@ -18,8 +18,6 @@ import (
 // (with timestamps rebased to seconds from the window start) so real
 // traces can be replayed through the same pipeline as synthetic ones.
 
-const csvHeader = "seconds,region,instance_type,price"
-
 // WriteCSV serializes every trace in the set, followed by one
 // "#ondemand" comment row per market carrying the on-demand catalog and a
 // "#end" row with the horizon, so ReadCSV can reconstruct the Set exactly.

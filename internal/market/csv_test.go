@@ -8,6 +8,8 @@ import (
 	"spothost/internal/sim"
 )
 
+const csvHeader = "seconds,region,instance_type,price"
+
 func TestCSVRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(23)
 	cfg.Horizon = 2 * sim.Day

@@ -30,9 +30,6 @@ type Cursor struct {
 // NewCursor returns a cursor positioned at the start of the trace.
 func NewCursor(tr *Trace) *Cursor { return &Cursor{tr: tr} }
 
-// Trace returns the trace this cursor iterates over.
-func (c *Cursor) Trace() *Trace { return c.tr }
-
 // seek moves the cursor so that c.i is the index of the last step with
 // time <= t, clamped to 0 for times before the first step. Seeks scan the
 // times column only — 8 bytes per crossed step.

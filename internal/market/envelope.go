@@ -107,13 +107,6 @@ func buildEnvelope(s *Set, ids []ID, weights []float64) *Envelope {
 	return e
 }
 
-// IDs returns the candidate markets, in scan order. Callers must not modify
-// the result.
-func (e *Envelope) IDs() []ID { return e.ids }
-
-// Len returns the number of envelope segments.
-func (e *Envelope) Len() int { return len(e.segs) }
-
 // End returns the envelope's horizon (the earliest candidate trace end).
 func (e *Envelope) End() sim.Time { return e.end }
 

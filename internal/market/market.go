@@ -299,7 +299,6 @@ type Set struct {
 	traces   map[ID]*Trace
 	onDemand map[ID]float64
 	types    map[InstanceType]TypeSpec // typed view; nil for untyped sets
-	start    sim.Time
 	end      sim.Time
 
 	// Lower-envelope memoization: sets are immutable once built and shared
@@ -423,13 +422,6 @@ func (s *Set) Trace(id ID) *Trace { return s.traces[id] }
 // OnDemand returns the fixed on-demand price for the market's instance
 // type in its region, or 0 when unknown.
 func (s *Set) OnDemand(id ID) float64 { return s.onDemand[id] }
-
-// TypeSpec returns the set's size metadata for an instance type, with
-// ok=false for untyped sets (replayed files) or unknown types.
-func (s *Set) TypeSpec(t InstanceType) (TypeSpec, bool) {
-	ts, ok := s.types[t]
-	return ts, ok
-}
 
 // Horizon returns the common usable end time across all traces.
 func (s *Set) Horizon() sim.Time { return s.end }

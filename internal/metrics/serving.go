@@ -26,7 +26,7 @@ type Serving struct {
 	inFlight   int64
 	runSeconds float64
 	runCount   uint64
-	runBuckets []uint64 // per-bound counts, aligned with RunSecondsBounds
+	runBuckets []uint64 // per-bound counts, aligned with runSecondsBounds
 	kinds      map[string]*KindStats
 }
 
@@ -35,14 +35,6 @@ type Serving struct {
 // ten-minute serving deadline; durations beyond the last bound land only
 // in the implicit +Inf bucket.
 var runSecondsBounds = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600}
-
-// RunSecondsBounds returns the histogram's bucket upper bounds (seconds),
-// aligned with ServingStats.RunSecondsBuckets.
-func RunSecondsBounds() []float64 {
-	out := make([]float64, len(runSecondsBounds))
-	copy(out, runSecondsBounds)
-	return out
-}
 
 // KindStats is the per-run-kind counter subset: what the serving layer
 // ran (experiment, scenario, fleet), broken out by outcome.
@@ -54,19 +46,14 @@ type KindStats struct {
 	InFlight  int64
 }
 
-// Start records a run entering execution and returns the done callback to
-// invoke exactly once when it finishes. done classifies the outcome from
-// the run's error: nil counts as completed, context cancellation or
-// deadline expiry as canceled, anything else as failed; it also adds the
-// run's wall time to the duration total and decrements the in-flight
-// gauge.
-func (s *Serving) Start() (done func(err error)) {
-	return s.StartKind("")
-}
-
-// StartKind is Start with a run-kind label ("experiment", "scenario",
-// "fleet", ...): the run is counted both in the aggregate counters and in
-// a per-kind breakdown. An empty kind counts only in the aggregate.
+// StartKind records a run entering execution and returns the done
+// callback to invoke exactly once when it finishes. done classifies the
+// outcome from the run's error: nil counts as completed, context
+// cancellation or deadline expiry as canceled, anything else as failed; it
+// also adds the run's wall time to the duration total and decrements the
+// in-flight gauge. kind labels the run ("experiment", "scenario",
+// "fleet", ...): it is counted both in the aggregate counters and in a
+// per-kind breakdown. An empty kind counts only in the aggregate.
 func (s *Serving) StartKind(kind string) (done func(err error)) {
 	s.mu.Lock()
 	s.started++
@@ -156,8 +143,9 @@ type ServingStats struct {
 	RunSecondsTotal float64
 	// RunSecondsCount is the number of finished runs observed by the
 	// duration histogram; RunSecondsBuckets holds the per-bucket (not
-	// cumulative) counts aligned with RunSecondsBounds(). Runs longer than
-	// the last bound count only toward RunSecondsCount (the +Inf bucket).
+	// cumulative) counts aligned with the fixed runSecondsBounds. Runs
+	// longer than the last bound count only toward RunSecondsCount (the
+	// +Inf bucket).
 	RunSecondsCount   uint64
 	RunSecondsBuckets []uint64
 	// Kinds breaks the run counters out by run kind (StartKind label).

@@ -9,15 +9,15 @@ import (
 
 func TestServingLifecycle(t *testing.T) {
 	var s Serving
-	done := s.Start()
+	done := s.StartKind("")
 	if st := s.Snapshot(); st.Started != 1 || st.InFlight != 1 {
 		t.Fatalf("after Start: %+v", st)
 	}
 	done(nil)
 	done(nil) // second call is a no-op
-	s.Start()(context.Canceled)
-	s.Start()(context.DeadlineExceeded)
-	s.Start()(errors.New("boom"))
+	s.StartKind("")(context.Canceled)
+	s.StartKind("")(context.DeadlineExceeded)
+	s.StartKind("")(errors.New("boom"))
 	s.Reject()
 	st := s.Snapshot()
 	if st.Started != 4 || st.Completed != 1 || st.Canceled != 2 || st.Failed != 1 ||
@@ -35,7 +35,7 @@ func TestServingKinds(t *testing.T) {
 	s.StartKind("fleet")(nil)
 	s.StartKind("fleet")(context.Canceled)
 	fdone := s.StartKind("fleet")
-	s.Start()(errors.New("boom")) // unkinded: aggregate only
+	s.StartKind("")(errors.New("boom")) // unkinded: aggregate only
 
 	st := s.Snapshot()
 	if st.Started != 5 || st.InFlight != 1 {
@@ -78,12 +78,12 @@ func TestServingKinds(t *testing.T) {
 
 func TestServingRunSecondsHistogram(t *testing.T) {
 	var s Serving
-	s.Start()(nil) // sub-millisecond run: lands in the first bucket
+	s.StartKind("")(nil) // sub-millisecond run: lands in the first bucket
 	st := s.Snapshot()
 	if st.RunSecondsCount != 1 {
 		t.Fatalf("count: %+v", st)
 	}
-	bounds := RunSecondsBounds()
+	bounds := runSecondsBounds
 	if len(st.RunSecondsBuckets) != len(bounds) {
 		t.Fatalf("bucket/bound mismatch: %d vs %d", len(st.RunSecondsBuckets), len(bounds))
 	}
@@ -111,7 +111,7 @@ func TestServingRunSecondsHistogram(t *testing.T) {
 
 func TestServingWritePrometheus(t *testing.T) {
 	var s Serving
-	s.Start()(nil)
+	s.StartKind("")(nil)
 	s.Reject()
 	var b strings.Builder
 	s.Snapshot().WritePrometheus(&b, "spotserve")

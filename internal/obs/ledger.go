@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-)
+import "encoding/json"
 
 // LedgerSchema versions the decision-ledger record layout. Consumers
 // must check it before parsing: fields are only ever added (all optional
@@ -58,19 +55,4 @@ func (d Decision) AppendNDJSON(dst []byte) ([]byte, error) {
 	}
 	dst = append(dst, b...)
 	return append(dst, '\n'), nil
-}
-
-// WriteLedger streams decisions to w as NDJSON.
-func WriteLedger(w io.Writer, ds []Decision) error {
-	var buf []byte
-	for _, d := range ds {
-		var err error
-		if buf, err = d.AppendNDJSON(buf[:0]); err != nil {
-			return err
-		}
-		if _, err = w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -74,9 +74,6 @@ type ServiceSpec struct {
 	Count int
 }
 
-// TotalUnits returns the service's total capacity demand.
-func (s ServiceSpec) TotalUnits() int { return s.VM.Units * s.Count }
-
 // Config configures one scheduler run.
 type Config struct {
 	// Service to host.

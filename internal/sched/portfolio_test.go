@@ -131,13 +131,6 @@ func TestPortfolioLifecycle(t *testing.T) {
 	if _, err := p.Events("ghost"); err == nil {
 		t.Fatal("unknown service event log accepted")
 	}
-	logs := p.EventLogs()
-	if len(logs) != 3 {
-		t.Fatalf("event logs for %d services, want 3", len(logs))
-	}
-	if len(logs["shop"]) != len(shopEvents) {
-		t.Fatalf("EventLogs[shop] has %d events, Events(shop) %d", len(logs["shop"]), len(shopEvents))
-	}
 }
 
 func TestPortfolioEmptyRun(t *testing.T) {

@@ -1009,9 +1009,6 @@ func (s *Scheduler) Report() metrics.Report {
 	}
 }
 
-// DowntimeLog returns the closed downtime episodes recorded so far.
-func (s *Scheduler) DowntimeLog() []metrics.Interval { return s.down.Log() }
-
 // Stop winds the service down voluntarily: pending decisions are
 // cancelled, in-flight migrations abandoned, every live instance
 // terminated, and accounting closed. A stopped service accrues neither
@@ -1045,9 +1042,6 @@ func (s *Scheduler) Stop() {
 
 // Stopped reports whether Stop has been called.
 func (s *Scheduler) Stopped() bool { return s.stopped }
-
-// Started reports whether the service has come up at least once.
-func (s *Scheduler) Started() bool { return s.started }
 
 // Phase returns a debug label of the current state.
 func (s *Scheduler) Phase() string {

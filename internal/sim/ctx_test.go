@@ -9,8 +9,8 @@ import (
 // chain posts a self-perpetuating event every second, forever.
 func chain(e *Engine) {
 	var tick func()
-	tick = func() { e.PostAfter(Second, tick) }
-	e.PostAfter(Second, tick)
+	tick = func() { e.PostAfter(1, tick) }
+	e.PostAfter(1, tick)
 }
 
 func TestRunUntilCtxCancelMidRun(t *testing.T) {
@@ -65,10 +65,10 @@ func TestRunUntilCtxBackgroundIdentical(t *testing.T) {
 		tick = func() {
 			n++
 			if n < 1000 {
-				e.PostAfter(Second, tick)
+				e.PostAfter(1, tick)
 			}
 		}
-		e.PostAfter(Second, tick)
+		e.PostAfter(1, tick)
 		if ctx == nil {
 			e.RunUntil(2000)
 		} else if err := e.RunUntilCtx(ctx, 2000); err != nil {
@@ -126,10 +126,10 @@ func TestSetContextUncancelableFastPath(t *testing.T) {
 	tick = func() {
 		n++
 		if n < 100 {
-			e2.PostAfter(Second, tick)
+			e2.PostAfter(1, tick)
 		}
 	}
-	e2.PostAfter(Second, tick)
+	e2.PostAfter(1, tick)
 	if err := e2.RunUntilCtx(context.WithValue(context.Background(), uncancelableKey{}, "y"), 200); err != nil {
 		t.Fatalf("RunUntilCtx under uncancelable wrapper: %v", err)
 	}

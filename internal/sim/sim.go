@@ -28,7 +28,6 @@ type Duration = float64
 
 // Common durations, in seconds.
 const (
-	Second Duration = 1
 	Minute Duration = 60
 	Hour   Duration = 3600
 	Day    Duration = 24 * Hour
@@ -43,12 +42,6 @@ type Event struct {
 	pooled   bool // no external handle: recycle after firing
 	index    int  // heap index, -1 once popped
 }
-
-// At returns the virtual time the event fires at.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether the event has been canceled.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // before reports whether a fires before b: earlier time first, then
 // earlier scheduling. seq is unique per engine, so this is a strict total

@@ -17,14 +17,8 @@ import (
 // Target is an availability objective as a fraction (0.9999 = four nines).
 type Target float64
 
-// Standard targets.
-const (
-	TwoNines   Target = 0.99
-	ThreeNines Target = 0.999
-	// FourNines is the paper's always-on service requirement.
-	FourNines Target = 0.9999
-	FiveNines Target = 0.99999
-)
+// FourNines is the paper's always-on service requirement.
+const FourNines Target = 0.9999
 
 // String renders the target ("99.99%").
 func (t Target) String() string { return fmt.Sprintf("%g%%", float64(t)*100) }

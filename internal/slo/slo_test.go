@@ -14,8 +14,8 @@ func TestTargetBudgets(t *testing.T) {
 	if got < 4.2*sim.Minute || got > 4.4*sim.Minute {
 		t.Fatalf("four-nines monthly budget = %.1f min, want ~4.3", got/sim.Minute)
 	}
-	if math.Abs(ThreeNines.MaxDowntime(1000)-1) > 1e-9 {
-		t.Fatalf("three nines of 1000 s = %v", ThreeNines.MaxDowntime(1000))
+	if math.Abs(Target(0.999).MaxDowntime(1000)-1) > 1e-9 {
+		t.Fatalf("three nines of 1000 s = %v", Target(0.999).MaxDowntime(1000))
 	}
 	if FourNines.String() != "99.99%" {
 		t.Fatalf("target string = %q", FourNines.String())
@@ -66,7 +66,7 @@ func TestAvailabilityAndCompliance(t *testing.T) {
 	if !tr.Compliant(FourNines, 0, horizon) {
 		t.Fatal("exactly-at-target should comply")
 	}
-	if tr.Compliant(FiveNines, 0, horizon) {
+	if tr.Compliant(Target(0.99999), 0, horizon) {
 		t.Fatal("five nines should fail")
 	}
 	if got := tr.BudgetBurn(FourNines, 0, horizon); math.Abs(got-1) > 1e-12 {

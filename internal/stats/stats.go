@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the spothost
-// simulators and the experiment harness: streaming moments, correlation,
-// percentiles, time-weighted averages and fixed-bin histograms.
+// simulators and the experiment harness: streaming and weighted moments,
+// weighted correlation, percentiles and fixed-bin histograms.
 package stats
 
 import (
@@ -12,32 +12,18 @@ import (
 // ErrEmpty is returned by reducers that need at least one sample.
 var ErrEmpty = errors.New("stats: empty input")
 
-// Welford accumulates count, mean and variance in one pass with good
-// numerical behaviour. The zero value is ready to use.
+// Welford accumulates count and mean in one pass with Welford's
+// incremental update, which stays accurate without a running sum. The
+// zero value is ready to use.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the number of observations.
@@ -45,55 +31,6 @@ func (w *Welford) N() int { return w.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance, or 0 with fewer than two
-// samples.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// PopStd returns the population standard deviation (dividing by n).
-func (w *Welford) PopStd() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
-}
-
-// Min returns the smallest observation, or 0 with no samples.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation, or 0 with no samples.
-func (w *Welford) Max() float64 { return w.max }
-
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	mean := w.mean + d*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	mn, mx := w.min, w.max
-	if o.min < mn {
-		mn = o.min
-	}
-	if o.max > mx {
-		mx = o.max
-	}
-	*w = Welford{n: n, mean: mean, m2: m2, min: mn, max: mx}
-}
 
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) float64 {
@@ -105,40 +42,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the sample standard deviation of xs (0 for fewer than two
-// values).
-func Std(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Std()
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// series. It returns an error for mismatched lengths or fewer than two
-// points, and 0 when either series is constant (correlation undefined).
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: Pearson length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
@@ -166,58 +69,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// TimeWeighted accumulates the time-weighted average of a piecewise-
-// constant signal: call Observe at every change with the time at which the
-// previous value stopped holding.
-type TimeWeighted struct {
-	started  bool
-	lastT    float64
-	lastV    float64
-	weighted float64
-	elapsed  float64
-}
-
-// Start begins the signal at time t with value v.
-func (tw *TimeWeighted) Start(t, v float64) {
-	tw.started = true
-	tw.lastT = t
-	tw.lastV = v
-}
-
-// Observe records that the signal changed to value v at time t; the
-// previous value is credited for the interval since the last call.
-func (tw *TimeWeighted) Observe(t, v float64) {
-	if !tw.started {
-		tw.Start(t, v)
-		return
-	}
-	if t < tw.lastT {
-		return // out-of-order observation; ignore
-	}
-	dt := t - tw.lastT
-	tw.weighted += tw.lastV * dt
-	tw.elapsed += dt
-	tw.lastT = t
-	tw.lastV = v
-}
-
-// Finish closes the signal at time t and returns the time-weighted mean.
-func (tw *TimeWeighted) Finish(t float64) float64 {
-	tw.Observe(t, tw.lastV)
-	if tw.elapsed == 0 {
-		return tw.lastV
-	}
-	return tw.weighted / tw.elapsed
-}
-
-// Mean returns the time-weighted mean so far without closing the signal.
-func (tw *TimeWeighted) Mean() float64 {
-	if tw.elapsed == 0 {
-		return tw.lastV
-	}
-	return tw.weighted / tw.elapsed
 }
 
 // Histogram is a fixed-width-bin histogram over [Lo, Hi); samples outside
@@ -264,30 +115,6 @@ func (h *Histogram) Count() int { return h.count }
 
 // Sum returns the sum of all samples added, including out-of-range ones.
 func (h *Histogram) Sum() float64 { return h.sum }
-
-// Fraction returns the fraction of samples falling in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.count)
-}
-
-// UnderflowFraction returns the fraction of samples below Lo.
-func (h *Histogram) UnderflowFraction() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.Underflow) / float64(h.count)
-}
-
-// OverflowFraction returns the fraction of samples at or above Hi.
-func (h *Histogram) OverflowFraction() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.Overflow) / float64(h.count)
-}
 
 // BucketUpperBound returns the exclusive upper edge of bin i.
 func (h *Histogram) BucketUpperBound(i int) float64 {

@@ -19,14 +19,6 @@ func (m *WeightedMoments) Add(value, weight float64) {
 	m.M2 += value * value * weight
 }
 
-// Mean returns the weighted mean, or 0 with no weight.
-func (m *WeightedMoments) Mean() float64 {
-	if m.W == 0 {
-		return 0
-	}
-	return m.M1 / m.W
-}
-
 // PopVar returns the weighted population variance, clamped at 0 against
 // floating-point cancellation.
 func (m *WeightedMoments) PopVar() float64 {

@@ -18,7 +18,7 @@ import (
 //
 //   - whole-horizon sharing: divergence >= horizon means no trajectory can
 //     ever separate, so one pilot simulation runs cold and its report is
-//     reused byte for byte (shareClasses);
+//     reused byte for byte (classesFromTimes);
 //   - mid-horizon forking: divergence at T < horizon means the runs are
 //     provably identical on [0, T), so a sibling resumes the pilot's last
 //     quiescent checkpoint at or before T (sched.Checkpoint — model-state
@@ -96,21 +96,6 @@ func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, bidCap flo
 		}
 	}
 	return out, true
-}
-
-// shareClasses partitions family members (point indices sorted by
-// ascending warm value) into runs certified to simulate identically on
-// this universe within [0, horizon). The first member of each class is the
-// pilot.
-func shareClasses(plan *Plan, members []int, set *market.Set, bidCap float64, horizon sim.Time) [][]int {
-	if len(members) <= 1 || plan.WarmAxis < 0 {
-		return singletons(members)
-	}
-	times, ok := adjacentDivergeTimes(plan, members, set, bidCap, horizon)
-	if !ok {
-		return singletons(members)
-	}
-	return classesFromTimes(members, times, horizon)
 }
 
 // classesFromTimes splits members into contiguous runs at every adjacent

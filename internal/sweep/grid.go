@@ -308,6 +308,3 @@ func (p *Plan) buildFamilies() {
 		})
 	}
 }
-
-// Cells returns the total cell count for a seed list: points x seeds.
-func (p *Plan) Cells(seeds int) int { return len(p.Points) * seeds }

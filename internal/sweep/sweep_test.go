@@ -360,3 +360,18 @@ func TestPruneDominatedUnit(t *testing.T) {
 		t.Fatalf("second pass cut %v", again)
 	}
 }
+
+// shareClasses partitions family members (point indices sorted by
+// ascending warm value) into runs certified to simulate identically on
+// this universe within [0, horizon). The first member of each class is the
+// pilot.
+func shareClasses(plan *Plan, members []int, set *market.Set, bidCap float64, horizon sim.Time) [][]int {
+	if len(members) <= 1 || plan.WarmAxis < 0 {
+		return singletons(members)
+	}
+	times, ok := adjacentDivergeTimes(plan, members, set, bidCap, horizon)
+	if !ok {
+		return singletons(members)
+	}
+	return classesFromTimes(members, times, horizon)
+}

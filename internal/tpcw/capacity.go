@@ -114,17 +114,3 @@ func PlanCapacity(cfg Config, targetMs float64, maxReplicas int) (CapacityPlan, 
 	}
 	return last, nil
 }
-
-// OverheadReplicaRatio quantifies Section 6's punchline as capacity: the
-// ratio of replicas a nested deployment needs versus a native one to hold
-// the same target at the same load.
-func OverheadReplicaRatio(ebs int, withImages bool, targetMs float64, maxReplicas int, seed int64) (native, nested CapacityPlan, err error) {
-	nativeCfg := DefaultConfig(ebs, withImages, false, seed)
-	nestedCfg := DefaultConfig(ebs, withImages, true, seed)
-	native, err = PlanCapacity(nativeCfg, targetMs, maxReplicas)
-	if err != nil {
-		return
-	}
-	nested, err = PlanCapacity(nestedCfg, targetMs, maxReplicas)
-	return
-}

@@ -115,7 +115,11 @@ func TestPlanCapacityUnreachable(t *testing.T) {
 // nested deployments need more replicas than native ones for the same
 // target; I/O-bound ones do not.
 func TestOverheadReplicaRatio(t *testing.T) {
-	nativeP, nestedP, err := OverheadReplicaRatio(400, false, 300, 10, 11)
+	nativeP, err := PlanCapacity(DefaultConfig(400, false, false, 11), 300, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nestedP, err := PlanCapacity(DefaultConfig(400, false, true, 11), 300, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,20 +41,16 @@ const (
 	// KindBillingHour marks a billing-hour boundary charge; class is
 	// "spot" or "on-demand".
 	KindBillingHour
-	// KindCheckpoint covers one background checkpoint write.
-	KindCheckpoint
 	// KindLaunch covers a fleet replica's request→running interval;
 	// class is "spot", "on-demand" or "reverse".
 	KindLaunch
 	// KindLoss marks a fleet replica lost to revocation.
 	KindLoss
-	// KindPhase covers coarse run phases (universe load, sim, report).
-	KindPhase
 )
 
 var kindNames = [...]string{
 	"boot", "migration", "warning", "suspend", "restore", "down",
-	"billing-hour", "checkpoint", "launch", "loss", "phase",
+	"billing-hour", "launch", "loss",
 }
 
 // String returns the kind's stable lowercase name, used verbatim in every
@@ -163,14 +159,6 @@ func (r *Recorder) Spans() []Span {
 		return nil
 	}
 	return r.spans
-}
-
-// Hist returns the recorder's histogram bundle (nil for a nil recorder).
-func (r *Recorder) Hist() *HistSet {
-	if r == nil {
-		return nil
-	}
-	return r.hist
 }
 
 // ObserveDowntime records one unavailability interval, labeled by the

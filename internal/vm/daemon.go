@@ -29,7 +29,6 @@ type CheckpointDaemon struct {
 	fullCheckpoints int
 	incrementals    int
 	bytesWrittenMB  float64
-	busyMB          float64 // dirtied while a write was in flight
 
 	onWrite func(mb float64) // optional observer for I/O accounting
 

@@ -6,25 +6,6 @@ import (
 	"spothost/internal/vm"
 )
 
-// ExampleForcedTimeline computes what a revocation costs a 2 GB service VM
-// under the paper's best mechanism: the on-demand replacement is requested
-// at the warning (95 s startup, inside the 120 s grace window), the final
-// bounded checkpoint increment lands just before termination, and lazy
-// restore resumes in 20 s.
-func ExampleForcedTimeline() {
-	spec := vm.Spec{MemoryGB: 2, DirtyRateMBps: 8, DiskGB: 4, Units: 1}
-	p := vm.DefaultParams()
-
-	tl := vm.ForcedTimeline(spec, vm.CKPTLazyLive, p, 120, 95)
-	fmt.Printf("downtime=%.0fs memory-lost=%v\n", tl.Downtime, tl.MemoryLost)
-
-	naive := vm.ForcedTimeline(spec, vm.Naive, p, 120, 95)
-	fmt.Printf("naive downtime=%.0fs memory-lost=%v\n", naive.Downtime, naive.MemoryLost)
-	// Output:
-	// downtime=23s memory-lost=false
-	// naive downtime=45s memory-lost=true
-}
-
 // ExampleLiveMigrationTimeline models pre-copy convergence for the paper's
 // 2 GB benchmark VM.
 func ExampleLiveMigrationTimeline() {

@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"math"
-
-	"spothost/internal/sim"
-)
+import "spothost/internal/sim"
 
 // Timeline summarizes one migration's timing, all relative to its start.
 type Timeline struct {
@@ -20,8 +16,7 @@ type Timeline struct {
 	// Rounds is the number of pre-copy rounds (live migrations only).
 	Rounds int
 	// MemoryLost reports that memory state could not be preserved and the
-	// VM rebooted from disk (naive restarts, or a grace window too short
-	// for even the bounded incremental save).
+	// VM rebooted from disk (naive restarts).
 	MemoryLost bool
 }
 
@@ -134,63 +129,4 @@ func PlannedTimeline(s Spec, m Mechanism, p Params, link *WANLink) Timeline {
 		tl.Duration += s.DiskGB * 1024 / link.DiskCopyMBps
 	}
 	return tl
-}
-
-// ForcedTimeline models a forced migration triggered by a revocation
-// warning. graceRemaining is the time from now until the provider kills
-// the source; destReadyIn is the time from now until the destination
-// server is running (0 for a hot standby). Forced migrations are always
-// intra-region: the checkpoint volume cannot cross regions.
-//
-// The VM keeps running as late as possible: it suspends at
-// graceRemaining - save (save = the Yank bound), the increment lands just
-// before termination, and restore starts once both the image is complete
-// and the destination is up. With AcquireOverlap=false the destination
-// acquisition only starts at termination (pessimistic model).
-//
-// If the grace window cannot even fit the bounded incremental save, memory
-// state is lost and the VM cold-boots from disk.
-func ForcedTimeline(s Spec, m Mechanism, p Params, graceRemaining, destReadyIn sim.Duration) Timeline {
-	if graceRemaining < 0 {
-		graceRemaining = 0
-	}
-	destReady := destReadyIn
-	if !p.AcquireOverlap {
-		destReady = graceRemaining + destReadyIn
-	}
-
-	save := float64(p.CheckpointBound)
-	if m == Naive || graceRemaining < save {
-		// No checkpoint (or no time to complete one): memory lost, boot
-		// from disk once the destination is up. The service dies when the
-		// source is terminated.
-		down := math.Max(0, destReady-graceRemaining) + float64(p.BootTime)
-		return Timeline{
-			Duration:   math.Max(graceRemaining, destReady) + float64(p.BootTime),
-			Downtime:   down,
-			MemoryLost: true,
-		}
-	}
-
-	stopAt := graceRemaining - save // run until the last safe moment
-	saveDone := graceRemaining
-	restoreStart := math.Max(saveDone, destReady)
-	down, degraded := restore(s, m, p)
-	return Timeline{
-		Duration: restoreStart + down,
-		Downtime: (restoreStart - stopAt) + down,
-		Degraded: degraded,
-	}
-}
-
-// NaiveRevocationTimeline is the Fig. 3 strawman: no warning handling at
-// all. The service dies at termination, an on-demand server is requested
-// only then, and the VM reboots from disk when it arrives. destReadyIn is
-// measured from the termination instant.
-func NaiveRevocationTimeline(p Params, destReadyIn sim.Duration) Timeline {
-	return Timeline{
-		Duration:   destReadyIn + p.BootTime,
-		Downtime:   destReadyIn + p.BootTime,
-		MemoryLost: true,
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"spothost/internal/sim"
 )
 
 // paperVM is the 2 GB VM the paper's micro-benchmarks use, nearly idle
@@ -198,103 +196,6 @@ func TestPlannedCrossRegionCheckpointShipsImage(t *testing.T) {
 	}
 }
 
-func TestForcedTimelineTypical(t *testing.T) {
-	p := DefaultParams()
-	grace := 120.0
-	destReady := 100.0 // on-demand server up 100 s after warning
-
-	for _, m := range Mechanisms() {
-		tl := ForcedTimeline(hostedVM, m, p, grace, destReady)
-		if tl.MemoryLost {
-			t.Errorf("%v: memory lost despite sufficient grace", m)
-		}
-		// The bounded save keeps the VM running until grace-save; restore
-		// starts at termination (dest is ready before the grace expires).
-		var wantDown float64
-		if m.LazyRestore() {
-			wantDown = float64(p.CheckpointBound) + float64(p.LazyRestoreDowntime)
-		} else {
-			wantDown = float64(p.CheckpointBound) + p.FullRestoreTime(hostedVM)
-		}
-		if math.Abs(tl.Downtime-wantDown) > 1e-9 {
-			t.Errorf("%v: forced downtime = %.1f, want %.1f", m, tl.Downtime, wantDown)
-		}
-	}
-}
-
-func TestForcedTimelineSlowDestination(t *testing.T) {
-	p := DefaultParams()
-	// Destination arrives 60 s after the source dies: that wait is downtime.
-	tlFast := ForcedTimeline(hostedVM, CKPTLazy, p, 120, 100)
-	tlSlow := ForcedTimeline(hostedVM, CKPTLazy, p, 120, 180)
-	if got := tlSlow.Downtime - tlFast.Downtime; math.Abs(got-60) > 1e-9 {
-		t.Fatalf("slow destination should add 60 s downtime, added %.1f", got)
-	}
-}
-
-func TestForcedTimelineGraceTooShort(t *testing.T) {
-	p := DefaultParams()
-	tl := ForcedTimeline(hostedVM, CKPTLazyLive, p, 1, 100)
-	if !tl.MemoryLost {
-		t.Fatal("1 s grace should lose memory state")
-	}
-	if tl.Downtime < float64(p.BootTime) {
-		t.Fatalf("lost-memory downtime %.1f should include boot %.1f", tl.Downtime, float64(p.BootTime))
-	}
-}
-
-func TestForcedTimelineNegativeGraceClamped(t *testing.T) {
-	p := DefaultParams()
-	tl := ForcedTimeline(hostedVM, CKPTLazy, p, -5, 100)
-	if !tl.MemoryLost || tl.Downtime <= 0 {
-		t.Fatalf("negative grace: %+v", tl)
-	}
-}
-
-func TestForcedTimelineNoOverlapPessimistic(t *testing.T) {
-	typ := DefaultParams()
-	pess := PessimisticParams()
-	a := ForcedTimeline(hostedVM, CKPTLazy, typ, 120, 100)
-	b := ForcedTimeline(hostedVM, CKPTLazy, pess, 120, 100)
-	// Without overlap the destination is only ready 120+100 s in: downtime
-	// grows by the extra wait.
-	if b.Downtime <= a.Downtime {
-		t.Fatalf("pessimistic forced downtime %.1f should exceed typical %.1f", b.Downtime, a.Downtime)
-	}
-}
-
-// TestFig7Ordering reproduces the paper's mechanism ranking with a typical
-// proactive migration mix: forced migrations are rarer than voluntary
-// ones, so the best combination is live + lazy restore, and lazy restore
-// alone beats adding live migration to eager restores (the paper's
-// Fig. 7: 0.0177 > 0.0095 > 0.0042 > 0.0022).
-func TestFig7Ordering(t *testing.T) {
-	p := DefaultParams()
-	const rForced, rVoluntary = 0.005, 0.02 // migrations per hour
-	unavail := func(m Mechanism) float64 {
-		f := ForcedTimeline(hostedVM, m, p, 120, 100)
-		v := PlannedTimeline(hostedVM, m, p, nil)
-		return rForced*f.Downtime + rVoluntary*v.Downtime
-	}
-	ck, lr := unavail(CKPT), unavail(CKPTLazy)
-	lv, best := unavail(CKPTLive), unavail(CKPTLazyLive)
-	if !(ck > lv && lv > lr && lr > best) {
-		t.Fatalf("Fig. 7 ordering violated: CKPT=%.3f Live=%.3f LR=%.3f LR+Live=%.3f",
-			ck, lv, lr, best)
-	}
-}
-
-func TestNaiveRevocationTimeline(t *testing.T) {
-	p := DefaultParams()
-	tl := NaiveRevocationTimeline(p, 95)
-	if !tl.MemoryLost {
-		t.Fatal("naive revocation preserves memory?")
-	}
-	if math.Abs(tl.Downtime-(95+float64(p.BootTime))) > 1e-9 {
-		t.Fatalf("naive downtime = %v", tl.Downtime)
-	}
-}
-
 func TestCheckpointInterval(t *testing.T) {
 	p := DefaultParams()
 	iv := p.CheckpointInterval(hostedVM)
@@ -354,22 +255,19 @@ func TestOverheadFactors(t *testing.T) {
 // migration start, downtime is a sub-interval) and both are non-negative.
 func TestTimelineInvariants(t *testing.T) {
 	params := []Params{DefaultParams(), PessimisticParams()}
-	f := func(memQ, dirtyQ, graceQ, destQ uint8) bool {
+	f := func(memQ, dirtyQ uint8) bool {
 		s := Spec{
 			MemoryGB:      0.5 + float64(memQ%32),
 			DirtyRateMBps: float64(dirtyQ % 64),
 			DiskGB:        2,
 			Units:         1,
 		}
-		grace := sim.Duration(graceQ)
-		dest := sim.Duration(destQ) * 2
 		for _, p := range params {
 			for _, m := range []Mechanism{CKPT, CKPTLazy, CKPTLive, CKPTLazyLive, Naive} {
 				link := p.Link("us-east-1a", "eu-west-1a")
 				for _, tl := range []Timeline{
 					PlannedTimeline(s, m, p, nil),
 					PlannedTimeline(s, m, p, &link),
-					ForcedTimeline(s, m, p, grace, dest),
 				} {
 					if tl.Downtime < 0 || tl.Duration < 0 || tl.Degraded < 0 {
 						return false
