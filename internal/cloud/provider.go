@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"spothost/internal/market"
@@ -20,9 +21,18 @@ type Provider struct {
 	rng    *randx.Stream
 
 	// markets maps each market to its hot-path state. The map is consulted
-	// only where a caller names a market by ID; instances and price events
-	// hold their *marketState directly.
+	// only where a caller names a market by ID; instances and the price
+	// clock hold their *marketState directly.
 	markets map[market.ID]*marketState
+
+	// The price clock (clock.go): due is a min-heap of the armed markets
+	// under dueBefore, clockAt the time of the live clock event (+Inf when
+	// none), clockFn the persistent closure that event runs, and origin the
+	// construction or restore time that tie walks stop at.
+	due     []*marketState
+	clockAt sim.Time
+	clockFn func()
+	origin  sim.Time
 
 	nextID    InstanceID
 	instances map[InstanceID]*Instance
@@ -41,9 +51,10 @@ type Provider struct {
 	userTerminate int
 }
 
-// NewProvider builds a provider over the price set, wiring price-change
-// events into the engine. The provider starts delivering price events from
-// time 0.
+// NewProvider builds a provider over the price set. Price changes after
+// the engine's current time reach a market's spot instances and
+// subscribers as they happen; no engine event is spent on markets nobody
+// listens to.
 func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
 	p := &Provider{
 		eng:       eng,
@@ -52,32 +63,38 @@ func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
 		rng:       randx.Derive(params.Seed, "cloud/provider"),
 		markets:   map[market.ID]*marketState{},
 		instances: map[InstanceID]*Instance{},
+		clockAt:   math.Inf(1),
+		origin:    eng.Now(),
 	}
-	for _, id := range set.IDs() {
-		ms := &marketState{p: p, cursor: market.NewCursor(set.Trace(id)), onDemand: set.OnDemand(id)}
-		ms.stepFn = func() {
-			at, price := ms.nextAt, ms.nextPrice
-			p.onPriceChange(ms, price)
-			ms.arm(at)
+	p.clockFn = p.fireClock
+	for rank, id := range set.IDs() {
+		tr := set.Trace(id)
+		p.markets[id] = &marketState{
+			rank:     rank,
+			cursor:   market.NewCursor(tr),
+			times:    tr.Times(),
+			prices:   tr.Prices(),
+			onDemand: set.OnDemand(id),
 		}
-		p.markets[id] = ms
-		ms.arm(eng.Now())
 	}
 	return p
 }
 
 // marketState is the per-market hot-path state: a monotone cursor over the
-// trace (the simulation clock only moves forward), one persistent closure
-// that drives the whole price-event chain, and everything a price change
-// or billing hour reads, so neither hashes a market.ID.
+// trace (the simulation clock only moves forward), the trace columns and
+// armed position the price clock walks, and everything a price change or
+// billing hour reads, so neither hashes a market.ID.
 type marketState struct {
-	p        *Provider
+	rank     int // position in set.IDs(): the last tie-break
 	cursor   *market.Cursor
+	times    []sim.Time
+	prices   []float64
 	onDemand float64
-	stepFn   func()
-	// nextAt/nextPrice describe the armed price change stepFn will deliver.
-	nextAt    sim.Time
-	nextPrice float64
+	// armed reports whether the market waits in the clock's due heap for
+	// the change at index next, due at nextAt.
+	armed  bool
+	next   int
+	nextAt sim.Time
 	// subs are the price subscribers, in subscription order.
 	subs []func(t sim.Time, price float64)
 	// live holds the market's live spot instances in ascending instance
@@ -93,16 +110,6 @@ func (ms *marketState) removeLive(in *Instance) {
 			return
 		}
 	}
-}
-
-// arm schedules the next price change strictly after the given time.
-func (ms *marketState) arm(after sim.Time) {
-	at, price, ok := ms.cursor.NextChangeAfter(after)
-	if !ok {
-		return
-	}
-	ms.nextAt, ms.nextPrice = at, price
-	ms.p.eng.Post(at, ms.stepFn)
 }
 
 // Engine returns the simulation engine driving this provider.
@@ -132,12 +139,14 @@ func (p *Provider) MaxBid(id market.ID) float64 {
 	return p.params.BidCap * p.set.OnDemand(id)
 }
 
-// SubscribePrice registers fn to run on every price change of market id.
-// The subscription lasts for the life of the provider. Subscribing to a
-// market outside the set is a no-op: it never changes price.
+// SubscribePrice registers fn to run on every price change of market id
+// strictly after now. The subscription lasts for the life of the provider.
+// Subscribing to a market outside the set is a no-op: it never changes
+// price.
 func (p *Provider) SubscribePrice(id market.ID, fn func(t sim.Time, price float64)) {
 	if ms := p.markets[id]; ms != nil {
 		ms.subs = append(ms.subs, fn)
+		p.activate(ms)
 	}
 }
 
@@ -146,7 +155,8 @@ func (p *Provider) onPriceChange(ms *marketState, price float64) {
 	// Revoke or cancel spot instances whose bid the price now exceeds, in
 	// ascending instance ID. Their callbacks may launch or terminate
 	// instances in this market, so walk a snapshot of the live list; the
-	// scratch buffer is free again before any other price event runs.
+	// scratch buffer is free again before the clock delivers the next
+	// change.
 	if len(ms.live) > 0 {
 		p.spotScratch = append(p.spotScratch[:0], ms.live...)
 		for _, in := range p.spotScratch {
@@ -218,6 +228,7 @@ func (p *Provider) newInstance(ms *marketState, id market.ID, lc Lifecycle, bid 
 	p.instances[in.id] = in
 	if lc == Spot {
 		ms.live = append(ms.live, in)
+		p.activate(ms)
 	}
 	return in
 }

@@ -33,8 +33,9 @@ type instSnap struct {
 // instant: instance records, billing ledger, counters, and the RNG
 // position. The pending event heap is deliberately absent — at a quiescent
 // instant every provider event is a deterministic function of this state
-// (price chains from the market cursors, billing hours from lastHourAt),
-// so RestoreProvider re-arms them instead of copying closures.
+// (the price clock from the traces and the live instances, billing hours
+// from lastHourAt), so RestoreProvider re-arms them instead of copying
+// closures.
 type Snapshot struct {
 	at     sim.Time
 	rng    randx.State
@@ -95,12 +96,12 @@ func (p *Provider) Snapshot() (*Snapshot, bool) {
 }
 
 // RestoreProvider rebuilds a provider from a snapshot on a fresh engine
-// whose clock stands exactly at the snapshot time. Price chains re-arm
-// from the current cursor position (NextChangeAfter(at) names the same
-// pending change the original provider had in its heap), and each alive
-// instance's hourly billing event is rescheduled at lastHourAt + 1h — the
-// same float arithmetic the original chargeHour used — so the restored
-// provider's future is bit-identical to the original's.
+// whose clock stands exactly at the snapshot time. The price clock arms
+// only the markets with live spot instances, at their first change after
+// the snapshot time (subscribers re-subscribe and arm their own), and each
+// alive instance's hourly billing event is rescheduled at lastHourAt + 1h
+// — the same float arithmetic the original chargeHour used — so the
+// restored provider's future is bit-identical to the original's.
 func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapshot) (*Provider, error) {
 	if eng.Now() != s.at {
 		return nil, fmt.Errorf("cloud: restore at t=%v but snapshot taken at t=%v", eng.Now(), s.at)
@@ -151,9 +152,14 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 		}
 	}
 	// Revocation walks each live list in instance-ID order, whatever order
-	// the snapshot listed its instances in.
-	for _, ms := range p.markets {
+	// the snapshot listed its instances in. Markets arm in set order, so
+	// the restored clock posts the same events on every run.
+	for _, id := range set.IDs() {
+		ms := p.markets[id]
 		slices.SortFunc(ms.live, func(a, b *Instance) int { return cmp.Compare(a.id, b.id) })
+		if ms.active() {
+			p.activate(ms)
+		}
 	}
 	return p, nil
 }

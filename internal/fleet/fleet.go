@@ -171,13 +171,16 @@ type Controller struct {
 	// Per-market state, indexed like c.markets and built at construction,
 	// so the per-tick and per-candidate paths index instead of hashing a
 	// market.ID. mktIdx maps back from an ID for the per-launch paths.
-	mktUnits   []int            // the type's capacity units
-	mktInv     []float64        // exact 1/units
-	mktBid     []float64        // the fleet's spot bid; see New
-	mktOD      []float64        // fixed on-demand price
-	mktPrice   []*market.Cursor // spot price source, same trace as the provider's
-	mktMoments []*forecast.DecayingMoments
-	mktIdx     map[market.ID]int
+	mktUnits []int            // the type's capacity units
+	mktInv   []float64        // exact 1/units
+	mktBid   []float64        // the fleet's spot bid; see New
+	mktOD    []float64        // fixed on-demand price
+	mktPrice []*market.Cursor // spot price source, same trace as the provider's
+	mktIdx   map[market.ID]int
+
+	// mktVol tracks each market's price volatility, only for strategies
+	// that read Candidate.Vol (see Start); nil otherwise.
+	mktVol []volFold
 
 	// Hot-path caches: the shared cheapest-market envelope (only for
 	// strategies whose pick it can reproduce exactly), the persistent tick
@@ -297,7 +300,6 @@ func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 		mktBid:      make([]float64, n),
 		mktOD:       make([]float64, n),
 		mktPrice:    make([]*market.Cursor, n),
-		mktMoments:  make([]*forecast.DecayingMoments, n),
 		mktIdx:      make(map[market.ID]int, n),
 		candScratch: make([]Candidate, 0, n),
 		occScratch:  make([]int, n),
@@ -350,7 +352,7 @@ func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 // to prove the fast path places exactly like the full candidate scan.
 var useEnvelope = true
 
-// Start primes the price statistics, subscribes to price changes, runs
+// Start primes the price statistics of strategies that read them, runs
 // the first autoscaling tick at the current time and schedules the rest.
 func (c *Controller) Start() {
 	if c.started {
@@ -359,13 +361,42 @@ func (c *Controller) Start() {
 	c.started = true
 	now := c.eng.Now()
 	c.lastAccounted = now
-	for i, id := range c.markets {
-		dm := forecast.NewDecayingMoments(c.cfg.VolatilityHalflife)
-		dm.Observe(now, c.spotPrice(i))
-		c.mktMoments[i] = dm
-		c.prov.SubscribePrice(id, func(t sim.Time, price float64) { dm.Observe(t, price) })
+	switch c.cfg.Strategy.(type) {
+	case StabilityOptimized, *StabilityOptimized:
+		// Only this strategy reads Candidate.Vol; the others get 0.
+		c.mktVol = make([]volFold, len(c.markets))
+		for i, id := range c.markets {
+			tr := c.prov.Markets().Trace(id)
+			v := &c.mktVol[i]
+			v.dm = forecast.NewDecayingMoments(c.cfg.VolatilityHalflife)
+			v.dm.Observe(now, c.spotPrice(i))
+			v.times, v.prices = tr.Times(), tr.Prices()
+			v.next = sort.Search(len(v.times), func(j int) bool { return v.times[j] > now })
+		}
 	}
 	c.tick()
+}
+
+// volFold is one market's decayed price moments, folded over the trace's
+// changes before index next and advanced to the decision time on demand.
+type volFold struct {
+	dm     *forecast.DecayingMoments
+	times  []sim.Time
+	prices []float64
+	next   int
+}
+
+// std returns the decayed price standard deviation as of now, first
+// folding in the changes since the last call. The result is bit-identical
+// to observing every change as it fires: the fold order per market is the
+// same, and a change at exactly now leaves Std(now) unchanged whether or
+// not it was folded, since Observe(now) and Std's own advance compute the
+// same moments.
+func (v *volFold) std(now sim.Time) float64 {
+	for ; v.next < len(v.times) && v.times[v.next] <= now; v.next++ {
+		v.dm.Observe(v.times[v.next], v.prices[v.next])
+	}
+	return v.dm.Std(now)
 }
 
 func (c *Controller) tick() {
@@ -454,11 +485,15 @@ func (c *Controller) candidates(sizeMask int) []Candidate {
 		if spot > c.mktBid[i] {
 			continue
 		}
+		var vol float64
+		if c.mktVol != nil {
+			vol = c.mktVol[i].std(now)
+		}
 		cands = append(cands, Candidate{
 			ID:       id,
 			Spot:     spot,
 			OnDemand: c.mktOD[i],
-			Vol:      c.mktMoments[i].Std(now),
+			Vol:      vol,
 			Replicas: occ[i],
 			Units:    u,
 			InvUnits: c.mktInv[i],

@@ -16,7 +16,9 @@ type Candidate struct {
 	Spot     float64
 	OnDemand float64
 	// Vol is the exponentially-decayed price standard deviation (see
-	// forecast.DecayingMoments), maintained online by the controller.
+	// forecast.DecayingMoments). The controller computes it only for
+	// StabilityOptimized, the one strategy that reads it; other
+	// strategies see 0.
 	Vol float64
 	// Replicas counts the fleet's spot capacity already placed (alive or
 	// allocating) in this market — replica count in legacy mode, capacity

@@ -16,8 +16,8 @@ const cursorGallopLimit = 32
 // forward-moving clocks of a simulation. Queries at non-decreasing times
 // cost O(1) amortized (each trace segment is crossed at most once);
 // occasional backward queries re-seek with a binary search and remain
-// correct. A Cursor returns exactly the same values as Trace.PriceAt and
-// Trace.NextChangeAfter at every time.
+// correct. A Cursor returns exactly the same values as Trace.PriceAt at
+// every time.
 //
 // A Cursor is NOT safe for concurrent use; each goroutine (each simulation
 // run) must own its own cursors. The underlying Trace stays shared and
@@ -65,19 +65,4 @@ func (c *Cursor) seek(t sim.Time) {
 func (c *Cursor) PriceAt(t sim.Time) float64 {
 	c.seek(t)
 	return c.tr.prices[c.i]
-}
-
-// NextChangeAfter returns the time and price of the first step strictly
-// after t, identical to Trace.NextChangeAfter.
-func (c *Cursor) NextChangeAfter(t sim.Time) (at sim.Time, price float64, ok bool) {
-	c.seek(t)
-	tr := c.tr
-	if tr.times[c.i] > t {
-		// t is before the first point; the first point is the next change.
-		return tr.times[c.i], tr.prices[c.i], true
-	}
-	if c.i+1 >= len(tr.times) {
-		return 0, 0, false
-	}
-	return tr.times[c.i+1], tr.prices[c.i+1], true
 }

@@ -22,9 +22,9 @@ func randomOffsetTrace(t *testing.T, rng *rand.Rand, n int) *Trace {
 }
 
 func TestCursorMatchesTraceMonotone(t *testing.T) {
-	// Monotone (and frequently repeated) queries — the access pattern the
-	// provider clock, forecast windows, and scheduler scans generate — must
-	// agree exactly with the trace's binary-search lookups.
+	// Monotone (and frequently repeated) queries — the access pattern of
+	// billing hours, fleet ticks and scheduler scans — must agree exactly
+	// with the trace's binary-search lookups.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		tr := randomOffsetTrace(t, rng, 1+rng.Intn(200))
@@ -37,12 +37,6 @@ func TestCursorMatchesTraceMonotone(t *testing.T) {
 			}
 			if got, want := c.PriceAt(q), tr.PriceAt(q); got != want {
 				t.Fatalf("trial %d: PriceAt(%v) = %v, want %v", trial, q, got, want)
-			}
-			gat, gp, gok := c.NextChangeAfter(q)
-			wat, wp, wok := tr.NextChangeAfter(q)
-			if gat != wat || gp != wp || gok != wok {
-				t.Fatalf("trial %d: NextChangeAfter(%v) = (%v,%v,%v), want (%v,%v,%v)",
-					trial, q, gat, gp, gok, wat, wp, wok)
 			}
 		}
 	}
@@ -61,12 +55,6 @@ func TestCursorMatchesTraceBackward(t *testing.T) {
 			if got, want := c.PriceAt(q), tr.PriceAt(q); got != want {
 				t.Fatalf("trial %d: PriceAt(%v) = %v, want %v", trial, q, got, want)
 			}
-			gat, gp, gok := c.NextChangeAfter(q)
-			wat, wp, wok := tr.NextChangeAfter(q)
-			if gat != wat || gp != wp || gok != wok {
-				t.Fatalf("trial %d: NextChangeAfter(%v) = (%v,%v,%v), want (%v,%v,%v)",
-					trial, q, gat, gp, gok, wat, wp, wok)
-			}
 		}
 	}
 }
@@ -76,13 +64,5 @@ func TestCursorBeforeFirstPoint(t *testing.T) {
 	c := NewCursor(tr)
 	if got := c.PriceAt(0); got != tr.PriceAt(0) {
 		t.Fatalf("PriceAt before first point = %v, want %v", got, tr.PriceAt(0))
-	}
-	at, p, ok := c.NextChangeAfter(0)
-	if !ok || at != 10 || p != 0.1 {
-		t.Fatalf("NextChangeAfter(0) = (%v,%v,%v), want (10,0.1,true)", at, p, ok)
-	}
-	// Past the last change there is nothing left.
-	if _, _, ok := c.NextChangeAfter(25); ok {
-		t.Fatal("NextChangeAfter past last point reported a change")
 	}
 }

@@ -5,7 +5,7 @@
 // flight, no allocation pending, no revocation mid-grace) every pending
 // event is a deterministic function of model state:
 //
-//   - per-market price events: the cursor's NextChangeAfter(now),
+//   - price events: each live spot market's first change after now,
 //   - per-instance billing hours: lastHourAt + 1h,
 //   - the checkpoint daemon's next write: its write clocks (vm.DaemonState),
 //   - the next placement decision: recomputable via scheduleNextDecision

@@ -426,8 +426,10 @@ func TestSteadyStateEventLoopZeroAllocs(t *testing.T) {
 
 // BenchmarkEngineChurn measures the dispatch layer alone: a steady
 // population of resident pooled events, each reposting itself at a spread
-// of delays when it fires (the shape of the price-chain and billing
-// traffic under a fleet month). One op is one executed event.
+// of delays when it fires (the shape of the billing-hour, fleet-tick and
+// provider price-clock traffic under a fleet month; the clock is one
+// resident event per provider, however many markets it serves). One op is
+// one executed event.
 func BenchmarkEngineChurn(b *testing.B) {
 	for _, resident := range []int{40, 200} {
 		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {

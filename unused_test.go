@@ -42,7 +42,7 @@ var keptUnused = map[string]string{
 	"forecast.TrailingStd":              "sampled reference for DecayingMoments.Std",
 	"market.Envelope.At":                "binary-search oracle for the envelope cursor",
 	"market.Envelope.End":               "bounds the query times of the envelope oracle tests",
-	"market.Trace.NextChangeAfter":      "binary-search oracle for Cursor.NextChangeAfter",
+	"market.Trace.NextChangeAfter":      "drives the per-market event chains the cloud price clock is checked against",
 	"obs.Recorder.Label":                "lets collector tests check scoped run labels",
 	"runpool.Map":                       "uncancellable reference for MapCtx's ordering and errors",
 	"sched.Portfolio.Events":            "lets tests check a portfolio member's event log",
