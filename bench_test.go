@@ -273,6 +273,65 @@ func BenchmarkMarketGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkMarketGenerateCatalog measures cold generation of the
+// 40-market catalog universe (ten catalog types x four regions, 30 days),
+// the build every market-cache miss of a typed fleet pays. Iterations
+// cycle through a fixed pool of seeds, so an op costs the same whatever
+// -benchtime is.
+func BenchmarkMarketGenerateCatalog(b *testing.B) {
+	cfg := market.DefaultConfig(0)
+	cfg.Types = catalog.Default().TypeSpecs()
+	pool := []int64{1, 2, 3, 4}
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = pool[i%len(pool)]
+		if _, err := market.Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEnvelopeBuild measures one cold build of the 1/units-weighted
+// cheapest-market envelope over the catalog markets a "small"-anchored
+// fleet may use. Envelopes are memoized per Set, so each iteration
+// repacks the pre-generated traces into a fresh Set outside the timer.
+func BenchmarkEnvelopeBuild(b *testing.B) {
+	cat := catalog.Default()
+	mcfg := market.DefaultConfig(1)
+	mcfg.Types = cat.TypeSpecs()
+	set, err := market.Generate(mcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := cat.CompatibleMarkets(set, "small")
+	if err != nil {
+		b.Fatal(err)
+	}
+	weights := make([]float64, len(ids))
+	for i, id := range ids {
+		e, _ := cat.Lookup(id.Type)
+		weights[i] = e.InvUnits()
+	}
+	var traces []*market.Trace
+	onDemand := map[market.ID]float64{}
+	for _, id := range set.IDs() {
+		traces = append(traces, set.Trace(id))
+		onDemand[id] = set.OnDemand(id)
+	}
+	b.ReportMetric(float64(len(ids)), "markets")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh, err := market.NewSet(traces, onDemand)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if fresh.Envelope(ids, weights) == nil {
+			b.Fatal("nil envelope")
+		}
+	}
+}
+
 // BenchmarkSchedulerMonth measures one 30-day proactive hosting run
 // end-to-end (price events, revocations, migrations, billing).
 func BenchmarkSchedulerMonth(b *testing.B) {

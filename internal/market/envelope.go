@@ -1,6 +1,7 @@
 package market
 
 import (
+	"math"
 	"sort"
 
 	"spothost/internal/sim"
@@ -35,13 +36,14 @@ type Envelope struct {
 	end     sim.Time
 }
 
-// buildEnvelope sweeps the merged segment boundaries of the candidate
-// traces and records the weighted argmin on each piece. Cost is
-// O(T log T + T*M) for T total points across M candidates, paid once per
-// (set, candidates, weights) and memoized on the Set.
+// buildEnvelope sweeps the merged change times of the candidate traces
+// and records the weighted argmin on each piece. One tournament tree
+// merges the candidates' sorted time columns by each one's next change;
+// another keeps the argmin of the weighted prices. The cost is O(T log M)
+// for T total points across M candidates, paid once per (set, candidates,
+// weights) and memoized on the Set.
 func buildEnvelope(s *Set, ids []ID, weights []float64) *Envelope {
 	traces := make([]*Trace, len(ids))
-	total := 0
 	end := sim.Time(0)
 	for i, id := range ids {
 		tr := s.Trace(id)
@@ -49,7 +51,6 @@ func buildEnvelope(s *Set, ids []ID, weights []float64) *Envelope {
 			return nil
 		}
 		traces[i] = tr
-		total += tr.Len()
 		if i == 0 || tr.End() < end {
 			end = tr.End()
 		}
@@ -64,47 +65,116 @@ func buildEnvelope(s *Set, ids []ID, weights []float64) *Envelope {
 		w = append([]float64(nil), w...)
 	}
 
-	// Merged boundary times: every candidate's change points, plus 0 so the
-	// envelope covers clamped queries before the first change.
-	times := make([]sim.Time, 0, total+1)
-	times = append(times, 0)
-	for _, tr := range traces {
-		for _, t := range tr.times {
-			if t < end {
-				times = append(times, t)
+	// Two tournaments over the candidates: one picks the cheapest weighted
+	// price, the other merges the time columns by each one's next change.
+	raw := make([]float64, len(ids))    // per-trace price in effect
+	vals := make([]float64, len(ids))   // raw, weighted
+	nexts := make([]sim.Time, len(ids)) // per-trace time of the next point to apply
+	pending := make([]int, len(ids))    // per-trace index of that point
+	for i, tr := range traces {
+		raw[i] = tr.prices[0]
+		vals[i] = w[i] * raw[i]
+		nexts[i] = tr.times[0]
+	}
+	cheapest, merge := newTournament(vals), newTournament(nexts)
+
+	// segs grows by append: coalescing keeps only a few percent of the
+	// change times, and a memoized envelope lives as long as its Set.
+	e := &Envelope{ids: append([]ID(nil), ids...), weights: w, end: end}
+	zero := true // 0 is always a boundary, covering clamped queries before the first change
+	// Boundaries come out distinct, so prev only skips a first boundary at
+	// exactly -1, as the reference builder in oracle_test.go does.
+	prev := sim.Time(-1)
+	for {
+		// The next boundary: the earliest pending change before end, or 0.
+		var t sim.Time
+		switch next := merge.min(); {
+		case next < end && (!zero || next < 0):
+			t = next
+		case zero:
+			zero = false
+		default:
+			return e
+		}
+		// Apply every change due by t before reading the winner: shared
+		// shocks move several candidates at one instant.
+		for merge.min() <= t {
+			i := merge.winner()
+			tr := traces[i]
+			k := pending[i]
+			raw[i] = tr.prices[k]
+			cheapest.set(i, w[i]*raw[i])
+			pending[i] = k + 1
+			if k+1 < len(tr.times) {
+				merge.set(i, tr.times[k+1])
+			} else {
+				merge.set(i, math.Inf(1))
 			}
 		}
-	}
-	sort.Float64s(times)
-
-	e := &Envelope{ids: append([]ID(nil), ids...), weights: w, end: end}
-	e.segs = make([]envSeg, 0, len(times))
-	idx := make([]int, len(ids)) // per-trace index of last point with T <= t
-	prev := sim.Time(-1)
-	for _, t := range times {
 		if t == prev {
-			continue // dedupe shared boundaries
+			continue
 		}
 		prev = t
-		arg, best, bestW := -1, 0.0, 0.0
-		for i, tr := range traces {
-			j := idx[i]
-			for j+1 < len(tr.times) && tr.times[j+1] <= t {
-				j++
-			}
-			idx[i] = j
-			p := tr.prices[j]
-			wp := w[i] * p
-			if arg == -1 || wp < bestW {
-				arg, best, bestW = i, p, wp
-			}
-		}
-		if n := len(e.segs); n > 0 && e.segs[n-1].arg == arg && e.segs[n-1].price == best {
+		arg := cheapest.winner()
+		best, bestW := raw[arg], cheapest.min()
+		if last := len(e.segs) - 1; last >= 0 && e.segs[last].arg == arg && e.segs[last].price == best {
 			continue // coalesce: winner and price unchanged
 		}
 		e.segs = append(e.segs, envSeg{t: t, arg: arg, price: best, weighted: bestW})
 	}
-	return e
+}
+
+// tournament is a winner tree over float keys. Leaf n+i holds key i and
+// each inner node the winner of its children: the right one only if its
+// key is strictly smaller. Every left subtree holds the lower indices, so
+// ties go to the lower index and the root is the first strict minimum,
+// the pick of a linear scan. Padding leaves hold +Inf and never win.
+type tournament struct {
+	n    int
+	tree []int
+	keys []float64
+}
+
+// newTournament builds the tree over keys, which must not be empty.
+func newTournament(keys []float64) *tournament {
+	n := 1
+	for n < len(keys) {
+		n *= 2
+	}
+	t := &tournament{n: n, tree: make([]int, 2*n), keys: make([]float64, n)}
+	for i := range t.keys {
+		t.tree[n+i] = i
+		t.keys[i] = math.Inf(1)
+	}
+	copy(t.keys, keys)
+	for k := n - 1; k >= 1; k-- {
+		t.play(k)
+	}
+	return t
+}
+
+func (t *tournament) play(k int) {
+	l, r := t.tree[2*k], t.tree[2*k+1]
+	if t.keys[r] < t.keys[l] {
+		l = r
+	}
+	t.tree[k] = l
+}
+
+// winner is the index of the first smallest key; min is that key.
+func (t *tournament) winner() int  { return t.tree[1] }
+func (t *tournament) min() float64 { return t.keys[t.tree[1]] }
+
+// set changes key i and replays its path to the root in O(log n).
+func (t *tournament) set(i int, key float64) {
+	t.keys[i] = key
+	for k := (t.n + i) / 2; k >= 1; k /= 2 {
+		was := t.tree[k]
+		t.play(k)
+		if t.tree[k] == was && was != i {
+			return // same winner at the same key: nothing above moves
+		}
+	}
 }
 
 // End returns the envelope's horizon (the earliest candidate trace end).

@@ -1,9 +1,10 @@
 package market
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"spothost/internal/randx"
 	"spothost/internal/sim"
@@ -134,9 +135,9 @@ type shock struct {
 	ratio float64 // multiple of the on-demand price
 }
 
-// poissonShocks draws shock arrivals over [0, horizon) at the given daily
-// rate. Ratios come from the bounded-Pareto magnitude distribution scaled
-// by severity.
+// poissonShocks draws shock arrivals, in start order, over [0, horizon) at
+// the given daily rate. Ratios come from the bounded-Pareto magnitude
+// distribution scaled by severity.
 func poissonShocks(rng *randx.Stream, cfg Config, ratePerDay, severity float64) []shock {
 	if ratePerDay <= 0 {
 		return nil
@@ -203,7 +204,11 @@ func Generate(cfg Config) (*Set, error) {
 			}
 			localRate := cfg.SpikesPerDay * rs.Volatility * (1 - cfg.RegionShareProb)
 			shocks = append(shocks, poissonShocks(rng.Derive("local"), cfg, localRate, 1)...)
-			sort.Slice(shocks, func(i, j int) bool { return shocks[i].start < shocks[j].start })
+			// Three start-sorted runs, put in start order for the shock
+			// sweep. The order of equal starts cannot show: the sweep takes
+			// a max over active ratios, and two equal starts inside the
+			// horizon are a tied boundary that NewTrace rejects.
+			slices.SortFunc(shocks, func(a, b shock) int { return cmp.Compare(a.start, b.start) })
 
 			points := synthesize(rng.Derive("base"), cfg, rs, od, shocks, globalFactor, regionFactor)
 			tr, err := NewTrace(id, points, cfg.Horizon)
@@ -217,7 +222,8 @@ func Generate(cfg Config) (*Set, error) {
 }
 
 // synthesize builds the piecewise-constant price series for one market
-// from its base-level factor-model wobble and its shock list.
+// from its base-level factor-model wobble and its shock list, which must
+// be sorted by start.
 func synthesize(rng *randx.Stream, cfg Config, rs RegionSpec, od float64, shocks []shock,
 	globalFactor, regionFactor *factorSeries) []Point {
 	// Base-level wobble in log space, region-scaled; a factor model mixes
@@ -226,69 +232,95 @@ func synthesize(rng *randx.Stream, cfg Config, rs RegionSpec, od float64, shocks
 	gw, rw := cfg.GlobalBaseWeight, cfg.RegionBaseWeight
 	lw := math.Sqrt(1 - gw*gw - rw*rw)
 	wLocal := rng.NormFloat64()
-	now := sim.Time(0)
-	base := func() float64 {
-		w := sigma * (gw*globalFactor.Value(now) + rw*regionFactor.Value(now) + lw*wLocal)
-		p := rs.BaseRatio * od * math.Exp(w-sigma*sigma/2)
-		if p < 0.001 {
-			p = 0.001
+	return piecewise(rng, cfg.StepMean, shocks, cfg.Horizon, func(t sim.Time, resample bool, shockRatio float64) float64 {
+		if resample {
+			// Advance the idiosyncratic AR(1) wobble.
+			wLocal = cfg.BaseAR*wLocal + math.Sqrt(1-cfg.BaseAR*cfg.BaseAR)*rng.NormFloat64()
 		}
-		return p
-	}
-
-	// Boundary times: base re-samples plus shock starts/ends.
-	type boundary struct {
-		t      sim.Time
-		isBase bool
-	}
-	var bounds []boundary
-	for t := rng.Exp(cfg.StepMean); t < cfg.Horizon; t += rng.Exp(cfg.StepMean) {
-		bounds = append(bounds, boundary{t: t, isBase: true})
-	}
-	for _, sh := range shocks {
-		bounds = append(bounds, boundary{t: sh.start}, boundary{t: sh.end})
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i].t < bounds[j].t })
-
-	// activeShockRatio returns the max shock ratio covering time t, or 0.
-	activeShockRatio := func(t sim.Time) float64 {
-		r := 0.0
-		for _, sh := range shocks {
-			if sh.start > t {
-				break
-			}
-			if t >= sh.start && t < sh.end && sh.ratio > r {
-				r = sh.ratio
-			}
+		w := sigma * (gw*globalFactor.Value(t) + rw*regionFactor.Value(t) + lw*wLocal)
+		b := rs.BaseRatio * od * math.Exp(w-sigma*sigma/2)
+		if b < 0.001 {
+			b = 0.001
 		}
-		return r
-	}
-
-	priceAt := func(t sim.Time) float64 {
-		now = t
-		b := base()
-		if r := activeShockRatio(t); r > 0 {
+		if shockRatio > 0 {
 			// During a shock the market clears at the shock level, but
 			// never below the prevailing base price.
-			p := r * od
+			p := shockRatio * od
 			if p < b {
 				p = b
 			}
 			return p
 		}
 		return b
+	})
+}
+
+// piecewise lays out one market's price points, shared by both generators.
+// It first draws from rng the times, Exp(mean) apart, at which the market
+// re-samples its latent price state; price may draw from rng after that.
+// There is a point at 0 and one at every boundary strictly inside
+// (0, horizon): each re-sample time and each start and end of shocks, in
+// ascending order. price gives the point's price from its time, whether it
+// is a re-sample (price advances its latent state first) and the highest
+// ratio among the shocks active then (0 if none).
+//
+// The re-sample times are drawn in order and shocks are sorted by start,
+// so only the shock edges need sorting; a two-pointer merge does the rest,
+// and a sweep over shocks in start order keeps the active set. A max does
+// not depend on order, and two boundaries at one time inside the horizon
+// are rejected by NewTrace, so the points equal a full sort of all
+// boundaries.
+func piecewise(rng *randx.Stream, mean sim.Duration, shocks []shock, horizon sim.Time,
+	price func(t sim.Time, resample bool, shockRatio float64) float64) []Point {
+	steps := make([]sim.Time, 0, int(horizon/mean)+1)
+	for t := rng.Exp(mean); t < horizon; t += rng.Exp(mean) {
+		steps = append(steps, t)
+	}
+	edges := make([]sim.Time, 0, 2*len(shocks))
+	for _, sh := range shocks {
+		edges = append(edges, sh.start, sh.end)
+	}
+	slices.Sort(edges)
+
+	var active []shock // admitted shocks that had not ended at the last query
+	admitted := 0
+	shockRatio := func(t sim.Time) float64 {
+		for admitted < len(shocks) && shocks[admitted].start <= t {
+			active = append(active, shocks[admitted])
+			admitted++
+		}
+		r := 0.0
+		live := active[:0]
+		for _, sh := range active {
+			if sh.end <= t {
+				continue // times only grow, so an ended shock never returns
+			}
+			live = append(live, sh)
+			if sh.ratio > r {
+				r = sh.ratio
+			}
+		}
+		active = live
+		return r
 	}
 
-	points := []Point{{T: 0, Price: priceAt(0)}}
-	for _, bd := range bounds {
-		if bd.t <= 0 || bd.t >= cfg.Horizon {
+	points := make([]Point, 0, len(steps)+len(edges)+1)
+	points = append(points, Point{T: 0, Price: price(0, false, shockRatio(0))})
+	i, j := 0, 0
+	for i < len(steps) || j < len(edges) {
+		var t sim.Time
+		resample := j == len(edges) || (i < len(steps) && steps[i] <= edges[j])
+		if resample {
+			t = steps[i]
+			i++
+		} else {
+			t = edges[j]
+			j++
+		}
+		if t <= 0 || t >= horizon {
 			continue
 		}
-		if bd.isBase {
-			// Advance the idiosyncratic AR(1) wobble.
-			wLocal = cfg.BaseAR*wLocal + math.Sqrt(1-cfg.BaseAR*cfg.BaseAR)*rng.NormFloat64()
-		}
-		points = append(points, Point{T: bd.t, Price: priceAt(bd.t)})
+		points = append(points, Point{T: t, Price: price(t, resample, shockRatio(t))})
 	}
 	return points
 }

@@ -3,7 +3,6 @@ package market
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"spothost/internal/randx"
 	"spothost/internal/sim"
@@ -127,7 +126,10 @@ func synthesizeReserve(rng *randx.Stream, cfg ReserveConfig, od float64, shocks 
 
 	// The latent AR(1) state wanders in roughly [-1, 1].
 	x := rng.Uniform(-1, 1)
-	priceOf := func(t sim.Time) float64 {
+	return piecewise(rng, cfg.ChangeMean, shocks, cfg.Horizon, func(t sim.Time, resample bool, shockRatio float64) float64 {
+		if resample {
+			x = cfg.Persistence*x + math.Sqrt(1-cfg.Persistence*cfg.Persistence)*rng.Uniform(-1, 1)
+		}
 		p := mid + halfBand*x
 		if p < lo {
 			p = lo
@@ -135,38 +137,11 @@ func synthesizeReserve(rng *randx.Stream, cfg ReserveConfig, od float64, shocks 
 		if p > hi {
 			p = hi
 		}
-		for _, sh := range shocks {
-			if t >= sh.start && t < sh.end {
-				if sp := sh.ratio * od; sp > p {
-					p = sp
-				}
-			}
+		// Scaling by od > 0 keeps order, so the top ratio gives the top
+		// spike price.
+		if sp := shockRatio * od; sp > p {
+			p = sp
 		}
 		return p
-	}
-
-	type boundary struct {
-		t      sim.Time
-		isDraw bool
-	}
-	var bounds []boundary
-	for t := rng.Exp(cfg.ChangeMean); t < cfg.Horizon; t += rng.Exp(cfg.ChangeMean) {
-		bounds = append(bounds, boundary{t: t, isDraw: true})
-	}
-	for _, sh := range shocks {
-		bounds = append(bounds, boundary{t: sh.start}, boundary{t: sh.end})
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i].t < bounds[j].t })
-
-	points := []Point{{T: 0, Price: priceOf(0)}}
-	for _, bd := range bounds {
-		if bd.t <= 0 || bd.t >= cfg.Horizon {
-			continue
-		}
-		if bd.isDraw {
-			x = cfg.Persistence*x + math.Sqrt(1-cfg.Persistence*cfg.Persistence)*rng.Uniform(-1, 1)
-		}
-		points = append(points, Point{T: bd.t, Price: priceOf(bd.t)})
-	}
-	return points
+	})
 }
