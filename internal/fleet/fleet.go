@@ -35,7 +35,6 @@ const (
 	// recoup it.
 	DefaultRebalanceHysteresis = 0.45
 	DefaultMaxReversePerTick   = 1
-	DefaultVolatilityHalflife  = 12 * sim.Hour
 )
 
 // Config parameterizes a fleet controller.
@@ -72,9 +71,6 @@ type Config struct {
 	// MaxReversePerTick bounds reverse replacements started per tick.
 	// Zero means DefaultMaxReversePerTick.
 	MaxReversePerTick int
-	// VolatilityHalflife is the decay half-life of the per-market price
-	// moments fed to strategies. Zero means DefaultVolatilityHalflife.
-	VolatilityHalflife sim.Duration
 	// Catalog, when set, turns on heterogeneous placement: replicas may
 	// be any catalog type at least as powerful as AnchorType
 	// (catalog.Compatible), the Planner's target and all capacity
@@ -111,9 +107,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxReversePerTick <= 0 {
 		cfg.MaxReversePerTick = DefaultMaxReversePerTick
-	}
-	if cfg.VolatilityHalflife <= 0 {
-		cfg.VolatilityHalflife = DefaultVolatilityHalflife
 	}
 	return cfg
 }
@@ -180,7 +173,7 @@ type Controller struct {
 
 	// mktVol tracks each market's price volatility, only for strategies
 	// that read Candidate.Vol (see Start); nil otherwise.
-	mktVol []volFold
+	mktVol []forecast.Volatility
 
 	// Hot-path caches: the shared cheapest-market envelope (only for
 	// strategies whose pick it can reproduce exactly), the persistent tick
@@ -364,39 +357,12 @@ func (c *Controller) Start() {
 	switch c.cfg.Strategy.(type) {
 	case StabilityOptimized, *StabilityOptimized:
 		// Only this strategy reads Candidate.Vol; the others get 0.
-		c.mktVol = make([]volFold, len(c.markets))
+		c.mktVol = make([]forecast.Volatility, len(c.markets))
 		for i, id := range c.markets {
-			tr := c.prov.Markets().Trace(id)
-			v := &c.mktVol[i]
-			v.dm = forecast.NewDecayingMoments(c.cfg.VolatilityHalflife)
-			v.dm.Observe(now, c.spotPrice(i))
-			v.times, v.prices = tr.Times(), tr.Prices()
-			v.next = sort.Search(len(v.times), func(j int) bool { return v.times[j] > now })
+			c.mktVol[i] = forecast.NewVolatility(c.prov.Markets().Trace(id), now)
 		}
 	}
 	c.tick()
-}
-
-// volFold is one market's decayed price moments, folded over the trace's
-// changes before index next and advanced to the decision time on demand.
-type volFold struct {
-	dm     *forecast.DecayingMoments
-	times  []sim.Time
-	prices []float64
-	next   int
-}
-
-// std returns the decayed price standard deviation as of now, first
-// folding in the changes since the last call. The result is bit-identical
-// to observing every change as it fires: the fold order per market is the
-// same, and a change at exactly now leaves Std(now) unchanged whether or
-// not it was folded, since Observe(now) and Std's own advance compute the
-// same moments.
-func (v *volFold) std(now sim.Time) float64 {
-	for ; v.next < len(v.times) && v.times[v.next] <= now; v.next++ {
-		v.dm.Observe(v.times[v.next], v.prices[v.next])
-	}
-	return v.dm.Std(now)
 }
 
 func (c *Controller) tick() {
@@ -487,7 +453,7 @@ func (c *Controller) candidates(sizeMask int) []Candidate {
 		}
 		var vol float64
 		if c.mktVol != nil {
-			vol = c.mktVol[i].std(now)
+			vol = c.mktVol[i].Std(now)
 		}
 		cands = append(cands, Candidate{
 			ID:       id,

@@ -16,7 +16,7 @@ type Candidate struct {
 	Spot     float64
 	OnDemand float64
 	// Vol is the exponentially-decayed price standard deviation (see
-	// forecast.DecayingMoments). The controller computes it only for
+	// forecast.Volatility). The controller computes it only for
 	// StabilityOptimized, the one strategy that reads it; other
 	// strategies see 0.
 	Vol float64

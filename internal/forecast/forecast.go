@@ -1,16 +1,22 @@
 // Package forecast provides the online spot-price statistics used by
 // stability-aware bidding — the extension the paper names as future work
 // ("bidding strategies that take spot price stability into account"):
-// decaying moments over piecewise-constant price signals, a trailing-window
+// decaying moments over piecewise-constant price signals, the per-market
+// volatility fold the scheduler and the fleet read, a trailing-window
 // standard deviation, and the mean-plus-volatility market score.
 package forecast
 
 import (
 	"math"
+	"sort"
 
 	"spothost/internal/market"
 	"spothost/internal/sim"
 )
+
+// Halflife is the decay half-life of the price volatility that
+// stability-aware bidding reads.
+const Halflife = 12 * sim.Hour
 
 // DecayingMoments tracks the exponentially-decayed mean and variance of a
 // piecewise-constant signal (such as a spot price) in O(1) per change.
@@ -102,6 +108,38 @@ func (dm *DecayingMoments) Std(t sim.Time) float64 {
 		v = 0 // numerical floor
 	}
 	return math.Sqrt(v)
+}
+
+// Volatility is one market's decayed price standard deviation (half-life
+// Halflife), folded over the trace's changes when a decision reads it
+// rather than observed change by change. A copy is an independent fold:
+// the columns it shares are immutable.
+type Volatility struct {
+	dm     DecayingMoments
+	times  []sim.Time
+	prices []float64
+	next   int // first change not yet folded
+}
+
+// NewVolatility starts a fold of tr's price at now.
+func NewVolatility(tr *market.Trace, now sim.Time) Volatility {
+	v := Volatility{dm: *NewDecayingMoments(Halflife), times: tr.Times(), prices: tr.Prices()}
+	v.next = sort.Search(len(v.times), func(i int) bool { return v.times[i] > now })
+	v.dm.Observe(now, tr.PriceAt(now))
+	return v
+}
+
+// Std returns the decayed price standard deviation as of now, first
+// folding in the changes since the last call; now must not go backwards.
+// The result is bit-identical to a DecayingMoments that observed every
+// change as it fired: the fold order is the trace's, and a change at
+// exactly now leaves Std(now) unchanged whether or not it was folded,
+// since Observe(now) and Std's own advance compute the same moments.
+func (v *Volatility) Std(now sim.Time) float64 {
+	for ; v.next < len(v.times) && v.times[v.next] <= now; v.next++ {
+		v.dm.Observe(v.times[v.next], v.prices[v.next])
+	}
+	return v.dm.Std(now)
 }
 
 // TrailingStd returns the sampled standard deviation of a trace over the

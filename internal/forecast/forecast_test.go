@@ -3,6 +3,7 @@ package forecast
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -178,4 +179,70 @@ func TestDecayingMomentsMatchesTrailingStd(t *testing.T) {
 	if (dv > ds) != (tv > ts) {
 		t.Fatalf("estimators disagree: decayed %v/%v, trailing %v/%v", dv, ds, tv, ts)
 	}
+}
+
+// FuzzVolatility checks the lazy fold against an eager DecayingMoments that
+// observes every change as it fires, bit for bit. Traces step in whole
+// seconds, scaled by up to an hour so the 12 h decay matters; the fold may
+// start on a change time; and the non-decreasing reads often land exactly
+// on one. A change tied with a read reaches the eager tracker before or
+// after it, per a fuzzed bit, as a price event and a decision at one
+// instant may fire in either order. A copy taken mid-way and read only at
+// the end must agree too, so reads and copies never perturb the fold.
+func FuzzVolatility(f *testing.F) {
+	f.Add([]byte{2, 6, 3, 1, 5, 2, 7, 0, 1, 3, 1, 5, 2, 1, 0, 3, 1, 2, 4, 3, 1, 9, 3})
+	f.Add([]byte{1, 12, 0, 0, 7, 3, 2, 1, 4, 2, 1, 3, 5, 0, 6, 1, 3, 2, 2, 1, 1, 3, 3, 0, 2, 1, 4, 5})
+	f.Add([]byte{0, 4, 1, 1, 2, 1, 1, 1, 0, 2, 3, 3, 1, 7, 1, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		unit := []sim.Duration{1, sim.Minute, sim.Hour}[next()%3]
+		n := 1 + next()%16
+		pts := make([]market.Point, 0, n)
+		tm := sim.Time(0)
+		for i := 0; i < n; i++ {
+			pts = append(pts, market.Point{T: tm, Price: float64(1+next()%8) / 8})
+			tm += sim.Time(1+next()%4) * unit
+		}
+		tr := mkTrace(t, pts, tm+unit)
+		times, prices := tr.Times(), tr.Prices()
+
+		now := sim.Time(next()%5) * unit
+		v := NewVolatility(tr, now)
+		eager := NewDecayingMoments(Halflife)
+		eager.Observe(now, tr.PriceAt(now))
+		j := sort.Search(len(times), func(i int) bool { return times[i] > now })
+		copyAt := next() % 8
+		var copied Volatility
+		for step := 0; len(data) > 0; step++ {
+			if step == copyAt {
+				copied = v
+			}
+			b := next()
+			if b&1 != 0 && j < len(times) {
+				now = times[j]
+			} else {
+				now += sim.Time((b>>2)%4) * unit
+			}
+			tieFirst := b&2 != 0
+			for j < len(times) && (times[j] < now || tieFirst && times[j] == now) {
+				eager.Observe(times[j], prices[j])
+				j++
+			}
+			if got, want := v.Std(now), eager.Std(now); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Std(%v) = %v, eager tracker %v", now, got, want)
+			}
+		}
+		if copied.times != nil {
+			if got, want := copied.Std(now), v.Std(now); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("copy Std(%v) = %v, original %v", now, got, want)
+			}
+		}
+	})
 }

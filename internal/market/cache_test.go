@@ -40,7 +40,8 @@ func TestCacheMemoizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range fresh.IDs() {
-		if !reflect.DeepEqual(a.Trace(id).Points(), fresh.Trace(id).Points()) {
+		ta, tf := a.Trace(id), fresh.Trace(id)
+		if !reflect.DeepEqual(ta.Times(), tf.Times()) || !reflect.DeepEqual(ta.Prices(), tf.Prices()) {
 			t.Fatalf("cached trace %s differs from direct generation", id)
 		}
 	}

@@ -89,10 +89,10 @@ func TestCorrelationMatchesFineGrid(t *testing.T) {
 		// correlation is well away from zero.
 		a := randomTrace(rng)
 		pts := make([]Point, 0, a.Len())
-		for _, p := range a.Points() {
-			pts = append(pts, Point{T: p.T, Price: p.Price * (0.5 + rng.Float64())})
+		for i, at := range a.Times() {
+			pts = append(pts, Point{T: at, Price: a.Prices()[i] * (0.5 + rng.Float64())})
 		}
-		b, err := NewTrace(a.ID(), pts, a.End())
+		b, err := NewTrace(a.id, pts, a.End())
 		if err != nil {
 			t.Fatal(err)
 		}

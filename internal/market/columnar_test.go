@@ -8,9 +8,8 @@ import (
 	"spothost/internal/sim"
 )
 
-// TestColumnarViewConsistency checks the three views of a trace — the
-// times/prices columns and the lazily materialized Points() view — agree
-// step for step.
+// TestColumnarViewConsistency checks the times and prices columns of a
+// trace agree in length and that the step times strictly increase.
 func TestColumnarViewConsistency(t *testing.T) {
 	set, err := Generate(DefaultConfig(7))
 	if err != nil {
@@ -18,15 +17,12 @@ func TestColumnarViewConsistency(t *testing.T) {
 	}
 	for _, id := range set.IDs() {
 		tr := set.Trace(id)
-		ts, ps, pts := tr.Times(), tr.Prices(), tr.Points()
-		if len(ts) != len(ps) || len(ts) != len(pts) || len(ts) != tr.Len() {
-			t.Fatalf("%s: column lengths disagree: times=%d prices=%d points=%d len=%d",
-				id, len(ts), len(ps), len(pts), tr.Len())
+		ts, ps := tr.Times(), tr.Prices()
+		if len(ts) != len(ps) || len(ts) != tr.Len() {
+			t.Fatalf("%s: column lengths disagree: times=%d prices=%d len=%d",
+				id, len(ts), len(ps), tr.Len())
 		}
 		for i := range ts {
-			if pts[i].T != ts[i] || pts[i].Price != ps[i] {
-				t.Fatalf("%s: step %d: Points()=%+v columns=(%v, %v)", id, i, pts[i], ts[i], ps[i])
-			}
 			if i > 0 && ts[i] <= ts[i-1] {
 				t.Fatalf("%s: times not strictly increasing at %d", id, i)
 			}
@@ -85,26 +81,25 @@ func TestNewSetDoesNotMutateInputs(t *testing.T) {
 		t.Fatalf("set trace differs from input: times %v vs %v, prices %v vs %v",
 			got.Times(), wantT, got.Prices(), wantP)
 	}
-	if got.End() != tr.End() || got.ID() != id {
+	if got.End() != tr.End() || got.id != id {
 		t.Fatalf("set trace metadata differs")
 	}
 }
 
-// TestPointsViewMatchesQueries spot-checks that PriceAt / NextChangeAfter
-// (column readers) agree with a scan of the compatibility view.
-func TestPointsViewMatchesQueries(t *testing.T) {
+// TestPriceAtMatchesScan spot-checks that PriceAt's binary search agrees
+// with a linear scan of the columns.
+func TestPriceAtMatchesScan(t *testing.T) {
 	set, err := Generate(DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := set.IDs()[0]
 	tr := set.Trace(id)
-	pts := tr.Points()
 	for _, q := range []sim.Time{-5, 0, 1, 3600, 86400, tr.End() - 1, tr.End() + 10} {
-		want := pts[0].Price
-		for _, p := range pts {
-			if p.T <= q {
-				want = p.Price
+		want := tr.Prices()[0]
+		for i, at := range tr.Times() {
+			if at <= q {
+				want = tr.Prices()[i]
 			}
 		}
 		if got := tr.PriceAt(q); got != want {

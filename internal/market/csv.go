@@ -28,12 +28,13 @@ func WriteCSV(w io.Writer, s *Set) error {
 	}
 	for _, id := range s.IDs() {
 		tr := s.Trace(id)
-		for _, p := range tr.Points() {
+		prices := tr.Prices()
+		for i, t := range tr.Times() {
 			rec := []string{
-				strconv.FormatFloat(p.T, 'f', -1, 64),
+				strconv.FormatFloat(t, 'f', -1, 64),
 				string(id.Region),
 				string(id.Type),
-				strconv.FormatFloat(p.Price, 'g', -1, 64),
+				strconv.FormatFloat(prices[i], 'g', -1, 64),
 			}
 			if err := cw.Write(rec); err != nil {
 				return err

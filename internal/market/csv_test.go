@@ -44,10 +44,9 @@ func TestCSVRoundTrip(t *testing.T) {
 		if a.Len() != b.Len() {
 			t.Fatalf("%s: point count %d vs %d", id, a.Len(), b.Len())
 		}
-		pa, pb := a.Points(), b.Points()
-		for i := range pa {
-			if pa[i].T != pb[i].T || pa[i].Price != pb[i].Price {
-				t.Fatalf("%s: point %d: %v vs %v", id, i, pa[i], pb[i])
+		for i, at := range a.Times() {
+			if bt := b.Times()[i]; at != bt || a.Prices()[i] != b.Prices()[i] {
+				t.Fatalf("%s: step %d: (%v, %v) vs (%v, %v)", id, i, at, a.Prices()[i], bt, b.Prices()[i])
 			}
 		}
 		if got.OnDemand(id) != orig.OnDemand(id) {

@@ -75,17 +75,11 @@ type Point struct {
 // separate slices, so the cursor seek loops and the sweep engine's
 // divergence oracles scan 8 bytes per step instead of 16, and NewSet can
 // repack every trace of a universe into one shared arena for locality.
-// The AoS view is still available through Points(), materialized lazily
-// for compatibility.
 type Trace struct {
 	id     ID
 	times  []sim.Time // column: step times, strictly increasing
 	prices []float64  // column: price in effect from times[i]
 	end    sim.Time
-
-	// pts is the lazily materialized []Point compatibility view.
-	ptsOnce sync.Once
-	pts     []Point
 }
 
 // NewTrace builds a trace from points, which must be non-empty, sorted by
@@ -116,9 +110,6 @@ func NewTrace(id ID, points []Point, end sim.Time) (*Trace, error) {
 	return &Trace{id: id, times: times, prices: prices, end: end}, nil
 }
 
-// ID returns the market this trace belongs to.
-func (tr *Trace) ID() ID { return tr.id }
-
 // Start returns the time of the first point.
 func (tr *Trace) Start() sim.Time { return tr.times[0] }
 
@@ -135,20 +126,6 @@ func (tr *Trace) Times() []sim.Time { return tr.times }
 // Prices returns the price column: Prices()[i] holds from Times()[i] until
 // Times()[i+1] (or End). Callers must not modify the result.
 func (tr *Trace) Prices() []float64 { return tr.prices }
-
-// Points returns the steps as an array-of-structs view, materialized
-// lazily on first call (the canonical storage is columnar; hot paths read
-// Times/Prices directly). Callers must not modify the result.
-func (tr *Trace) Points() []Point {
-	tr.ptsOnce.Do(func() {
-		pts := make([]Point, len(tr.times))
-		for i, t := range tr.times {
-			pts[i] = Point{T: t, Price: tr.prices[i]}
-		}
-		tr.pts = pts
-	})
-	return tr.pts
-}
 
 // PriceAt returns the price in effect at time t. Times before Start clamp
 // to the first price; times at or beyond End clamp to the last.

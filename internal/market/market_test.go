@@ -2,6 +2,7 @@ package market
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -154,13 +155,14 @@ func TestGenerateDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range a.IDs() {
-		pa, pb := a.Trace(id).Points(), b.Trace(id).Points()
-		if len(pa) != len(pb) {
-			t.Fatalf("%s: lengths differ: %d vs %d", id, len(pa), len(pb))
+		ta, tb := a.Trace(id), b.Trace(id)
+		if ta.Len() != tb.Len() {
+			t.Fatalf("%s: lengths differ: %d vs %d", id, ta.Len(), tb.Len())
 		}
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatalf("%s: point %d differs: %v vs %v", id, i, pa[i], pb[i])
+		for i, at := range ta.Times() {
+			if bt := tb.Times()[i]; at != bt || ta.Prices()[i] != tb.Prices()[i] {
+				t.Fatalf("%s: step %d differs: (%v, %v) vs (%v, %v)",
+					id, i, at, ta.Prices()[i], bt, tb.Prices()[i])
 			}
 		}
 	}
@@ -174,15 +176,8 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	b, _ := Generate(cfg)
 	id := a.IDs()[0]
 	if a.Trace(id).Len() == b.Trace(id).Len() {
-		same := true
-		pa, pb := a.Trace(id).Points(), b.Trace(id).Points()
-		for i := range pa {
-			if pa[i] != pb[i] {
-				same = false
-				break
-			}
-		}
-		if same {
+		ta, tb := a.Trace(id), b.Trace(id)
+		if slices.Equal(ta.Times(), tb.Times()) && slices.Equal(ta.Prices(), tb.Prices()) {
 			t.Fatal("different seeds produced identical traces")
 		}
 	}

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"slices"
 	"testing"
 
 	"spothost/internal/sim"
@@ -94,13 +95,8 @@ func TestReserveDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := a.IDs()[0]
-	pa, pb := a.Trace(id).Points(), b.Trace(id).Points()
-	if len(pa) != len(pb) {
-		t.Fatalf("lengths differ: %d vs %d", len(pa), len(pb))
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("point %d differs", i)
-		}
+	ta, tb := a.Trace(id), b.Trace(id)
+	if !slices.Equal(ta.Times(), tb.Times()) || !slices.Equal(ta.Prices(), tb.Prices()) {
+		t.Fatal("traces differ")
 	}
 }

@@ -244,8 +244,8 @@ func Build(records []Record, opts Options) (*market.Set, error) {
 		return ids[i].Type < ids[j].Type
 	})
 
-	var traces []*market.Trace
-	onDemand := map[market.ID]float64{}
+	// Every trace ends at one common horizon, an hour past the latest
+	// observation in any market.
 	var end sim.Time
 	for _, id := range ids {
 		ps := points[id]
@@ -260,26 +260,20 @@ func Build(records []Record, opts Options) (*market.Set, error) {
 			}
 			dedup = append(dedup, p)
 		}
+		points[id] = dedup
 		if last := dedup[len(dedup)-1].T + sim.Hour; last > end {
 			end = last
 		}
-		tr, err := market.NewTrace(id, dedup, dedup[len(dedup)-1].T+sim.Hour)
+	}
+	var traces []*market.Trace
+	onDemand := map[market.ID]float64{}
+	for _, id := range ids {
+		tr, err := market.NewTrace(id, points[id], end)
 		if err != nil {
 			return nil, fmt.Errorf("replay: market %s: %w", id, err)
 		}
 		traces = append(traces, tr)
 		onDemand[id] = resolveOnDemand(id, tr, opts)
-	}
-	// Re-extend every trace to the common end so the Set has a shared
-	// horizon.
-	for i, tr := range traces {
-		if tr.End() < end {
-			t2, err := market.NewTrace(tr.ID(), tr.Points(), end)
-			if err != nil {
-				return nil, err
-			}
-			traces[i] = t2
-		}
 	}
 	return market.NewSet(traces, onDemand)
 }

@@ -114,15 +114,11 @@ type Config struct {
 
 	// StabilityPenalty is the lambda of stability-aware bidding (the
 	// paper's stated future work): candidate spot markets are ranked by
-	// current price plus lambda times their recent price volatility, so a
-	// cheap-but-jumpy market can lose to a slightly pricier stable one.
-	// Zero (the default) reproduces the paper's greedy cheapest-price
-	// rule.
+	// current price plus lambda times their recent price volatility
+	// (forecast.Volatility), so a cheap-but-jumpy market can lose to a
+	// slightly pricier stable one. Zero (the default) reproduces the
+	// paper's greedy cheapest-price rule.
 	StabilityPenalty float64
-
-	// VolatilityHalflife sets how quickly the online volatility estimate
-	// forgets old prices (default 12 hours).
-	VolatilityHalflife sim.Duration
 
 	// Types catalogs the instance sizes (units, memory). Defaults to
 	// market.DefaultTypes.
@@ -146,16 +142,15 @@ func DefaultConfig(home market.ID, types []market.TypeSpec) (Config, error) {
 			},
 			Count: 1,
 		},
-		Home:               home,
-		Markets:            []market.ID{home},
-		Bidding:            Proactive,
-		BidMultiple:        4,
-		Mechanism:          vm.CKPTLazyLive,
-		VMParams:           vm.DefaultParams(),
-		Hysteresis:         0.05,
-		DecisionSlack:      30,
-		VolatilityHalflife: 12 * sim.Hour,
-		Types:              types,
+		Home:          home,
+		Markets:       []market.ID{home},
+		Bidding:       Proactive,
+		BidMultiple:   4,
+		Mechanism:     vm.CKPTLazyLive,
+		VMParams:      vm.DefaultParams(),
+		Hysteresis:    0.05,
+		DecisionSlack: 30,
+		Types:         types,
 	}, nil
 }
 
@@ -191,9 +186,6 @@ func (c Config) Validate() error {
 	}
 	if c.StabilityPenalty < 0 {
 		return fmt.Errorf("sched: negative stability penalty %v", c.StabilityPenalty)
-	}
-	if c.StabilityPenalty > 0 && c.VolatilityHalflife <= 0 {
-		return fmt.Errorf("sched: stability-aware bidding needs a positive VolatilityHalflife")
 	}
 	return nil
 }

@@ -27,6 +27,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"spothost/internal/cloud"
 	"spothost/internal/forecast"
@@ -158,7 +159,7 @@ type Checkpoint struct {
 	events         []Event
 	downJournal    []downOp
 	daemonEpochs   []daemonEpoch
-	volatility     map[market.ID]forecast.DecayingMoments
+	volatility     []forecast.Volatility
 }
 
 // At returns the simulation time the checkpoint was taken.
@@ -206,12 +207,7 @@ func (s *Scheduler) checkpoint() (*Checkpoint, bool) {
 	for i, in := range s.instances {
 		ck.instances[i] = in.ID()
 	}
-	if s.volatility != nil {
-		ck.volatility = make(map[market.ID]forecast.DecayingMoments, len(s.volatility))
-		for m, dm := range s.volatility {
-			ck.volatility[m] = *dm
-		}
-	}
+	ck.volatility = slices.Clone(s.volatility)
 	return ck, true
 }
 
@@ -279,18 +275,11 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 
 	s.initEnvelope()
 	if cfg.StabilityPenalty > 0 {
-		s.volatility = map[market.ID]*forecast.DecayingMoments{}
-		for _, m := range cfg.Markets {
-			mv, ok := ck.volatility[m]
-			if !ok {
-				return nil, fmt.Errorf("sched: checkpoint has no volatility state for %s", m)
-			}
-			dm := mv
-			s.volatility[m] = &dm
-			s.prov.SubscribePrice(m, func(t sim.Time, price float64) {
-				dm.Observe(t, price)
-			})
+		if len(ck.volatility) != len(cfg.Markets) {
+			return nil, fmt.Errorf("sched: checkpoint has volatility state for %d markets, config has %d",
+				len(ck.volatility), len(cfg.Markets))
 		}
+		s.volatility = slices.Clone(ck.volatility)
 	}
 
 	if err := s.resumeDaemon(ck); err != nil {

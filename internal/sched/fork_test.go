@@ -25,7 +25,9 @@ func forkUniverse(t *testing.T, seed int64) *market.Set {
 
 // forkConfigs enumerates the bidding-policy x market-shape cross product
 // the property test sweeps: single-market and multi-market (every default
-// type in the home region), under proactive and reactive bidding.
+// type in the home region), under proactive and reactive bidding, plus a
+// stability-aware multi-market entry whose checkpoints carry volatility
+// state.
 func forkConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	out := map[string]Config{}
@@ -33,22 +35,30 @@ func forkConfigs(t *testing.T) map[string]Config {
 		single := mustConfig(t)
 		single.Bidding = bidding
 		out[fmt.Sprintf("%v/single", bidding)] = single
-
-		multi := mustConfig(t)
-		multi.Bidding = bidding
-		multi.Service = ServiceSpec{
-			VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-			Count: 4,
-		}
-		for _, ts := range market.DefaultTypes() {
-			id := market.ID{Region: home.Region, Type: ts.Name}
-			if id != home {
-				multi.Markets = append(multi.Markets, id)
-			}
-		}
-		out[fmt.Sprintf("%v/multi", bidding)] = multi
+		out[fmt.Sprintf("%v/multi", bidding)] = multiConfig(t, bidding, 0)
 	}
+	out["Proactive/multi-stability"] = multiConfig(t, Proactive, 1)
 	return out
+}
+
+// multiConfig hosts four one-unit VMs over every default type in the home
+// region under the given bidding policy and stability penalty.
+func multiConfig(t *testing.T, bidding Bidding, lambda float64) Config {
+	t.Helper()
+	multi := mustConfig(t)
+	multi.Bidding = bidding
+	multi.StabilityPenalty = lambda
+	multi.Service = ServiceSpec{
+		VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
+		Count: 4,
+	}
+	for _, ts := range market.DefaultTypes() {
+		id := market.ID{Region: home.Region, Type: ts.Name}
+		if id != home {
+			multi.Markets = append(multi.Markets, id)
+		}
+	}
+	return multi
 }
 
 // TestForkByteIdentity is the checkpoint/fork/resume property test:

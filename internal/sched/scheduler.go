@@ -57,15 +57,16 @@ type Scheduler struct {
 	decisionEv    *sim.Event
 	decideFn      func()       // persistent s.decide closure for scheduling
 	pendingTimers []*sim.Event // planned-migration timers, cancelable on abort
-	volatility    map[market.ID]*forecast.DecayingMoments
+	// volatility holds each candidate market's price volatility, indexed
+	// like cfg.Markets; nil unless stability-aware bidding is on.
+	volatility []forecast.Volatility
 
 	// Hot-path caches: the precomputed cheapest-market envelope over the
 	// candidate set (nil under stability-aware bidding, whose volatility
-	// term is not precomputable) and the memoized cheapest on-demand
-	// market (on-demand prices are constants).
+	// term is not precomputable) and the cheapest on-demand market,
+	// computed in New (on-demand prices are constants).
 	envCur         *market.EnvelopeCursor
 	odBest         market.ID
-	odBestSet      bool
 	ckptDaemon     *vm.CheckpointDaemon
 	ckptWrittenMB  float64
 	events         []Event
@@ -121,6 +122,7 @@ func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{cfg: cfg, prov: prov, eng: prov.Engine()}
 	s.decideFn = s.decide
+	s.odBest = s.cheapestOnDemand()
 	return s, nil
 }
 
@@ -176,17 +178,10 @@ func (s *Scheduler) Start() {
 	}
 	s.initEnvelope()
 	if s.cfg.StabilityPenalty > 0 {
-		// Track each candidate market's decayed price volatility online.
-		s.volatility = map[market.ID]*forecast.DecayingMoments{}
 		now := s.eng.Now()
-		for _, m := range s.cfg.Markets {
-			m := m
-			dm := forecast.NewDecayingMoments(s.cfg.VolatilityHalflife)
-			dm.Observe(now, s.prov.SpotPrice(m))
-			s.volatility[m] = dm
-			s.prov.SubscribePrice(m, func(t sim.Time, price float64) {
-				dm.Observe(t, price)
-			})
+		s.volatility = make([]forecast.Volatility, len(s.cfg.Markets))
+		for i, m := range s.cfg.Markets {
+			s.volatility[i] = forecast.NewVolatility(s.prov.Markets().Trace(m), now)
 		}
 	}
 	s.bootstrap()
@@ -222,7 +217,7 @@ func (s *Scheduler) bootstrap() {
 	// Start on spot only when it actually undercuts on-demand right now
 	// (a spot market can be grantable under a proactive 4x bid while
 	// costing more than on-demand). Pure spot has no such fallback.
-	budget := s.hourlyCost(s.cheapestOnDemand(), cloud.OnDemand)
+	budget := s.hourlyCost(s.odBest, cloud.OnDemand)
 	if s.cfg.Bidding == PureSpot {
 		budget = math.Inf(1)
 	}
@@ -244,7 +239,7 @@ func (s *Scheduler) bootstrap() {
 }
 
 func (s *Scheduler) bootOnDemand() {
-	m := s.cheapestOnDemand()
+	m := s.odBest
 	g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.serversFor(m.Type),
 		s.bootReady, s.bootFailed)
 	if err != nil {
@@ -338,17 +333,15 @@ func (s *Scheduler) bestSpotMarket(budget float64) (market.ID, bool) {
 	var best market.ID
 	bestScore := budget
 	found := false
-	for _, m := range s.cfg.Markets {
+	for i, m := range s.cfg.Markets {
 		price := s.prov.SpotPrice(m)
 		if price > s.bidFor(m) {
 			continue // not grantable now
 		}
 		score := s.hourlyCost(m, cloud.Spot)
-		if s.cfg.StabilityPenalty > 0 {
-			if dm := s.volatility[m]; dm != nil {
-				n := float64(s.cfg.serversFor(m.Type))
-				score = forecast.Score(score, n*dm.Std(s.eng.Now()), s.cfg.StabilityPenalty)
-			}
+		if s.volatility != nil {
+			n := float64(s.cfg.serversFor(m.Type))
+			score = forecast.Score(score, n*s.volatility[i].Std(s.eng.Now()), s.cfg.StabilityPenalty)
 		}
 		if score < bestScore {
 			bestScore, best, found = score, m, true
@@ -361,9 +354,6 @@ func (s *Scheduler) bestSpotMarket(budget float64) (market.ID, bool) {
 // on-demand hourly cost for the service; the home market is always a
 // candidate.
 func (s *Scheduler) cheapestOnDemand() market.ID {
-	if s.odBestSet {
-		return s.odBest // on-demand prices never change
-	}
 	best := s.cfg.Home
 	bestCost := s.hourlyCost(best, cloud.OnDemand)
 	for _, m := range s.cfg.Markets {
@@ -371,15 +361,7 @@ func (s *Scheduler) cheapestOnDemand() market.ID {
 			best, bestCost = m, c
 		}
 	}
-	s.odBest, s.odBestSet = best, true
 	return best
-}
-
-// onDemandFallback returns the on-demand market forced migrations flee to:
-// the same region as the dying group (the checkpoint volume is region
-// local), same instance type.
-func (s *Scheduler) onDemandFallback(from market.ID) market.ID {
-	return from
 }
 
 // --- placement accounting ------------------------------------------------
@@ -507,8 +489,7 @@ func (s *Scheduler) decide() {
 	curLC := s.group.lifecycle
 	curCost := s.hourlyCost(s.group.market, curLC)
 
-	odM := s.cheapestOnDemand()
-	odCost := s.hourlyCost(odM, cloud.OnDemand)
+	odCost := s.hourlyCost(s.odBest, cloud.OnDemand)
 	spotM, spotOK := s.bestSpotMarket(math.Inf(1))
 	// Never move to the market we're already in.
 	if spotOK && curLC == cloud.Spot && spotM == s.group.market {
@@ -535,7 +516,7 @@ func (s *Scheduler) decide() {
 		s.beginPlannedMigration(spotM, cloud.Spot)
 	case curLC == cloud.Spot && improve(odCost):
 		// No cheaper spot market: on-demand is the better home.
-		s.beginPlannedMigration(odM, cloud.OnDemand)
+		s.beginPlannedMigration(s.odBest, cloud.OnDemand)
 	default:
 		s.scheduleNextDecision()
 	}
@@ -778,7 +759,9 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 	}
 
 	requestDest := func() {
-		m := s.onDemandFallback(s.group.market)
+		// Flee to on-demand servers of the dying group's market: the
+		// checkpoint volume is region local.
+		m := s.group.market
 		g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.serversFor(m.Type),
 			s.forcedTargetReady, func(*serverGroup) { s.retargetForced() })
 		if err != nil {
@@ -807,7 +790,7 @@ func (s *Scheduler) retargetForced() {
 		s.target.abandon(s.prov)
 		s.target = nil
 	}
-	m := s.onDemandFallback(s.group.market)
+	m := s.group.market // the checkpoint volume is region local
 	g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.serversFor(m.Type),
 		s.forcedTargetReady, func(*serverGroup) { s.retargetForced() })
 	if err != nil {
@@ -834,18 +817,7 @@ func (s *Scheduler) maybeRestore() {
 	}
 	s.forcedRestoreBegun = true
 	now := s.eng.Now()
-	var downtime sim.Duration
-	var degraded sim.Duration
-	p := s.cfg.VMParams
-	switch {
-	case s.forcedMemLost:
-		downtime = p.BootTime
-	case s.cfg.Mechanism.LazyRestore():
-		downtime = p.LazyRestoreDowntime
-		degraded = p.FullRestoreTime(s.cfg.Service.VM)
-	default:
-		downtime = p.FullRestoreTime(s.cfg.Service.VM)
-	}
+	downtime, degraded := s.restoreTimes(s.forcedMemLost)
 	g := s.target
 	s.restSpan = s.tracer().Begin(trace.KindRestore, "", s.track, now)
 	s.logEvent(EvRestore, g, fmt.Sprintf("restore started, %.0fs to resume", downtime))
@@ -874,6 +846,21 @@ func (s *Scheduler) maybeRestore() {
 	})
 }
 
+// restoreTimes returns how long a restore keeps the service down and the
+// degraded tail a lazy restore runs after it. Without the memory image
+// (memLost) the service reboots from its disk instead.
+func (s *Scheduler) restoreTimes(memLost bool) (downtime, degraded sim.Duration) {
+	p := s.cfg.VMParams
+	switch {
+	case memLost:
+		return p.BootTime, 0
+	case s.cfg.Mechanism.LazyRestore():
+		return p.LazyRestoreDowntime, p.FullRestoreTime(s.cfg.Service.VM)
+	default:
+		return p.FullRestoreTime(s.cfg.Service.VM), 0
+	}
+}
+
 // --- pure-spot waiting -----------------------------------------------------
 
 // tryReacquireSpot attempts to come back from the waiting state. Called on
@@ -899,25 +886,14 @@ func (s *Scheduler) waitingReady(g *serverGroup) {
 	if g != s.group {
 		return
 	}
-	now := s.eng.Now()
-	// Restore from the last checkpoint on the re-acquired spot server.
-	var downtime sim.Duration
-	var degraded sim.Duration
-	p := s.cfg.VMParams
-	switch {
-	case s.cfg.Mechanism == vm.Naive:
-		downtime = p.BootTime
-	case s.cfg.Mechanism.LazyRestore():
-		downtime = p.LazyRestoreDowntime
-		degraded = p.FullRestoreTime(s.cfg.Service.VM)
-	default:
-		downtime = p.FullRestoreTime(s.cfg.Service.VM)
-	}
 	if !s.started {
 		// First launch: no restore needed, nothing was running before.
 		s.bootReady(g)
 		return
 	}
+	// Restore from the last checkpoint on the re-acquired spot server.
+	now := s.eng.Now()
+	downtime, degraded := s.restoreTimes(s.cfg.Mechanism == vm.Naive)
 	s.restSpan = s.tracer().Begin(trace.KindRestore, "", s.track, now)
 	s.eng.Post(now+downtime, func() {
 		if s.group != g || g.abandoned || !g.alive() {

@@ -2,6 +2,11 @@ package sched
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"reflect"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -63,7 +68,6 @@ func stabilityConfig(t *testing.T, lambda float64) Config {
 		{Region: "us-east-1a", Type: "medium"},
 	}
 	cfg.StabilityPenalty = lambda
-	cfg.VolatilityHalflife = 6 * sim.Hour
 	return cfg
 }
 
@@ -100,11 +104,6 @@ func TestStabilityPenaltyValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative lambda accepted")
 	}
-	cfg = stabilityConfig(t, 1)
-	cfg.VolatilityHalflife = 0
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("lambda without halflife accepted")
-	}
 }
 
 // TestStabilityZeroMatchesGreedy: lambda = 0 must be byte-identical to the
@@ -115,15 +114,19 @@ func TestStabilityZeroMatchesGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Explicitly construct the greedy config without any stability fields.
-	cfg2 := stabilityConfig(t, 0)
-	cfg2.VolatilityHalflife = 0
+	// Explicitly construct the greedy config without the stability field.
+	cfg2, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, market.DefaultTypes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2.Service.VM.Units = 1
+	cfg2.Markets = cfg.Markets
 	b, err := Run(stabilitySet(t), fixedCloudParams(), cfg2, 80*sim.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cost != b.Cost || a.Migrations != b.Migrations {
-		t.Fatalf("lambda=0 diverged from greedy: %+v vs %+v", a.Migrations, b.Migrations)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("lambda=0 diverged from greedy:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -177,5 +180,89 @@ func TestStabilityAwareOnGeneratedUniverse(t *testing.T) {
 	// The stability premium should be modest (< 40% relative).
 	if aCost > gCost*1.4 {
 		t.Errorf("stability premium too large: %.3f vs %.3f", aCost, gCost)
+	}
+}
+
+// TestStabilityDigest pins stability-aware scheduling bit for bit to a
+// digest recorded before the volatility estimate moved from per-market
+// price subscriptions to a fold over the trace columns. It covers cold,
+// checkpointing and forked runs on generated universes and on the
+// hand-built two-market script (price changes on whole hours), and a
+// two-service portfolio whose services share candidate markets and
+// start at different times.
+func TestStabilityDigest(t *testing.T) {
+	ctx := context.Background()
+	h := sha256.New()
+	for _, lambda := range []float64{0.5, 2} {
+		for _, seed := range []int64{7, 23} {
+			set := forkUniverse(t, seed)
+			for _, bidding := range []Bidding{Proactive, Reactive} {
+				cfg := multiConfig(t, bidding, lambda)
+				hashStability(t, ctx, h, set, cfg, 4*sim.Day)
+			}
+		}
+		hashStability(t, ctx, h, stabilitySet(t), stabilityConfig(t, lambda), 80*sim.Hour)
+	}
+
+	p := NewPortfolio(forkUniverse(t, 7), fixedCloudParams())
+	early := multiConfig(t, Proactive, 0.5)
+	late := multiConfig(t, Reactive, 2)
+	late.Home = market.ID{Region: home.Region, Type: "medium"}
+	if err := p.Add("early", early); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddAt(30*sim.Hour+17, "late", late); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(4 * sim.Day); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range p.Services() {
+		rep, err := p.Report(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, err := p.Events(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %+v %+v\n", name, rep, evs)
+	}
+
+	const want = "3dab01f743b3292f1715406ecb12a827740a46c8aad620e7d864260584685959"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("stability digest = %s, want %s", got, want)
+	}
+}
+
+// hashStability checks that the checkpointing pilot of cfg and a fork
+// from every checkpoint it captures reproduce the cold run, then writes
+// the cold report and the checkpoint times into h.
+func hashStability(t *testing.T, ctx context.Context, h hash.Hash, set *market.Set, cfg Config, horizon sim.Duration) {
+	t.Helper()
+	cold, err := RunCtx(ctx, set, fixedCloudParams(), cfg, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pilot, log, err := RunWithCheckpointsCtx(ctx, set, fixedCloudParams(), cfg, horizon, 5*sim.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold, pilot) {
+		t.Fatalf("capturing checkpoints perturbed the run:\ncold  %+v\npilot %+v", cold, pilot)
+	}
+	if len(log.Checkpoints) == 0 {
+		t.Fatalf("no checkpoints captured over %v", horizon)
+	}
+	fmt.Fprintf(h, "cold %+v\n", cold)
+	for _, ck := range log.Checkpoints {
+		forked, err := RunForkedCtx(ctx, set, fixedCloudParams(), cfg, horizon, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold, forked) {
+			t.Fatalf("fork at t=%v diverges from cold run:\ncold %+v\nfork %+v", ck.At(), cold, forked)
+		}
+		fmt.Fprintf(h, "fork %v\n", ck.At())
 	}
 }

@@ -210,6 +210,10 @@ func TestForkToggleByteIdentity(t *testing.T) {
 	grids := map[string][]Axis{
 		"tau": {{Knob: KnobTau, Values: []float64{1, 3, 10, 30}}},
 		"bid": {{Knob: KnobBid, Values: []float64{1.5, 2, 3, 4, 5, 6}}},
+		"tau-lambda": {
+			{Knob: KnobTau, Values: []float64{1, 3, 10, 30}},
+			{Knob: KnobLambda, Values: []float64{0.5, 2}},
+		},
 	}
 	for name, axes := range grids {
 		t.Run(name, func(t *testing.T) {
