@@ -126,7 +126,7 @@ func runKnob() error {
 	cfgs := make([]sched.Config, len(values))
 	for i, v := range values {
 		if cfgs[i], err = buildConfig(*knob, v, home, *fleet); err != nil {
-			return err
+			return cli.Usagef("%v", err)
 		}
 	}
 	reports, err := runpool.Grid(run.Context(), run.Parallel(), len(values), run.Seeds(), func(ctx context.Context, i int, seed int64) (metrics.Report, error) {
@@ -225,10 +225,14 @@ func runGrid(ctx context.Context, w io.Writer, o gridOpts) error {
 	if err != nil {
 		return err
 	}
+	home := market.ID{Region: market.Region(o.Region), Type: market.InstanceType(o.Type)}
+	if _, err := sweep.NewPlan(axes, home, o.Fleet); err != nil {
+		return cli.Usagef("%v", err) // a knob value no scheduler config accepts
+	}
 	spec := sweep.Spec{
 		Axes:      axes,
 		Seeds:     o.Seeds,
-		Home:      market.ID{Region: market.Region(o.Region), Type: market.InstanceType(o.Type)},
+		Home:      home,
 		FleetSize: o.Fleet,
 		Horizon:   o.Days * sim.Day,
 		Market:    universe(o.Days),

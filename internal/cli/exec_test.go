@@ -106,9 +106,10 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestUsageExit2: a bad -seeds, an unknown experiment and an unknown
-// catalog or anchor are usage errors. A zero seed count used to panic in
-// sweep's knob mode.
+// TestUsageExit2: a bad -seeds, an unknown experiment, an unknown
+// catalog or anchor, and a knob value the scheduler rejects are usage
+// errors. A zero seed count used to panic in sweep's knob mode, and a NaN
+// checkpoint bound in its grid mode.
 func TestUsageExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"paperbench", "-only", "nosuch"},
@@ -121,6 +122,9 @@ func TestUsageExit2(t *testing.T) {
 		{"sweep", "-grid", "bid=2,4", "-seeds", "0", "-days", "1"},
 		{"sweep", "-experiment", "fleet", "-seeds", "-1", "-days", "1"},
 		{"sweep", "-experiment", "nosuch"},
+		{"sweep", "-grid", "tau=NaN", "-days", "1"},
+		{"sweep", "-grid", "tau=0", "-days", "1"},
+		{"sweep", "-knob", "tau", "-values", "0", "-days", "1"},
 		{"spotsim", "-seeds", "0"},
 	} {
 		cmd := command(t, args[0], args[1:]...)

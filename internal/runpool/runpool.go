@@ -157,8 +157,9 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cctx, cancel := context.WithCancel(ctx)
+	child, cancel := context.WithCancel(ctx)
 	defer cancel()
+	cctx := itemCtx{child, ctx}
 
 	// cause is the lowest-indexed non-cancellation error.
 	var (
@@ -206,6 +207,22 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T,
 	default:
 		return results, waitErr
 	}
+}
+
+// itemCtx is the context MapCtx hands its items: the pool's cancelable
+// child of the caller's context, whose Err also asks the caller's context
+// directly, so an item's poll sees the caller's cancellation at once even
+// when that context reaches its children only asynchronously.
+type itemCtx struct {
+	context.Context
+	caller context.Context
+}
+
+func (c itemCtx) Err() error {
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	return c.caller.Err()
 }
 
 // isCancellation reports whether err only says "a context was canceled"

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +16,9 @@ import (
 
 // TestRunCtxCanceledMidRun verifies the acceptance bar for the serving
 // layer: a long simulation canceled mid-flight returns promptly with
-// context.Canceled instead of running out its horizon.
+// context.Canceled instead of running out its horizon. The cancellation
+// lands at the engine's fourth poll, a fixed point of the run, however
+// fast the machine simulates.
 func TestRunCtxCanceledMidRun(t *testing.T) {
 	mcfg := market.DefaultConfig(3)
 	mcfg.Horizon = 120 * sim.Day
@@ -26,11 +30,8 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
+	const k = 3
+	ctx := newPollCancelCtx(k)
 	start := time.Now()
 	_, err = RunCtx(ctx, set, cloud.DefaultParams(3), cfg, 120*sim.Day)
 	elapsed := time.Since(start)
@@ -42,6 +43,37 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("canceled run took %v to return", elapsed)
 	}
+	// The run stopped before its horizon: run to completion, it polls
+	// more often than the canceled run did.
+	full := newPollCancelCtx(math.MaxInt64)
+	if _, err := RunCtx(full, set, cloud.DefaultParams(3), cfg, 120*sim.Day); err != nil {
+		t.Fatal(err)
+	}
+	if n := full.polls.Load(); n <= k+1 {
+		t.Fatalf("a full run polls %d times, the cancel at poll %d did not stop it early", n, k+1)
+	}
+}
+
+// pollCancelCtx reports cancellation from the poll after its k-th on: a
+// cancel at a fixed point of a run rather than at a wall-clock instant,
+// which a fast run could finish before.
+type pollCancelCtx struct {
+	context.Context // a live Done channel, so the engine polls Err
+	cancel          context.CancelFunc
+	polls           atomic.Int64
+	k               int64
+}
+
+func newPollCancelCtx(k int64) *pollCancelCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollCancelCtx{Context: ctx, cancel: cancel, k: k}
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.polls.Add(1) > c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 func TestRunSeedsParallelCtxPreCanceled(t *testing.T) {

@@ -1,0 +1,106 @@
+package sched
+
+import (
+	"math"
+	"slices"
+
+	"spothost/internal/cloud"
+	"spothost/internal/sim"
+	"spothost/internal/vm"
+)
+
+// Background checkpointing. While the service sits on revocable servers
+// a Yank-style daemon writes its dirtied memory to the network volume;
+// the daemon is what guarantees the forced-migration save bound the
+// timeline models assume. On-demand placements do not checkpoint (they
+// cannot be revoked), and the naive strawman never does.
+//
+// The daemon posts no engine events. Its writes depend only on when its
+// run epoch began, so each open epoch is a vm.Daemon fold that the
+// engine's ckptClock steps when someone needs the writes: at every epoch
+// start or stop on the engine, at the end of a run, and in Report.
+
+// ckptClock folds the open daemon epochs of every scheduler sharing one
+// engine — one scheduler's, or a whole portfolio's — in the order the
+// engine would fire their writes as events: by time, then by posting
+// order, for which a counter stands in for the engine's sequence number
+// (each write event is posted when its predecessor fires, or when its
+// epoch starts). That order is what the shared recorder's
+// checkpoint-duration histogram sums in.
+type ckptClock struct {
+	open   []*Scheduler // schedulers with an open epoch
+	posted uint64
+}
+
+// fold fires, in engine order, every open epoch's events strictly before
+// cutoff: an epoch that starts or stops at an instant sees the writes
+// that complete before it.
+func (c *ckptClock) fold(cutoff sim.Time) {
+	for {
+		var next *Scheduler
+		var nextAt sim.Time
+		for _, s := range c.open {
+			at, ok := s.ckpt.Next()
+			if ok && at < cutoff && (next == nil || at < nextAt || at == nextAt && s.ckptSeq < next.ckptSeq) {
+				next, nextAt = s, at
+			}
+		}
+		if next == nil {
+			return
+		}
+		if mb, wrote := next.ckpt.Step(); wrote {
+			next.recordCheckpoint(mb)
+		}
+		next.ckptSeq = c.post()
+	}
+}
+
+// foldThrough folds every event at or before t, as RunUntil(t) fires
+// them.
+func (c *ckptClock) foldThrough(t sim.Time) { c.fold(math.Nextafter(t, math.Inf(1))) }
+
+// post returns the next posting number.
+func (c *ckptClock) post() uint64 {
+	c.posted++
+	return c.posted
+}
+
+// startCheckpointing opens a daemon epoch at now if the service is on spot
+// servers under a checkpointing mechanism.
+func (s *Scheduler) startCheckpointing() {
+	s.stopCheckpointing()
+	if s.cfg.Mechanism == vm.Naive || s.group == nil || s.group.lifecycle != cloud.Spot {
+		return
+	}
+	now := s.eng.Now()
+	s.ckptClock.fold(now)
+	s.openEpoch(vm.NewDaemon(s.cfg.Service.VM, s.cfg.VMParams, now))
+	s.daemonEpochs = append(s.daemonEpochs, daemonEpoch{start: now, stop: -1})
+}
+
+// openEpoch registers d as this scheduler's open daemon epoch.
+func (s *Scheduler) openEpoch(d *vm.Daemon) {
+	s.ckpt = d
+	s.ckptSeq = s.ckptClock.post()
+	s.ckptClock.open = append(s.ckptClock.open, s)
+}
+
+// stopCheckpointing closes the open daemon epoch, if any, keeping the
+// writes that completed before now.
+func (s *Scheduler) stopCheckpointing() {
+	if s.ckpt == nil {
+		return
+	}
+	now := s.eng.Now()
+	s.ckptClock.fold(now)
+	s.ckptClock.open = slices.DeleteFunc(s.ckptClock.open, func(o *Scheduler) bool { return o == s })
+	s.ckpt = nil
+	s.daemonEpochs[len(s.daemonEpochs)-1].stop = now
+}
+
+// recordCheckpoint charges one daemon write to the run's I/O accounting
+// and feeds the recorder's checkpoint-duration histogram.
+func (s *Scheduler) recordCheckpoint(mb float64) {
+	s.ckptWrittenMB += mb * float64(s.cfg.Service.Count)
+	s.tracer().ObserveCheckpoint(mb / s.cfg.VMParams.CheckpointWriteMBps)
+}

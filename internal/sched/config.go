@@ -159,6 +159,9 @@ func (c Config) Validate() error {
 	if err := c.Service.VM.Validate(); err != nil {
 		return err
 	}
+	if err := c.VMParams.Validate(); err != nil {
+		return err
+	}
 	if c.Service.Count <= 0 {
 		return fmt.Errorf("sched: service count must be positive")
 	}
@@ -178,14 +181,15 @@ func (c Config) Validate() error {
 				m, ts.Units, c.Service.VM.Units)
 		}
 	}
-	if c.Bidding == Proactive && c.BidMultiple <= 1 {
+	// Comparisons are written so that NaN fails them.
+	if c.Bidding == Proactive && !(c.BidMultiple > 1) {
 		return fmt.Errorf("sched: proactive BidMultiple must exceed 1, got %v", c.BidMultiple)
 	}
-	if c.Hysteresis < 0 || c.Hysteresis >= 1 {
+	if !(c.Hysteresis >= 0 && c.Hysteresis < 1) {
 		return fmt.Errorf("sched: hysteresis %v out of range [0,1)", c.Hysteresis)
 	}
-	if c.StabilityPenalty < 0 {
-		return fmt.Errorf("sched: negative stability penalty %v", c.StabilityPenalty)
+	if !(c.StabilityPenalty >= 0) {
+		return fmt.Errorf("sched: stability penalty %v must be non-negative", c.StabilityPenalty)
 	}
 	return nil
 }

@@ -7,21 +7,21 @@
 //
 //   - price events: each live spot market's first change after now,
 //   - per-instance billing hours: lastHourAt + 1h,
-//   - the checkpoint daemon's next write: its write clocks (vm.DaemonState),
 //   - the next placement decision: recomputable via scheduleNextDecision
 //     (the first hour boundary B with B - lead > now is the same whether
 //     the predicate is evaluated now or when the event was armed, because
 //     every earlier boundary already failed it),
 //
 // so a checkpoint is a deep copy of the model state plus a re-arm on a
-// fresh engine. Two states are deliberately *replayed* rather than copied,
-// so that a fork whose CheckpointBound (tau) differs from its pilot's still
-// restores bit-exactly: the downtime tracker (rebuilt from a journal of
-// tracker operations — a forced suspend lands at deadline - tau, which
-// moves with tau even though the trajectory does not) and the cumulative
-// checkpoint I/O (rebuilt by replaying the daemon's write schedule over its
-// recorded run epochs in chronological order, reproducing the identical
-// float-add sequence a cold run performs).
+// fresh engine. The checkpoint daemon posts no events (ckpt.go), so it has
+// nothing to re-arm. Two states are deliberately *replayed* rather than
+// copied, so that a fork whose CheckpointBound (tau) differs from its
+// pilot's still restores bit-exactly: the downtime tracker (rebuilt from a
+// journal of tracker operations — a forced suspend lands at deadline -
+// tau, which moves with tau even though the trajectory does not) and the
+// cumulative checkpoint I/O (rebuilt by folding the daemon's write
+// schedule over its recorded run epochs in chronological order,
+// reproducing the identical float-add sequence a cold run performs).
 package sched
 
 import (
@@ -282,42 +282,29 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 		s.volatility = slices.Clone(ck.volatility)
 	}
 
-	if err := s.resumeDaemon(ck); err != nil {
-		return nil, err
-	}
+	s.resumeDaemon(ck)
 	s.scheduleNextDecision()
 	return s, nil
 }
 
-// resumeDaemon rebuilds the checkpoint daemon and the cumulative
-// checkpoint-I/O accumulator by replaying the daemon's write schedule over
-// every recorded epoch under cfg's parameters, in chronological order —
-// the identical sequence of float additions a cold run performs — and
-// re-arming the still-open epoch's daemon on the fresh engine.
-func (s *Scheduler) resumeDaemon(ck *Checkpoint) error {
+// resumeDaemon rebuilds the cumulative checkpoint-I/O accumulator by
+// folding the daemon's write schedule over every recorded epoch under
+// cfg's parameters, in chronological order — the identical sequence of
+// float additions a cold run performs — and opens the still-open epoch
+// with its fold placed at the checkpoint instant.
+func (s *Scheduler) resumeDaemon(ck *Checkpoint) {
 	spec, p := s.cfg.Service.VM, s.cfg.VMParams
 	count := float64(s.cfg.Service.Count)
 	onWrite := func(mb float64) { s.ckptWrittenMB += mb * count }
-	for i, ep := range ck.daemonEpochs {
-		cutoff := ep.stop
-		open := cutoff < 0
-		if open {
-			if i != len(ck.daemonEpochs)-1 {
-				return fmt.Errorf("sched: checkpoint has a non-final open daemon epoch")
-			}
-			cutoff = ck.at
+	for _, ep := range ck.daemonEpochs {
+		d := vm.NewDaemon(spec, p, ep.start)
+		if ep.stop >= 0 {
+			d.Fold(ep.stop, onWrite)
+			continue
 		}
-		st := vm.ReplayDaemon(spec, p, ep.start, cutoff, onWrite)
-		if open {
-			d, err := vm.RestoreCheckpointDaemon(s.eng, spec, p, st)
-			if err != nil {
-				return err
-			}
-			d.OnWrite(onWrite)
-			s.ckptDaemon = d
-		}
+		d.Fold(ck.at, onWrite)
+		s.openEpoch(d)
 	}
-	return nil
 }
 
 // ForkLog is what a pilot run hands the sweep planner: the checkpoints it

@@ -24,6 +24,8 @@ type Portfolio struct {
 	startAt map[string]sim.Time
 	stopAt  map[string]sim.Time
 	ran     bool
+	// ckpt folds every member's checkpoint writes in one engine order.
+	ckpt ckptClock
 }
 
 // NewPortfolio builds an empty portfolio over a price universe.
@@ -75,6 +77,7 @@ func (p *Portfolio) AddAt(at sim.Time, name string, cfg Config) error {
 		return fmt.Errorf("sched: service %q: %w", name, err)
 	}
 	s.SetTrack(name)
+	s.ckptClock = &p.ckpt
 	p.scheds[name] = s
 	p.names = append(p.names, name)
 	p.startAt[name] = at
@@ -134,6 +137,8 @@ func (p *Portfolio) RunCtx(ctx context.Context, horizon sim.Duration) error {
 	}
 	err := p.eng.RunUntilCtx(ctx, horizon)
 	if err == nil {
+		// Feed the recorder every write before the caller hands it off.
+		p.ckpt.foldThrough(p.eng.Now())
 		p.eng.Recorder().CloseOpen(p.eng.Now())
 	}
 	return err

@@ -31,9 +31,10 @@ func RunCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params,
 
 // RunTracedCtx is RunCtx with a trace recorder attached to the run's
 // engine: every layer sharing the engine (provider billing, scheduler
-// migrations, checkpoint daemon) records into it. A nil recorder is
-// exactly RunCtx — the untraced path adds no allocations (see
-// BenchmarkSchedulerMonthTraced).
+// migrations) records into it, and the checkpoint daemon's writes, folded
+// by the end-of-run Report, feed its checkpoint histogram before
+// RunTracedCtx returns. A nil recorder is exactly RunCtx — the untraced
+// path adds no allocations (see BenchmarkSchedulerMonthTraced).
 func RunTracedCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params,
 	cfg Config, horizon sim.Duration, rec *trace.Recorder) (metrics.Report, error) {
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -66,6 +67,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.BidMultiple = 1 },
 		func(c *Config) { c.Hysteresis = 1 },
 		func(c *Config) { c.Service.VM.Units = 8 }, // small market can't hold it
+		func(c *Config) { c.VMParams.CheckpointBound = 0 },
+		func(c *Config) { c.VMParams.CheckpointBound = -3 },
+		func(c *Config) { c.VMParams.CheckpointBound = math.NaN() },
+		func(c *Config) { c.BidMultiple = math.NaN() },
+		func(c *Config) { c.Hysteresis = math.NaN() },
+		func(c *Config) { c.StabilityPenalty = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		cfg := base

@@ -67,7 +67,6 @@ type Scheduler struct {
 	// computed in New (on-demand prices are constants).
 	envCur         *market.EnvelopeCursor
 	odBest         market.ID
-	ckptDaemon     *vm.CheckpointDaemon
 	ckptWrittenMB  float64
 	events         []Event
 	started        bool
@@ -90,6 +89,13 @@ type Scheduler struct {
 	downJournal  []downOp
 	daemonEpochs []daemonEpoch
 	forcedWarns  []ForcedWarning
+
+	// Background checkpointing: the open daemon epoch's write schedule
+	// (nil when none is open), its posting order, and the clock folding it
+	// with every other scheduler's on the same engine (ckpt.go).
+	ckpt      *vm.Daemon
+	ckptSeq   uint64
+	ckptClock *ckptClock
 
 	// Trace bookkeeping: open span handles into the engine's recorder (all
 	// zero — no-ops — when tracing is off). track labels this service's
@@ -120,7 +126,7 @@ func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("sched: market %s not in universe", m)
 		}
 	}
-	s := &Scheduler{cfg: cfg, prov: prov, eng: prov.Engine()}
+	s := &Scheduler{cfg: cfg, prov: prov, eng: prov.Engine(), ckptClock: &ckptClock{}}
 	s.decideFn = s.decide
 	s.odBest = s.cheapestOnDemand()
 	return s, nil
@@ -374,42 +380,6 @@ func (s *Scheduler) placementOf(g *serverGroup) placement {
 		return placedSpot
 	}
 	return placedOnDemand
-}
-
-// --- background checkpointing ----------------------------------------------
-
-// startCheckpointing runs the Yank-style daemon while the service sits on
-// revocable servers; its writes are charged to the run's I/O accounting.
-// The daemon is what guarantees the forced-migration save bound the
-// timeline models assume. On-demand placements do not checkpoint (they
-// cannot be revoked), and the naive strawman never does.
-func (s *Scheduler) startCheckpointing() {
-	s.stopCheckpointing()
-	if s.cfg.Mechanism == vm.Naive {
-		return
-	}
-	if s.group == nil || s.group.lifecycle != cloud.Spot {
-		return
-	}
-	d, err := vm.NewCheckpointDaemon(s.eng, s.cfg.Service.VM, s.cfg.VMParams)
-	if err != nil {
-		return // validated configs cannot reach this
-	}
-	count := float64(s.cfg.Service.Count)
-	d.OnWrite(func(mb float64) { s.ckptWrittenMB += mb * count })
-	if err := d.Start(); err == nil {
-		s.ckptDaemon = d
-		s.daemonEpochs = append(s.daemonEpochs, daemonEpoch{start: s.eng.Now(), stop: -1})
-	}
-}
-
-// stopCheckpointing halts the active daemon, if any.
-func (s *Scheduler) stopCheckpointing() {
-	if s.ckptDaemon != nil {
-		s.ckptDaemon.Stop()
-		s.ckptDaemon = nil
-		s.daemonEpochs[len(s.daemonEpochs)-1].stop = s.eng.Now()
-	}
 }
 
 // setPlacement closes the current placement interval and opens a new one.
@@ -946,6 +916,7 @@ func (s *Scheduler) onTerminated(g *serverGroup, in *cloud.Instance, reason clou
 // the stop instant for stopped services).
 func (s *Scheduler) Report() metrics.Report {
 	now := s.eng.Now()
+	s.ckptClock.foldThrough(now)
 	if s.stopped {
 		now = s.stoppedAt
 	} else {

@@ -1,0 +1,108 @@
+package vm
+
+import "spothost/internal/sim"
+
+// daemonEvent names the one event a checkpoint daemon ever has pending.
+type daemonEvent int
+
+const (
+	// daemonIdle: nothing is pending (a zero dirty rate left nothing to
+	// checkpoint after the initial full write).
+	daemonIdle daemonEvent = iota
+	// daemonFullDone completes the initial full checkpoint.
+	daemonFullDone
+	// daemonIncrStart begins the next incremental write.
+	daemonIncrStart
+	// daemonIncrDone completes the in-flight incremental write.
+	daemonIncrDone
+)
+
+// Daemon is the Yank-style background checkpointer. It periodically
+// writes the memory dirtied since the previous checkpoint to the network
+// volume, pacing itself so that at any instant the not-yet-persisted
+// ("exposed") state can be written out within CheckpointBound — which is
+// what lets a forced migration always complete its final save inside the
+// revocation grace window.
+//
+// Its write schedule depends only on the VM, the parameters and the
+// instant it started, so it never runs as engine events: a Daemon is that
+// schedule as a fold, stepped event by event up to whatever instant its
+// owner needs (a stop, a fork point, the horizon). Its one pending event
+// is a function of its write clocks.
+type Daemon struct {
+	spec     Spec
+	p        Params
+	interval sim.Duration
+
+	lastStart sim.Time // when the current interval began accumulating
+	pendingMB float64  // size of the in-flight incremental write
+	next      daemonEvent
+	nextAt    sim.Time
+}
+
+// NewDaemon starts a daemon at start with the initial full checkpoint.
+// spec and p must be valid, with a positive CheckpointBound.
+func NewDaemon(spec Spec, p Params, start sim.Time) *Daemon {
+	return &Daemon{
+		spec:      spec,
+		p:         p,
+		interval:  p.CheckpointInterval(spec),
+		lastStart: start,
+		next:      daemonFullDone,
+		nextAt:    start + spec.MemoryMB()/p.CheckpointWriteMBps,
+	}
+}
+
+// Next returns the time of the pending event; ok is false when nothing is
+// pending.
+func (d *Daemon) Next() (at sim.Time, ok bool) { return d.nextAt, d.next != daemonIdle }
+
+// Step fires the pending event and returns the size (MB) of the write it
+// completed, if it completed one.
+func (d *Daemon) Step() (mb float64, wrote bool) {
+	now := d.nextAt
+	switch d.next {
+	case daemonFullDone:
+		// Pages dirtied during the full write are the first increment's
+		// backlog: the accumulation clock started with the write.
+		mb = d.spec.MemoryMB()
+	case daemonIncrStart:
+		// Persist everything dirtied since lastStart; pages dirtied from
+		// now on belong to the next increment.
+		dirty := d.spec.DirtyRateMBps * (now - d.lastStart)
+		if max := d.spec.MemoryMB(); dirty > max {
+			dirty = max
+		}
+		d.lastStart = now
+		d.pendingMB = dirty
+		d.next = daemonIncrDone
+		d.nextAt = now + dirty/d.p.CheckpointWriteMBps
+		return 0, false
+	case daemonIncrDone:
+		mb = d.pendingMB
+	default:
+		return 0, false
+	}
+	// Arm the next increment at the Yank interval, at once if the write
+	// outran it. Nothing dirties an idle VM's memory: no periodic work.
+	if d.interval <= 0 {
+		d.next = daemonIdle
+		return mb, true
+	}
+	d.next = daemonIncrStart
+	d.nextAt = d.lastStart + d.interval
+	if d.nextAt <= now {
+		d.nextAt = now
+	}
+	return mb, true
+}
+
+// Fold fires every pending event strictly before cutoff, passing the size
+// of each completed write to onWrite in order.
+func (d *Daemon) Fold(cutoff sim.Time, onWrite func(mb float64)) {
+	for d.next != daemonIdle && d.nextAt < cutoff {
+		if mb, wrote := d.Step(); wrote {
+			onWrite(mb)
+		}
+	}
+}

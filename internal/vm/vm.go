@@ -233,6 +233,15 @@ func (p Params) Link(a, b market.Region) WANLink {
 	return p.DefaultWAN
 }
 
+// Validate reports a checkpoint bound the background checkpointer cannot
+// pace itself by: zero, negative or NaN.
+func (p Params) Validate() error {
+	if !(p.CheckpointBound > 0) {
+		return fmt.Errorf("vm: CheckpointBound must be positive, got %v", p.CheckpointBound)
+	}
+	return nil
+}
+
 // FullCheckpointTime returns the time to write a complete memory image to
 // the network volume.
 func (p Params) FullCheckpointTime(s Spec) sim.Duration {
