@@ -86,8 +86,8 @@ func TestOnDemandLifecycleAndBilling(t *testing.T) {
 	if got := in.Charged(); math.Abs(got-0.18) > 1e-12 {
 		t.Fatalf("charged = %v, want 0.18", got)
 	}
-	if got := p.Ledger().OnDemandTotal(); math.Abs(got-0.18) > 1e-12 {
-		t.Fatalf("ledger on-demand = %v", got)
+	if got := p.Billed(); math.Abs(got-0.18) > 1e-12 {
+		t.Fatalf("provider billed %v", got)
 	}
 	// No further charges accrue after termination.
 	eng.RunUntil(20 * sim.Hour)
@@ -157,8 +157,8 @@ func TestSpotRevocationWithGraceAndRefund(t *testing.T) {
 	if got := in.Charged(); math.Abs(got-0.01) > 1e-12 {
 		t.Fatalf("charged = %v, want 0.01 (second hour refunded)", got)
 	}
-	if p.Counters().Revocations != 1 {
-		t.Fatalf("counters: %+v", p.Counters())
+	if got := reasonCounts(p); got[ReasonRevoked] != 1 {
+		t.Fatalf("termination reasons: %v", got)
 	}
 }
 
@@ -245,11 +245,11 @@ func TestPendingSpotCancelledOnPriceRise(t *testing.T) {
 	if reason != ReasonNeverGranted {
 		t.Fatalf("reason = %v, want never-granted", reason)
 	}
-	if got := p.Ledger().Total(); got != 0 {
+	if got := p.Billed(); got != 0 {
 		t.Fatalf("never-granted request was billed: %v", got)
 	}
-	if p.Counters().NeverGranted != 1 {
-		t.Fatalf("counters: %+v", p.Counters())
+	if got := reasonCounts(p); got[ReasonNeverGranted] != 1 {
+		t.Fatalf("termination reasons: %v", got)
 	}
 }
 
@@ -277,7 +277,7 @@ func TestTerminatePendingCancels(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled pending instance ran")
 	}
-	if p.Ledger().Total() != 0 {
+	if p.Billed() != 0 {
 		t.Fatal("cancelled pending instance billed")
 	}
 }
@@ -331,30 +331,6 @@ func TestStartupClass(t *testing.T) {
 	}
 }
 
-func TestLedgerConsistency(t *testing.T) {
-	eng, p := newTestProvider(t)
-	// A few instances across both markets with mixed outcomes.
-	_, _ = p.RequestSpot(mSmall, 0.06, Callbacks{})
-	_, _ = p.RequestSpot(mSmall, 0.24, Callbacks{})
-	odIn, _ := p.RequestOnDemand(mLarge, Callbacks{})
-	eng.Schedule(5*sim.Hour, func() { _ = p.Terminate(odIn) })
-	eng.RunUntil(20 * sim.Hour)
-
-	sum := 0.0
-	for _, e := range p.Ledger().Entries() {
-		sum += e.Amount
-	}
-	if math.Abs(sum-p.Ledger().Total()) > 1e-9 {
-		t.Fatalf("ledger total %v != entry sum %v", p.Ledger().Total(), sum)
-	}
-	if math.Abs(p.Ledger().SpotTotal()+p.Ledger().OnDemandTotal()-p.Ledger().Total()) > 1e-9 {
-		t.Fatal("spot+on-demand != total")
-	}
-	if p.Ledger().Total() <= 0 {
-		t.Fatalf("expected positive spend, got %v", p.Ledger().Total())
-	}
-}
-
 // TestGeneratedUniverseRevocations runs the provider against a synthetic
 // universe and checks the end-to-end invariant: every on-demand instance
 // survives, and spot instances at low bids eventually get revoked.
@@ -399,11 +375,10 @@ func TestGeneratedUniverseRevocations(t *testing.T) {
 	if odInst.State() != Running {
 		t.Fatalf("on-demand instance died: %v", odInst.State())
 	}
-	c := Counters(p.Counters())
-	if c.Revocations == 0 && c.NeverGranted == 0 {
+	if c := reasonCounts(p); c[ReasonRevoked] == 0 && c[ReasonNeverGranted] == 0 {
 		t.Error("bid-at-on-demand spot instance was never revoked in 10 volatile days")
 	}
-	if p.Ledger().Total() <= 0 {
+	if p.Billed() <= 0 {
 		t.Error("no spend recorded")
 	}
 }

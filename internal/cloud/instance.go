@@ -105,7 +105,6 @@ type Instance struct {
 	bid       float64 // spot only; 0 for on-demand
 
 	state        State
-	requestedAt  sim.Time
 	runningAt    sim.Time
 	terminatedAt sim.Time
 	warnDeadline sim.Time

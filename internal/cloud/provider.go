@@ -40,15 +40,9 @@ type Provider struct {
 	// spot instances without allocating per price change.
 	spotScratch []*Instance
 
-	ledger Ledger
-
-	// Counters for reports and tests.
-	revocations   int
-	spotRequests  int
-	neverGranted  int
-	spotLaunched  int
-	odLaunched    int
-	userTerminate int
+	// billed is the net amount billed: every instance-hour charge less
+	// every revocation refund, added in billing order.
+	billed float64
 }
 
 // NewProvider builds a provider over the price set. Price changes after
@@ -118,8 +112,8 @@ func (p *Provider) Engine() *sim.Engine { return p.eng }
 // Markets returns the market universe.
 func (p *Provider) Markets() *market.Set { return p.set }
 
-// Ledger returns the billing ledger.
-func (p *Provider) Ledger() *Ledger { return &p.ledger }
+// Billed returns the net amount billed to every instance so far.
+func (p *Provider) Billed() float64 { return p.billed }
 
 // SpotPrice returns the current spot price of a market. It panics on a
 // market outside the provider's set.
@@ -190,7 +184,6 @@ func (p *Provider) RequestSpot(id market.ID, bid float64, cb Callbacks) (*Instan
 	if cur := ms.cursor.PriceAt(p.eng.Now()); cur > bid {
 		return nil, fmt.Errorf("cloud: current price %v above bid %v in %s", cur, bid, id)
 	}
-	p.spotRequests++
 	in := p.newInstance(ms, id, Spot, bid, cb)
 	delay := p.rng.LognormalMeanCV(p.params.spotStartup(id.Region), p.params.StartupCV)
 	p.eng.PostAfter(delay, func() { p.finishAllocation(in) })
@@ -212,14 +205,13 @@ func (p *Provider) RequestOnDemand(id market.ID, cb Callbacks) (*Instance, error
 
 func (p *Provider) newInstance(ms *marketState, id market.ID, lc Lifecycle, bid float64, cb Callbacks) *Instance {
 	in := &Instance{
-		id:          p.nextID,
-		market:      id,
-		ms:          ms,
-		lifecycle:   lc,
-		bid:         bid,
-		state:       Pending,
-		requestedAt: p.eng.Now(),
-		cb:          cb,
+		id:        p.nextID,
+		market:    id,
+		ms:        ms,
+		lifecycle: lc,
+		bid:       bid,
+		state:     Pending,
+		cb:        cb,
 	}
 	// One persistent billing closure per instance instead of one per
 	// instance-hour.
@@ -243,11 +235,6 @@ func (p *Provider) finishAllocation(in *Instance) {
 	// here means the bid still holds.
 	in.state = Running
 	in.runningAt = now
-	if in.lifecycle == Spot {
-		p.spotLaunched++
-	} else {
-		p.odLaunched++
-	}
 	p.chargeHour(in)
 	if in.cb.OnRunning != nil {
 		in.cb.OnRunning(in)
@@ -275,10 +262,7 @@ func (p *Provider) chargeHour(in *Instance) {
 	in.lastHourAt = now
 	in.lastHourCost = rate
 	in.charged += rate
-	p.ledger.add(Charge{
-		At: now, Instance: in.id, Market: in.market,
-		Spot: in.lifecycle == Spot, Kind: ChargeHour, Amount: rate,
-	})
+	p.billed += rate
 	if o := p.eng.Obs(); o != nil {
 		o.Charge(float64(now), in.market.String(), string(in.market.Type), rate)
 	}
@@ -291,7 +275,6 @@ func (p *Provider) beginRevocation(in *Instance) {
 	switch in.state {
 	case Pending:
 		// The request was never granted: cancel silently (no charge).
-		p.neverGranted++
 		p.terminate(in, ReasonNeverGranted)
 		return
 	case Running:
@@ -301,7 +284,6 @@ func (p *Provider) beginRevocation(in *Instance) {
 	}
 	in.state = Revoking
 	in.warnDeadline = p.eng.Now() + p.params.GracePeriod
-	p.revocations++
 	if in.cb.OnRevocationWarning != nil {
 		in.cb.OnRevocationWarning(in, in.warnDeadline)
 	}
@@ -321,10 +303,7 @@ func (p *Provider) refundPartialHour(in *Instance) {
 		return
 	}
 	in.charged -= in.lastHourCost
-	p.ledger.add(Charge{
-		At: now, Instance: in.id, Market: in.market,
-		Spot: true, Kind: ChargeRefund, Amount: -in.lastHourCost,
-	})
+	p.billed -= in.lastHourCost
 	if o := p.eng.Obs(); o != nil {
 		o.Charge(float64(now), in.market.String(), string(in.market.Type), -in.lastHourCost)
 	}
@@ -335,17 +314,11 @@ func (p *Provider) refundPartialHour(in *Instance) {
 // a Pending request cancels it without charge; terminating an instance
 // that is already Terminated is an error.
 func (p *Provider) Terminate(in *Instance) error {
-	switch in.state {
-	case Terminated:
+	if in.state == Terminated {
 		return fmt.Errorf("cloud: %v already terminated", in)
-	case Pending:
-		p.terminate(in, ReasonUser)
-		return nil
-	default:
-		p.userTerminate++
-		p.terminate(in, ReasonUser)
-		return nil
 	}
+	p.terminate(in, ReasonUser)
+	return nil
 }
 
 func (p *Provider) terminate(in *Instance, reason TerminationReason) {
@@ -366,25 +339,3 @@ func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 
 // Instance returns a previously created instance by ID, or nil.
 func (p *Provider) Instance(id InstanceID) *Instance { return p.instances[id] }
-
-// Counters exposes aggregate provider statistics for reports and tests.
-type Counters struct {
-	SpotRequests    int
-	SpotLaunched    int
-	OnDemandLaunch  int
-	Revocations     int
-	NeverGranted    int
-	UserTerminating int
-}
-
-// Counters returns a snapshot of the provider's aggregate statistics.
-func (p *Provider) Counters() Counters {
-	return Counters{
-		SpotRequests:    p.spotRequests,
-		SpotLaunched:    p.spotLaunched,
-		OnDemandLaunch:  p.odLaunched,
-		Revocations:     p.revocations,
-		NeverGranted:    p.neverGranted,
-		UserTerminating: p.userTerminate,
-	}
-}

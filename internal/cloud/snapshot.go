@@ -19,7 +19,6 @@ type instSnap struct {
 	lifecycle    Lifecycle
 	bid          float64
 	state        State
-	requestedAt  sim.Time
 	runningAt    sim.Time
 	terminatedAt sim.Time
 	warnDeadline sim.Time
@@ -30,24 +29,18 @@ type instSnap struct {
 }
 
 // Snapshot is a deep copy of a provider's model state at a quiescent
-// instant: instance records, billing ledger, counters, and the RNG
-// position. The pending event heap is deliberately absent — at a quiescent
-// instant every provider event is a deterministic function of this state
-// (the price clock from the traces and the live instances, billing hours
-// from lastHourAt), so RestoreProvider re-arms them instead of copying
+// instant: instance records, the running bill, and the RNG position. The
+// pending event heap is deliberately absent — at a quiescent instant every
+// provider event is a deterministic function of this state (the price
+// clock from the traces and the live instances, billing hours from
+// lastHourAt), so RestoreProvider re-arms them instead of copying
 // closures.
 type Snapshot struct {
 	at     sim.Time
 	rng    randx.State
 	nextID InstanceID
 	insts  []instSnap
-
-	ledgerEntries []Charge
-	ledgerTotal   float64
-	ledgerSpot    float64
-	ledgerOD      float64
-
-	counters Counters
+	billed float64
 }
 
 // Snapshot captures the provider's state if it is quiescent: no allocation
@@ -57,13 +50,10 @@ type Snapshot struct {
 // caller skips this checkpoint.
 func (p *Provider) Snapshot() (*Snapshot, bool) {
 	s := &Snapshot{
-		at:          p.eng.Now(),
-		rng:         p.rng.State(),
-		nextID:      p.nextID,
-		ledgerTotal: p.ledger.total,
-		ledgerSpot:  p.ledger.spotTotal,
-		ledgerOD:    p.ledger.onDemandTotal,
-		counters:    p.Counters(),
+		at:     p.eng.Now(),
+		rng:    p.rng.State(),
+		nextID: p.nextID,
+		billed: p.billed,
 	}
 	// Instance IDs are dense from 0, so this order is deterministic.
 	s.insts = make([]instSnap, 0, len(p.instances))
@@ -81,7 +71,6 @@ func (p *Provider) Snapshot() (*Snapshot, bool) {
 			lifecycle:    in.lifecycle,
 			bid:          in.bid,
 			state:        in.state,
-			requestedAt:  in.requestedAt,
 			runningAt:    in.runningAt,
 			terminatedAt: in.terminatedAt,
 			warnDeadline: in.warnDeadline,
@@ -91,7 +80,6 @@ func (p *Provider) Snapshot() (*Snapshot, bool) {
 			charged:      in.charged,
 		})
 	}
-	s.ledgerEntries = append([]Charge(nil), p.ledger.entries...)
 	return s, true
 }
 
@@ -109,18 +97,7 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 	p := NewProvider(eng, set, params)
 	p.rng = randx.Restore(s.rng)
 	p.nextID = s.nextID
-	p.revocations = s.counters.Revocations
-	p.spotRequests = s.counters.SpotRequests
-	p.neverGranted = s.counters.NeverGranted
-	p.spotLaunched = s.counters.SpotLaunched
-	p.odLaunched = s.counters.OnDemandLaunch
-	p.userTerminate = s.counters.UserTerminating
-	p.ledger = Ledger{
-		entries:       append([]Charge(nil), s.ledgerEntries...),
-		total:         s.ledgerTotal,
-		spotTotal:     s.ledgerSpot,
-		onDemandTotal: s.ledgerOD,
-	}
+	p.billed = s.billed
 	for _, si := range s.insts {
 		ms := p.markets[si.market]
 		if ms == nil {
@@ -133,7 +110,6 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 			lifecycle:    si.lifecycle,
 			bid:          si.bid,
 			state:        si.state,
-			requestedAt:  si.requestedAt,
 			runningAt:    si.runningAt,
 			terminatedAt: si.terminatedAt,
 			warnDeadline: si.warnDeadline,

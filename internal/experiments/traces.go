@@ -40,12 +40,15 @@ func Figure1(opts Options) (Figure1Result, error) {
 		}
 		res.Summaries = append(res.Summaries, market.Summarize(set, id))
 		tr := set.Trace(id)
+		cur := market.NewCursor(tr)
 		days := int(tr.End() / sim.Day)
 		for d := 0; d < days; d++ {
 			lo, hi := sim.Time(d)*sim.Day, sim.Time(d+1)*sim.Day
+			// The daily max is taken over a 10-minute grid, not over the
+			// trace's steps.
 			mx := 0.0
-			for _, p := range tr.Sample(lo, hi, 10*sim.Minute) {
-				if p > mx {
+			for t := lo; t < hi; t += 10 * sim.Minute {
+				if p := cur.PriceAt(t); p > mx {
 					mx = p
 				}
 			}

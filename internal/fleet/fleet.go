@@ -195,11 +195,7 @@ type Controller struct {
 
 	// Time-integrated accounting, advanced before every state change.
 	lastAccounted sim.Time
-	targetSecs    float64
-	servedSecs    float64
-	spotSecs      float64
-	odSecs        float64
-	marketSecs    []MarketUsage // per c.markets index
+	acc           accrual
 
 	// Counters.
 	launches     int
@@ -284,7 +280,7 @@ func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 		prov:        prov,
 		cfg:         cfg,
 		markets:     sorted,
-		marketSecs:  make([]MarketUsage, n),
+		acc:         accrual{markets: make([]MarketUsage, n)},
 		lossAt:      map[sim.Time]int{},
 		lastSample:  -sim.Hour,
 		anchorUnits: 1,
@@ -1200,6 +1196,46 @@ func (c *Controller) remove(r *replica) {
 	}
 }
 
+// accrual is time-integrated capacity accounting: replica-seconds by
+// lifecycle and by market (indexed like c.markets), and the target and
+// served replica-seconds.
+type accrual struct {
+	target, served, spot, od float64
+	markets                  []MarketUsage
+}
+
+// accrue adds dt seconds of the current fleet state into a (nil adds
+// nothing) and returns the units serving, min(alive, target). advance
+// commits into the controller's totals and Report folds the open tail
+// into a zeroed delta, so every sum is built in one order.
+func (c *Controller) accrue(a *accrual, dt float64) int {
+	alive := 0
+	for _, r := range c.replicas {
+		if !r.in.Alive() {
+			continue
+		}
+		alive += r.units
+		if a == nil {
+			continue
+		}
+		ds := dt * float64(r.units)
+		u := &a.markets[r.mi]
+		if r.spot {
+			a.spot += ds
+			u.SpotSeconds += ds
+		} else {
+			a.od += ds
+			u.OnDemandSeconds += ds
+		}
+	}
+	served := min(alive, c.targetUnits)
+	if a != nil {
+		a.target += float64(c.targetUnits) * dt
+		a.served += float64(served) * dt
+	}
+	return served
+}
+
 // advance integrates the capacity and occupancy accounting up to now.
 // It must run before every state change (tick, boot, warning,
 // termination) so each interval is credited under the state that held.
@@ -1209,31 +1245,10 @@ func (c *Controller) advance(now sim.Time) {
 		return
 	}
 	c.lastAccounted = now
-	alive := 0
-	for _, r := range c.replicas {
-		if !r.in.Alive() {
-			continue
-		}
-		alive += r.units
-		ds := dt * float64(r.units)
-		u := &c.marketSecs[r.mi]
-		if r.spot {
-			c.spotSecs += ds
-			u.SpotSeconds += ds
-		} else {
-			c.odSecs += ds
-			u.OnDemandSeconds += ds
-		}
-	}
-	c.targetSecs += float64(c.targetUnits) * dt
-	served := alive
-	if served > c.targetUnits {
-		served = c.targetUnits
-	}
-	c.servedSecs += float64(served) * dt
+	served := c.accrue(&c.acc, dt)
 	if o := c.eng.Obs(); o != nil {
 		// Same instant, same values as the accounting above, so the gauge
-		// integrals reproduce targetSecs/servedSecs exactly.
+		// integrals reproduce the target and served totals exactly.
 		o.Capacity(float64(now), served, c.targetUnits)
 	}
 }
@@ -1276,22 +1291,6 @@ func (c *Controller) recordDecision(o *obs.Recorder, action string, id market.ID
 	o.Decide(d)
 }
 
-// obsServed returns the capacity serving at this instant — the same
-// min(alive, target) quantity advance integrates — for folding the open
-// telemetry tail.
-func (c *Controller) obsServed() int {
-	alive := 0
-	for _, r := range c.replicas {
-		if r.in.Alive() {
-			alive += r.units
-		}
-	}
-	if alive > c.targetUnits {
-		return c.targetUnits
-	}
-	return alive
-}
-
 // ObsTimeline snapshots the telemetry timeline as of the current virtual
 // time without mutating recorder or controller — the open accounting
 // tail is folded into a copy, mirroring Report's purity rules — so the
@@ -1303,13 +1302,13 @@ func (c *Controller) ObsTimeline() obs.Timeline {
 	if o == nil {
 		return obs.Timeline{}
 	}
-	return o.Snapshot(float64(c.eng.Now()), c.obsServed(), c.targetUnits)
+	return o.Snapshot(float64(c.eng.Now()), c.accrue(nil, 0), c.targetUnits)
 }
 
 // finalizeObs commits the open telemetry tail at the horizon.
 func (c *Controller) finalizeObs(now sim.Time) {
 	if o := c.eng.Obs(); o != nil {
-		o.Finalize(float64(now), c.obsServed(), c.targetUnits)
+		o.Finalize(float64(now), c.accrue(nil, 0), c.targetUnits)
 	}
 }
 
@@ -1342,41 +1341,19 @@ func (c *Controller) sampleOccupancy(now sim.Time) {
 // accumulators' float sums at every snapshot point.
 func (c *Controller) Report() Report {
 	now := c.eng.Now()
-	var dTarget, dServed, dSpot, dOD float64
-	dm := make([]MarketUsage, len(c.markets))
+	delta := accrual{markets: make([]MarketUsage, len(c.markets))}
 	if dt := float64(now - c.lastAccounted); dt > 0 {
-		alive := 0
-		for _, r := range c.replicas {
-			if !r.in.Alive() {
-				continue
-			}
-			alive += r.units
-			ds := dt * float64(r.units)
-			u := &dm[r.mi]
-			if r.spot {
-				dSpot += ds
-				u.SpotSeconds += ds
-			} else {
-				dOD += ds
-				u.OnDemandSeconds += ds
-			}
-		}
-		dTarget = float64(c.targetUnits) * dt
-		served := alive
-		if served > c.targetUnits {
-			served = c.targetUnits
-		}
-		dServed = float64(served) * dt
+		c.accrue(&delta, dt)
 	}
 	rep := Report{
 		Strategy:             c.cfg.Strategy.Name(),
 		Horizon:              sim.Duration(now),
-		TargetReplicaSeconds: c.targetSecs + dTarget,
-		ServedReplicaSeconds: c.servedSecs + dServed,
+		TargetReplicaSeconds: c.acc.target + delta.target,
+		ServedReplicaSeconds: c.acc.served + delta.served,
 		PeakTarget:           c.peakTarget,
-		Cost:                 c.prov.Ledger().Total(),
-		SpotSeconds:          c.spotSecs + dSpot,
-		OnDemandSeconds:      c.odSecs + dOD,
+		Cost:                 c.prov.Billed(),
+		SpotSeconds:          c.acc.spot + delta.spot,
+		OnDemandSeconds:      c.acc.od + delta.od,
 		Launches:             c.launches,
 		SpotLaunches:         c.launches - c.odFallbacks,
 		OnDemandFallbacks:    c.odFallbacks,
@@ -1395,9 +1372,9 @@ func (c *Controller) Report() Report {
 	odRate := c.mktOD[c.odBest] * c.mktInv[c.odBest]
 	rep.BaselineCost = rep.TargetReplicaSeconds / float64(sim.Hour) * odRate
 	for i, id := range c.markets {
-		m := c.marketSecs[i]
-		m.SpotSeconds += dm[i].SpotSeconds
-		m.OnDemandSeconds += dm[i].OnDemandSeconds
+		m := c.acc.markets[i]
+		m.SpotSeconds += delta.markets[i].SpotSeconds
+		m.OnDemandSeconds += delta.markets[i].OnDemandSeconds
 		rep.MarketSeconds[id] = m
 	}
 	times := make([]sim.Time, 0, len(c.lossAt))

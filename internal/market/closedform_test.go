@@ -3,10 +3,35 @@ package market
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"spothost/internal/sim"
 )
+
+// Sample evaluates the trace on a uniform grid [start, end) with the given
+// step and returns the sampled prices. The statistics of Fig. 8b, 9b and 10
+// are computed in closed form (see analysis.go); Sample is the slow-path
+// reference the closed-form and cursor tests compare against.
+func (tr *Trace) Sample(start, end sim.Time, step sim.Duration) []float64 {
+	if step <= 0 || end <= start {
+		return nil
+	}
+	n := int((end - start) / step)
+	out := make([]float64, 0, n)
+	ts := tr.times
+	i := sort.Search(len(ts), func(j int) bool { return ts[j] > start }) - 1
+	if i < 0 {
+		i = 0 // grid points before the first step clamp to the first price
+	}
+	for t := start; t < end; t += step {
+		for i+1 < len(ts) && ts[i+1] <= t {
+			i++
+		}
+		out = append(out, tr.prices[i])
+	}
+	return out
+}
 
 // gridStd is the old sampling-based standard deviation: sample the trace on
 // a uniform grid and take the population std of the samples. Kept here as

@@ -148,30 +148,6 @@ func (tr *Trace) NextChangeAfter(t sim.Time) (at sim.Time, price float64, ok boo
 	return tr.times[i], tr.prices[i], true
 }
 
-// Sample evaluates the trace on a uniform grid [start, end) with the given
-// step and returns the sampled prices. The statistics of Fig. 8b, 9b and 10
-// are now computed in closed form (see analysis.go); Sample remains as the
-// slow-path reference those property tests compare against.
-func (tr *Trace) Sample(start, end sim.Time, step sim.Duration) []float64 {
-	if step <= 0 || end <= start {
-		return nil
-	}
-	n := int((end - start) / step)
-	out := make([]float64, 0, n)
-	ts := tr.times
-	i := sort.Search(len(ts), func(j int) bool { return ts[j] > start }) - 1
-	if i < 0 {
-		i = 0 // grid points before the first step clamp to the first price
-	}
-	for t := start; t < end; t += step {
-		for i+1 < len(ts) && ts[i+1] <= t {
-			i++
-		}
-		out = append(out, tr.prices[i])
-	}
-	return out
-}
-
 // TimeWeightedMean returns the time-weighted average price over the window
 // [start, end) (clamped to the trace extent).
 func (tr *Trace) TimeWeightedMean(start, end sim.Time) float64 {

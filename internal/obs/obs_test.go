@@ -244,6 +244,50 @@ func TestSLOAlerts(t *testing.T) {
 	}
 }
 
+// TestSLOAlertOrder pins the documented alert order on a run whose
+// outages fire more than 12 alerts per window, interleaved in time: every
+// page in time order, then every ticket in time order.
+func TestSLOAlertOrder(t *testing.T) {
+	const cycles = 14
+	o := NewRecorder("r", Config{Budget: 1024, Width: 600})
+	o.Capacity(0, 4, 4)
+	for c := 0; c < cycles; c++ {
+		at := float64(c) * 8 * 3600
+		o.Capacity(at+7*3600, 4, 4) // healthy for 7h, clearing both windows
+		o.Capacity(at+8*3600, 0, 4) // total shortfall for 1h
+	}
+	o.Finalize(cycles*8*3600+7*3600, 4, 4)
+	alerts := o.SnapshotFinal().Alerts
+
+	var pages, tickets []float64
+	for i, a := range alerts {
+		switch a.Severity {
+		case "page":
+			if len(tickets) > 0 {
+				t.Fatalf("page %d at %v after a ticket: %+v", i, a.At, alerts)
+			}
+			pages = append(pages, a.At)
+		case "ticket":
+			tickets = append(tickets, a.At)
+		}
+	}
+	if len(pages) != cycles || len(tickets) != cycles {
+		t.Fatalf("alerts = %d pages + %d tickets, want %d + %d", len(pages), len(tickets), cycles, cycles)
+	}
+	for _, ts := range [][]float64{pages, tickets} {
+		for i := 1; i < len(ts); i++ {
+			if ts[i] <= ts[i-1] {
+				t.Fatalf("alerts out of time order: %v", ts)
+			}
+		}
+	}
+	// The two windows interleave in time, so a sort by time alone would
+	// mix them.
+	if tickets[0] >= pages[len(pages)-1] {
+		t.Fatalf("windows do not interleave: pages %v, tickets %v", pages, tickets)
+	}
+}
+
 func TestCollectorScopeAndDedup(t *testing.T) {
 	c := NewCollector(Config{Budget: 8, Width: 10})
 	sc := c.Scope("shard-0").Scope("acme")

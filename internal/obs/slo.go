@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // SLOConfig derives an error budget from an availability objective and
 // alerts when the burn rate over a trailing window exceeds a threshold —
 // the standard multiwindow burn-rate policy, evaluated over simulated
@@ -53,7 +51,8 @@ type Alert struct {
 // capacity demand unserved in [t-w, t] divided by the error budget:
 // burning at exactly 1x would exhaust the budget in one objective
 // period. Evaluation is a pure function of the bucketized series, so
-// alerts are deterministic for a given run.
+// alerts are deterministic for a given run. Alerts come out window by
+// window, fast then slow, each window's in time order.
 func evaluateSLO(cfg SLOConfig, shortfall, target *Series, now float64) []Alert {
 	cfg = cfg.withDefaults()
 	budget := 1 - cfg.Availability
@@ -84,11 +83,5 @@ func evaluateSLO(cfg SLOConfig, shortfall, target *Series, now float64) []Alert 
 			}
 		}
 	}
-	sort.Slice(alerts, func(i, j int) bool {
-		if alerts[i].At != alerts[j].At {
-			return alerts[i].Window < alerts[j].Window
-		}
-		return alerts[i].At < alerts[j].At
-	})
 	return alerts
 }

@@ -9,13 +9,15 @@ import (
 // SLO alerts derived from them, and the ledger size. It marshals to the
 // JSON served by GET /v1/tenants/{t}/fleets/{f}/timeline.
 type Timeline struct {
-	Schema    int          `json:"schema"`
-	Label     string       `json:"label,omitempty"`
-	End       float64      `json:"end_seconds"`
-	Budget    int          `json:"budget"`
-	Series    []SeriesData `json:"series"`
-	Alerts    []Alert      `json:"alerts"`
-	Decisions int          `json:"decisions"`
+	Schema int          `json:"schema"`
+	Label  string       `json:"label,omitempty"`
+	End    float64      `json:"end_seconds"`
+	Budget int          `json:"budget"`
+	Series []SeriesData `json:"series"`
+	// Alerts lists the fast-window (page) alerts in time order, then the
+	// slow-window (ticket) alerts in time order.
+	Alerts    []Alert `json:"alerts"`
+	Decisions int     `json:"decisions"`
 }
 
 // TimelineCSVHeader is the header row of the long-form CSV export.

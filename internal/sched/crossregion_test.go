@@ -58,7 +58,7 @@ func TestCrossRegionPlannedMigration(t *testing.T) {
 	r := s.Report()
 
 	if r.Migrations.CrossRegion < 1 {
-		t.Fatalf("no cross-region migration: %+v\n%s", r.Migrations, renderLog(s))
+		t.Fatalf("no cross-region migration: %+v", r.Migrations)
 	}
 	if r.Migrations.Forced != 0 {
 		t.Fatalf("forced migrations in a sub-bid script: %+v", r.Migrations)
@@ -67,14 +67,19 @@ func TestCrossRegionPlannedMigration(t *testing.T) {
 	if r.DowntimeSeconds > 5 {
 		t.Fatalf("cross-region downtime = %.1f s", r.DowntimeSeconds)
 	}
-	// The service ends up on the eu spot market, not on-demand.
-	dones := s.EventsOf(EvMigrationDone)
-	if len(dones) == 0 {
-		t.Fatal("no completed migrations logged")
+	// The service ends up on the eu spot market, not on-demand: every
+	// instance still alive is an eu server of the spot group.
+	var alive int
+	for id := cloud.InstanceID(0); prov.Instance(id) != nil; id++ {
+		if in := prov.Instance(id); in.Alive() {
+			alive++
+			if in.Market().Region != "eu-west-1a" {
+				t.Fatalf("final placement: %v", in)
+			}
+		}
 	}
-	last := dones[len(dones)-1]
-	if last.Market.Region != "eu-west-1a" || last.Lifecycle != cloud.Spot {
-		t.Fatalf("final placement: %s/%s", last.Market, last.Lifecycle)
+	if alive == 0 || s.group.lifecycle != cloud.Spot {
+		t.Fatalf("final placement: %d alive instances, group lifecycle %v", alive, s.group.lifecycle)
 	}
 	if r.Cost >= r.BaselineCost {
 		t.Fatalf("cost %v vs baseline %v", r.Cost, r.BaselineCost)

@@ -156,7 +156,6 @@ type Checkpoint struct {
 	serviceStart   sim.Time
 	bootFallbackOD bool
 	migrations     metrics.MigrationCounts
-	events         []Event
 	downJournal    []downOp
 	daemonEpochs   []daemonEpoch
 	volatility     []forecast.Volatility
@@ -195,7 +194,6 @@ func (s *Scheduler) checkpoint() (*Checkpoint, bool) {
 		serviceStart:   s.serviceStart,
 		bootFallbackOD: s.bootFallbackOD,
 		migrations:     s.migrations,
-		events:         append([]Event(nil), s.events...),
 		downJournal:    append([]downOp(nil), s.downJournal...),
 		daemonEpochs:   append([]daemonEpoch(nil), s.daemonEpochs...),
 	}
@@ -240,7 +238,6 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 	s.odSeconds = ck.odSeconds
 	s.bootFallbackOD = ck.bootFallbackOD
 	s.migrations = ck.migrations
-	s.events = append([]Event(nil), ck.events...)
 	s.downJournal = append([]downOp(nil), ck.downJournal...)
 	s.daemonEpochs = append([]daemonEpoch(nil), ck.daemonEpochs...)
 

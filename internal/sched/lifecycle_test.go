@@ -34,13 +34,18 @@ func TestSchedulerStop(t *testing.T) {
 	if r.Cost > 0.12 || r.Cost < 0.08 {
 		t.Fatalf("cost = %v", r.Cost)
 	}
-	// All instances are gone.
-	for _, e := range s.Events() {
-		if e.Kind == EvStopped && e.At != 10*sim.Hour {
-			t.Fatalf("stop logged at %v", e.At)
+	// All instances are gone, the last released by the stop itself.
+	var atStop int
+	for id := cloud.InstanceID(0); prov.Instance(id) != nil; id++ {
+		in := prov.Instance(id)
+		if in.State() != cloud.Terminated || in.TerminatedAt() > 10*sim.Hour {
+			t.Fatalf("%v outlived the stop (terminated at %v)", in, in.TerminatedAt())
+		}
+		if in.Reason() == cloud.ReasonUser && in.TerminatedAt() == 10*sim.Hour {
+			atStop++
 		}
 	}
-	if got := prov.Counters().UserTerminating; got == 0 {
+	if atStop == 0 {
 		t.Fatal("no instances terminated at stop")
 	}
 	// Stop is idempotent.

@@ -153,16 +153,6 @@ func (p *Portfolio) Report(name string) (metrics.Report, error) {
 	return s.Report(), nil
 }
 
-// Events returns one service's per-run event log (placements,
-// migrations, revocations), in time order. Before Run the log is empty.
-func (p *Portfolio) Events(name string) ([]Event, error) {
-	s, ok := p.scheds[name]
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown service %q", name)
-	}
-	return s.Events(), nil
-}
-
 // Reports returns every service's report keyed by name.
 func (p *Portfolio) Reports() map[string]metrics.Report {
 	out := make(map[string]metrics.Report, len(p.scheds))

@@ -6,6 +6,7 @@ import (
 	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
+	"spothost/internal/trace"
 	"spothost/internal/vm"
 )
 
@@ -22,6 +23,8 @@ func portfolioUniverse(t *testing.T) *market.Set {
 
 func TestPortfolioLifecycle(t *testing.T) {
 	p := NewPortfolio(portfolioUniverse(t), cloud.DefaultParams(55))
+	rec := trace.NewRecorder("portfolio")
+	p.SetRecorder(rec)
 
 	shop, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "medium"}, market.DefaultTypes())
 	if err != nil {
@@ -115,21 +118,20 @@ func TestPortfolioLifecycle(t *testing.T) {
 		t.Fatal("no migrations recorded across the portfolio")
 	}
 
-	// Per-service event logs are recoverable after the run.
-	shopEvents, err := p.Events("shop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shopEvents) == 0 {
-		t.Fatal("shop event log empty after an 8-day run")
-	}
-	for i := 1; i < len(shopEvents); i++ {
-		if shopEvents[i].At < shopEvents[i-1].At {
-			t.Fatalf("event log out of order at %d: %v < %v", i, shopEvents[i].At, shopEvents[i-1].At)
+	// Per-service spans are recorded on the service's own track.
+	var shopSpans []trace.Span
+	for _, sp := range rec.Spans() {
+		if sp.Track == "shop" {
+			shopSpans = append(shopSpans, sp)
 		}
 	}
-	if _, err := p.Events("ghost"); err == nil {
-		t.Fatal("unknown service event log accepted")
+	if len(shopSpans) == 0 {
+		t.Fatal("no shop spans after an 8-day run")
+	}
+	for i := 1; i < len(shopSpans); i++ {
+		if shopSpans[i].Start < shopSpans[i-1].Start {
+			t.Fatalf("shop spans out of order at %d: %v < %v", i, shopSpans[i].Start, shopSpans[i-1].Start)
+		}
 	}
 }
 
@@ -140,7 +142,7 @@ func TestPortfolioEmptyRun(t *testing.T) {
 	}
 }
 
-// TestPortfolioSharesOneLedger: the provider's ledger equals the sum of
+// TestPortfolioSharesOneLedger: the provider's one bill equals the sum of
 // the services' costs (no cross-service leakage or double billing).
 func TestPortfolioSharesOneLedger(t *testing.T) {
 	p := NewPortfolio(portfolioUniverse(t), cloud.DefaultParams(7))
@@ -157,8 +159,8 @@ func TestPortfolioSharesOneLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	tot := p.Totals()
-	ledger := p.Provider().Ledger().Total()
-	if diff := tot.Cost - ledger; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("service cost sum %v != provider ledger %v", tot.Cost, ledger)
+	billed := p.Provider().Billed()
+	if diff := tot.Cost - billed; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("service cost sum %v != provider bill %v", tot.Cost, billed)
 	}
 }

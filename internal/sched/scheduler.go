@@ -68,7 +68,6 @@ type Scheduler struct {
 	envCur         *market.EnvelopeCursor
 	odBest         market.ID
 	ckptWrittenMB  float64
-	events         []Event
 	started        bool
 	stopped        bool
 	stoppedAt      sim.Time
@@ -232,7 +231,6 @@ func (s *Scheduler) bootstrap() {
 			s.bootReady, s.bootFailed)
 		if err == nil {
 			s.group = g
-			s.logEvent(EvBoot, g, "spot bootstrap")
 			return
 		}
 	}
@@ -253,7 +251,6 @@ func (s *Scheduler) bootOnDemand() {
 	}
 	s.bootFallbackOD = true
 	s.group = g
-	s.logEvent(EvBoot, g, "on-demand bootstrap")
 }
 
 func (s *Scheduler) bootReady(g *serverGroup) {
@@ -270,7 +267,6 @@ func (s *Scheduler) bootReady(g *serverGroup) {
 	s.bootSpan = 0
 	s.setPlacement(s.placementOf(g))
 	s.phase = phaseSteady
-	s.logEvent(EvServiceUp, g, "boot complete")
 	s.startCheckpointing()
 	s.scheduleNextDecision()
 }
@@ -514,7 +510,6 @@ func (s *Scheduler) beginPlannedMigration(m market.ID, lc cloud.Lifecycle) {
 		s.migClass = "reverse"
 	}
 	s.migSpan = s.tracer().Begin(trace.KindMigration, s.migClass, s.track, s.eng.Now())
-	s.logEvent(EvMigrationStart, g, "voluntary destination requested")
 }
 
 func (s *Scheduler) plannedTargetFailed(g *serverGroup) {
@@ -526,7 +521,6 @@ func (s *Scheduler) plannedTargetFailed(g *serverGroup) {
 	s.phase = phaseSteady
 	s.tracer().EndWith(s.migSpan, s.eng.Now(), "aborted")
 	s.migSpan = 0
-	s.logEvent(EvMigrationAborted, g, "destination failed before hand-off")
 	s.scheduleNextDecision()
 }
 
@@ -584,11 +578,6 @@ func (s *Scheduler) plannedTargetReady(g *serverGroup) {
 		old.abandon(s.prov)
 		s.setPlacement(s.placementOf(g))
 		s.phase = phaseSteady
-		if reverse {
-			s.logEvent(EvMigrationDone, g, "reverse migration complete")
-		} else {
-			s.logEvent(EvMigrationDone, g, "planned migration complete")
-		}
 		s.startCheckpointing()
 		s.scheduleNextDecision()
 	})
@@ -665,7 +654,6 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 	s.tracer().Instant(trace.KindWarning, "", s.track, now)
 	s.migClass = "forced"
 	s.migSpan = s.tracer().Begin(trace.KindMigration, "forced", s.track, now)
-	s.logEvent(EvWarning, s.group, fmt.Sprintf("revocation warning, %.0fs grace", deadline-now))
 	if s.decisionEv != nil {
 		s.eng.Cancel(s.decisionEv)
 		s.decisionEv = nil
@@ -698,7 +686,6 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 			s.markForcedDown(deadline, grace, true)
 			s.tracer().Instant(trace.KindSuspend, "memlost", s.track, s.eng.Now())
 			s.traceDown(downClass)
-			s.logEvent(EvSuspend, s.group, "terminated without checkpoint (memory lost)")
 			s.forcedImageDone = true // nothing to save; disk-only restart
 			s.maybeRestore()
 		})
@@ -707,7 +694,6 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 			s.markForcedDown(deadline, grace, false)
 			s.tracer().Instant(trace.KindSuspend, "checkpoint", s.track, s.eng.Now())
 			s.traceDown(downClass)
-			s.logEvent(EvSuspend, s.group, "suspended for final increment")
 		})
 		s.eng.Post(deadline, func() {
 			s.forcedImageDone = true
@@ -722,7 +708,6 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 			s.setPlacement(placedNone)
 			s.tracer().EndWith(s.migSpan, s.eng.Now(), "pure-spot waiting")
 			s.migSpan = 0
-			s.logEvent(EvWaiting, nil, "pure spot: waiting for the price to drop")
 			s.tryReacquireSpot()
 		})
 		return
@@ -790,7 +775,6 @@ func (s *Scheduler) maybeRestore() {
 	downtime, degraded := s.restoreTimes(s.forcedMemLost)
 	g := s.target
 	s.restSpan = s.tracer().Begin(trace.KindRestore, "", s.track, now)
-	s.logEvent(EvRestore, g, fmt.Sprintf("restore started, %.0fs to resume", downtime))
 	s.eng.Post(now+downtime, func() {
 		if s.phase != phaseForced || s.target != g {
 			return
@@ -810,7 +794,6 @@ func (s *Scheduler) maybeRestore() {
 		s.target = nil
 		s.setPlacement(s.placementOf(g))
 		s.phase = phaseSteady
-		s.logEvent(EvServiceUp, g, "forced migration complete")
 		s.startCheckpointing()
 		s.scheduleNextDecision()
 	})
@@ -877,7 +860,6 @@ func (s *Scheduler) waitingReady(g *serverGroup) {
 		s.traceUp()
 		s.setPlacement(placedSpot)
 		s.phase = phaseSteady
-		s.logEvent(EvServiceUp, g, "re-acquired spot capacity")
 		s.startCheckpointing()
 	})
 }
@@ -984,7 +966,6 @@ func (s *Scheduler) Stop() {
 	s.bootSpan = 0
 	s.setPlacement(placedNone)
 	s.phase = phaseStopped
-	s.logEvent(EvStopped, nil, "service stopped")
 }
 
 // Stopped reports whether Stop has been called.

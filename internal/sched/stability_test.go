@@ -12,6 +12,7 @@ import (
 	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
+	"spothost/internal/trace"
 	"spothost/internal/vm"
 )
 
@@ -189,7 +190,7 @@ func TestStabilityAwareOnGeneratedUniverse(t *testing.T) {
 // checkpointing and forked runs on generated universes and on the
 // hand-built two-market script (price changes on whole hours), and a
 // two-service portfolio whose services share candidate markets and
-// start at different times.
+// start at different times, hashed with the spans its recorder holds.
 func TestStabilityDigest(t *testing.T) {
 	ctx := context.Background()
 	h := sha256.New()
@@ -205,6 +206,8 @@ func TestStabilityDigest(t *testing.T) {
 	}
 
 	p := NewPortfolio(forkUniverse(t, 7), fixedCloudParams())
+	rec := trace.NewRecorder("stability")
+	p.SetRecorder(rec)
 	early := multiConfig(t, Proactive, 0.5)
 	late := multiConfig(t, Reactive, 2)
 	late.Home = market.ID{Region: home.Region, Type: "medium"}
@@ -222,14 +225,11 @@ func TestStabilityDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs, err := p.Events(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s %+v %+v\n", name, rep, evs)
+		fmt.Fprintf(h, "%s %+v\n", name, rep)
 	}
+	fmt.Fprintf(h, "%+v\n", rec.Spans())
 
-	const want = "3dab01f743b3292f1715406ecb12a827740a46c8aad620e7d864260584685959"
+	const want = "d0410baa5cd01d34dffc145293294f3b9f54a7e7cd9c48dc0a06118d90217414"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("stability digest = %s, want %s", got, want)
 	}

@@ -32,12 +32,8 @@ import (
 // the reason the declaration stays.
 var keptUnused = map[string]string{
 	"cloud.Instance.Reason":            "lets provider tests check why an instance terminated",
-	"cloud.Instance.RunningAt":         "lets the random-workload test check revocation timing",
-	"cloud.Instance.TerminatedAt":      "lets the random-workload test check revocation timing",
-	"cloud.Ledger.ByInstance":          "lets tests reconcile per-instance charges with the ledger total",
-	"cloud.Ledger.Entries":             "lets provider tests audit individual charges",
-	"cloud.Ledger.OnDemandTotal":       "lets provider tests check the on-demand side of the billing split",
-	"cloud.Ledger.SpotTotal":           "lets provider tests check the spot side of the billing split",
+	"cloud.Instance.RunningAt":         "lets the billing oracle step instance-hours from boot",
+	"cloud.Instance.TerminatedAt":      "lets the billing oracle find the hour a revocation cut short",
 	"forecast.DecayingMoments.Mean":    "pins the decay arithmetic that Std shares",
 	"forecast.TrailingStd":             "sampled reference for DecayingMoments.Std",
 	"market.Envelope.At":               "binary-search oracle for the envelope cursor",
@@ -45,10 +41,8 @@ var keptUnused = map[string]string{
 	"market.Trace.NextChangeAfter":     "drives the per-market event chains the cloud price clock is checked against",
 	"obs.Recorder.Label":               "lets collector tests check scoped run labels",
 	"runpool.Map":                      "uncancellable reference for MapCtx's ordering and errors",
-	"sched.Portfolio.Events":           "lets tests check a portfolio member's event log",
 	"sched.Portfolio.Provider":         "lets tests inspect the shared provider",
 	"sched.Portfolio.Reports":          "lets tests check per-member reports",
-	"sched.Scheduler.EventsOf":         "lets scheduler tests select event kinds from the log",
 	"sched.Scheduler.Phase":            "lets fork tests check the migration state machine",
 	"sched.Scheduler.Stopped":          "lets lifecycle tests check that a scheduler halted",
 	"sim.Engine.Pending":               "lets engine tests check the event queue's size",
@@ -57,7 +51,7 @@ var keptUnused = map[string]string{
 	"sim.Engine.SetCancelPollInterval": "lets cancellation tests bound the events a canceled run executes",
 	"sim.Engine.Stop":                  "lets engine tests halt a run from inside an event",
 	"slo.Tracker.Episodes":             "lets tests check how Add merges overlapping episodes",
-	"trace.Recorder.Spans":             "lets recorder tests inspect span bookkeeping",
+	"trace.Recorder.Spans":             "lets tests inspect span bookkeeping and scheduler sequences",
 }
 
 // satisfiedStd lists the standard-library interfaces whose methods a module
