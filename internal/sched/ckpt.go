@@ -35,6 +35,13 @@ type ckptClock struct {
 // fold fires, in engine order, every open epoch's events strictly before
 // cutoff: an epoch that starts or stops at an instant sees the writes
 // that complete before it.
+//
+// It fires the engine's next event, then lets that epoch run on through
+// vm.Daemon.Fold up to the earliest pending event of any other open epoch
+// or the cutoff. Each event the engine would fire posts its successor, so
+// the running epoch holds the newest posting number throughout: it wins
+// no tie, and its events strictly before the others' heads are exactly
+// the ones the engine fires next.
 func (c *ckptClock) fold(cutoff sim.Time) {
 	for {
 		var next *Scheduler
@@ -48,9 +55,13 @@ func (c *ckptClock) fold(cutoff sim.Time) {
 		if next == nil {
 			return
 		}
-		if mb, wrote := next.ckpt.Step(); wrote {
-			next.recordCheckpoint(mb)
+		until := cutoff
+		for _, s := range c.open {
+			if at, ok := s.ckpt.Next(); ok && s != next && at < until {
+				until = at
+			}
 		}
+		next.foldCheckpoints(until)
 		next.ckptSeq = c.post()
 	}
 }
@@ -98,9 +109,22 @@ func (s *Scheduler) stopCheckpointing() {
 	s.daemonEpochs[len(s.daemonEpochs)-1].stop = now
 }
 
-// recordCheckpoint charges one daemon write to the run's I/O accounting
-// and feeds the recorder's checkpoint-duration histogram.
-func (s *Scheduler) recordCheckpoint(mb float64) {
-	s.ckptWrittenMB += mb * float64(s.cfg.Service.Count)
-	s.tracer().ObserveCheckpoint(mb / s.cfg.VMParams.CheckpointWriteMBps)
+// foldCheckpoints fires the open epoch's pending event, then every later
+// one strictly before until, charging each write to the run's I/O
+// accounting and, when a recorder is attached, to its checkpoint-duration
+// histogram.
+func (s *Scheduler) foldCheckpoints(until sim.Time) {
+	count := float64(s.cfg.Service.Count)
+	var observe func(mb float64)
+	if rec := s.tracer(); rec != nil {
+		w := s.cfg.VMParams.CheckpointWriteMBps
+		observe = func(mb float64) { rec.ObserveCheckpoint(mb / w) }
+	}
+	if mb, wrote := s.ckpt.Step(); wrote {
+		s.ckptWrittenMB += mb * count
+		if observe != nil {
+			observe(mb)
+		}
+	}
+	s.ckptWrittenMB = s.ckpt.Fold(until, s.ckptWrittenMB, count, observe)
 }

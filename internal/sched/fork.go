@@ -292,14 +292,13 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 func (s *Scheduler) resumeDaemon(ck *Checkpoint) {
 	spec, p := s.cfg.Service.VM, s.cfg.VMParams
 	count := float64(s.cfg.Service.Count)
-	onWrite := func(mb float64) { s.ckptWrittenMB += mb * count }
 	for _, ep := range ck.daemonEpochs {
 		d := vm.NewDaemon(spec, p, ep.start)
 		if ep.stop >= 0 {
-			d.Fold(ep.stop, onWrite)
+			s.ckptWrittenMB = d.Fold(ep.stop, s.ckptWrittenMB, count, nil)
 			continue
 		}
-		d.Fold(ck.at, onWrite)
+		s.ckptWrittenMB = d.Fold(ck.at, s.ckptWrittenMB, count, nil)
 		s.openEpoch(d)
 	}
 }

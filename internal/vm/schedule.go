@@ -97,12 +97,51 @@ func (d *Daemon) Step() (mb float64, wrote bool) {
 	return mb, true
 }
 
-// Fold fires every pending event strictly before cutoff, passing the size
-// of each completed write to onWrite in order.
-func (d *Daemon) Fold(cutoff sim.Time, onWrite func(mb float64)) {
-	for d.next != daemonIdle && d.nextAt < cutoff {
+// Fold fires every pending event strictly before cutoff and returns acc
+// plus scale times the size (MB) of each write it completed, added one
+// write at a time in completion order. A non-nil onWrite also sees each
+// write's size, in the same order.
+//
+// Once the full write is done the schedule is a chain of increments, and
+// Fold runs it in one loop over local write clocks: each iteration starts
+// an increment and completes it with the float operations Step performs,
+// in the same order, so the writes, the sum and the state left at cutoff
+// are Step's bit for bit.
+func (d *Daemon) Fold(cutoff sim.Time, acc, scale float64, onWrite func(mb float64)) float64 {
+	for d.next != daemonIdle && d.next != daemonIncrStart && d.nextAt < cutoff {
 		if mb, wrote := d.Step(); wrote {
-			onWrite(mb)
+			acc += mb * scale
+			if onWrite != nil {
+				onWrite(mb)
+			}
 		}
 	}
+	if d.next != daemonIncrStart {
+		return acc
+	}
+	rate, memMB := d.spec.DirtyRateMBps, d.spec.MemoryMB()
+	w, interval := d.p.CheckpointWriteMBps, d.interval
+	lastStart, pendingMB, at := d.lastStart, d.pendingMB, d.nextAt
+	for at < cutoff {
+		dirty := rate * (at - lastStart)
+		if dirty > memMB {
+			dirty = memMB
+		}
+		lastStart, pendingMB = at, dirty
+		done := at + dirty/w
+		if done >= cutoff {
+			d.lastStart, d.pendingMB, d.next, d.nextAt = lastStart, pendingMB, daemonIncrDone, done
+			return acc
+		}
+		acc += dirty * scale
+		if onWrite != nil {
+			onWrite(dirty)
+		}
+		at = lastStart + interval
+		if at <= done {
+			at = done
+		}
+	}
+	d.lastStart, d.pendingMB, d.nextAt = lastStart, pendingMB, at
+	return acc
 }

@@ -178,8 +178,7 @@ func TestDaemonBoundHolds(t *testing.T) {
 // full image).
 func TestDaemonWriteVolume(t *testing.T) {
 	horizon := 4 * sim.Hour
-	total := 0.0
-	NewDaemon(hostedVM, DefaultParams(), 0).Fold(horizon, func(mb float64) { total += mb })
+	total := NewDaemon(hostedVM, DefaultParams(), 0).Fold(horizon, 0, 1, nil)
 	expected := hostedVM.MemoryMB() + hostedVM.DirtyRateMBps*horizon
 	if total < expected*0.8 || total > expected*1.05 {
 		t.Fatalf("bytes written %.0f MB, expected ~%.0f MB", total, expected)
@@ -190,7 +189,7 @@ func TestDaemonWriteVolume(t *testing.T) {
 // stepping event by event completes, in order.
 func TestDaemonObserver(t *testing.T) {
 	var folded []float64
-	NewDaemon(hostedVM, DefaultParams(), 0).Fold(2*sim.Hour, func(mb float64) { folded = append(folded, mb) })
+	NewDaemon(hostedVM, DefaultParams(), 0).Fold(2*sim.Hour, 0, 1, func(mb float64) { folded = append(folded, mb) })
 	stepped := stepUntil(NewDaemon(hostedVM, DefaultParams(), 0), 2*sim.Hour)
 	if len(folded) != len(stepped) {
 		t.Fatalf("observer saw %d writes, stepping completed %d", len(folded), len(stepped))
@@ -268,10 +267,10 @@ func TestDaemonFoldContinues(t *testing.T) {
 	p := DefaultParams()
 	const cut, horizon = 1000.3, 7200.0
 	var whole, split []float64
-	NewDaemon(hostedVM, p, 0).Fold(horizon, func(mb float64) { whole = append(whole, mb) })
+	NewDaemon(hostedVM, p, 0).Fold(horizon, 0, 1, func(mb float64) { whole = append(whole, mb) })
 	d := NewDaemon(hostedVM, p, 0)
-	d.Fold(cut, func(mb float64) { split = append(split, mb) })
-	d.Fold(horizon, func(mb float64) { split = append(split, mb) })
+	d.Fold(cut, 0, 1, func(mb float64) { split = append(split, mb) })
+	d.Fold(horizon, 0, 1, func(mb float64) { split = append(split, mb) })
 	if len(split) != len(whole) {
 		t.Fatalf("%d resumed writes vs %d uninterrupted", len(split), len(whole))
 	}
@@ -306,8 +305,7 @@ func checkSchedule(t *testing.T, spec Spec, p Params, start, cutoff sim.Time) {
 		stepped := NewDaemon(spec, p, start)
 		writes := stepUntil(stepped, foldCut)
 		folded := NewDaemon(spec, p, start)
-		total := 0.0
-		folded.Fold(foldCut, func(mb float64) { total += mb })
+		total := folded.Fold(foldCut, 0, 1, nil)
 
 		liveTotal := 0.0
 		for _, w := range live.writes {
@@ -356,4 +354,138 @@ func FuzzCheckpointSchedule(f *testing.F) {
 		}
 		checkSchedule(t, spec, p, start, cutoff)
 	})
+}
+
+// sameClocks reports whether two daemons' write clocks and pending events
+// are equal bit for bit.
+func sameClocks(a, b *Daemon) bool {
+	return math.Float64bits(a.lastStart) == math.Float64bits(b.lastStart) &&
+		math.Float64bits(a.pendingMB) == math.Float64bits(b.pendingMB) &&
+		a.next == b.next && math.Float64bits(a.nextAt) == math.Float64bits(b.nextAt)
+}
+
+// foldWrites folds d to cutoff from acc and returns the new sum and the
+// sizes Fold handed its observer.
+func foldWrites(d *Daemon, cutoff sim.Time, acc, scale float64) (float64, []float64) {
+	var mbs []float64
+	acc = d.Fold(cutoff, acc, scale, func(mb float64) { mbs = append(mbs, mb) })
+	return acc, mbs
+}
+
+// FuzzDaemonFold checks the fused Fold against a plain Step loop over
+// memory sizes, dirty rates (zero included), bounds, write bandwidths,
+// start times, a scale and two cutoffs c1 <= c2, either of which may land
+// exactly on a write's completion. Write sizes, the scaled sum (with and
+// without an observer), the write clocks left at c2, and a fold split at
+// c1 must all equal stepping straight to c2, bit for bit.
+func FuzzDaemonFold(f *testing.F) {
+	// Cutoffs exactly at write completions.
+	f.Add(2.0, 8.0, 3.0, 36.6, 0.0, 1000.3, 3600.9, 4.0, uint8(3+4*37))
+	// Writes longer than the interval (the clamp to the completion),
+	// backlogs shrinking below the memory size.
+	f.Add(2.0, 30.0, 3.0, 36.6, 17.0, 300.0, 900.0, 0.37, uint8(0))
+	// A dirty rate above the write bandwidth: every backlog is capped at
+	// the memory size.
+	f.Add(0.5, 200.0, 1.0, 36.6, 1234.5, 50.0, 400.0, 3.0, uint8(2))
+	// Zero dirty rate: the full image, then nothing.
+	f.Add(2.0, 0.0, 3.0, 36.6, 86400.0, 10.0, 5000.0, 2.5, uint8(1))
+	// The first full write (56 s) straddles c1.
+	f.Add(2.0, 8.0, 7.5, 36.6, 0.0, 20.0, 2000.0, 0.001, uint8(0))
+	f.Fuzz(func(t *testing.T, memGB, dirty, tau, writeMBps, start, w1, w2, scale float64, pick uint8) {
+		for _, v := range []float64{memGB, dirty, tau, writeMBps, start, w1, w2, scale} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		spec := Spec{MemoryGB: 0.25 + math.Mod(math.Abs(memGB), 64), DirtyRateMBps: math.Mod(math.Abs(dirty), 256), Units: 1}
+		p := DefaultParams()
+		p.CheckpointBound = 0.05 + math.Mod(math.Abs(tau), 120)
+		p.CheckpointWriteMBps = 1 + math.Mod(math.Abs(writeMBps), 255)
+		start = math.Mod(math.Abs(start), 30*sim.Day)
+		// Bound the work: at most ~2000 write cycles past the full image.
+		span := p.FullCheckpointTime(spec) + 2000*p.CheckpointInterval(spec)
+		if span <= p.FullCheckpointTime(spec) {
+			span += sim.Day
+		}
+		c1 := start + math.Mod(math.Abs(w1), span)
+		c2 := c1 + math.Mod(math.Abs(w2), span)
+		// Snap a cutoff onto a completion: pick's bit 0 snaps c1, bit 1
+		// snaps c2 onto a completion at or after c1.
+		all := stepUntil(NewDaemon(spec, p, start), c2+span)
+		snap := func(from sim.Time, k int) sim.Time {
+			var at []sim.Time
+			for _, w := range all {
+				if w.at >= from {
+					at = append(at, w.at)
+				}
+			}
+			if len(at) == 0 {
+				return from
+			}
+			return at[k%len(at)]
+		}
+		if pick&1 == 1 {
+			c1 = snap(start, int(pick>>2))
+			c2 = math.Max(c2, c1)
+		}
+		if pick&2 == 2 {
+			c2 = snap(c1, int(pick>>2))
+		}
+
+		stepped := NewDaemon(spec, p, start)
+		writes := stepUntil(stepped, c2)
+		want := 0.0
+		for _, w := range writes {
+			want += w.mb * scale
+		}
+
+		whole := NewDaemon(spec, p, start)
+		got, mbs := foldWrites(whole, c2, 0, scale)
+		if len(mbs) != len(writes) {
+			t.Fatalf("fold wrote %d times, stepping %d", len(mbs), len(writes))
+		}
+		for i, w := range writes {
+			if math.Float64bits(mbs[i]) != math.Float64bits(w.mb) {
+				t.Fatalf("write %d: fold %v MB, stepping %v", i, mbs[i], w.mb)
+			}
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("fold summed %v, stepping %v", got, want)
+		}
+		if !sameClocks(whole, stepped) {
+			t.Fatalf("fold left %+v, stepping %+v", *whole, *stepped)
+		}
+
+		quiet := NewDaemon(spec, p, start)
+		if q := quiet.Fold(c2, 0, scale, nil); math.Float64bits(q) != math.Float64bits(want) || !sameClocks(quiet, stepped) {
+			t.Fatalf("fold without an observer summed %v and left %+v, stepping %v and %+v", q, *quiet, want, *stepped)
+		}
+
+		split := NewDaemon(spec, p, start)
+		acc, first := foldWrites(split, c1, 0, scale)
+		acc, rest := foldWrites(split, c2, acc, scale)
+		if math.Float64bits(acc) != math.Float64bits(want) || len(first)+len(rest) != len(writes) || !sameClocks(split, stepped) {
+			t.Fatalf("fold split at %v: %d+%d writes summing %v, left %+v; straight to %v: %d writes summing %v, left %+v",
+				c1, len(first), len(rest), acc, *split, c2, len(writes), want, *stepped)
+		}
+	})
+}
+
+// foldSink keeps BenchmarkDaemonFold's folds live.
+var foldSink float64
+
+// BenchmarkDaemonFold folds one 30-day daemon epoch of the default hosted
+// VM at tau = 3 s.
+func BenchmarkDaemonFold(b *testing.B) {
+	p := DefaultParams()
+	writes := 0
+	NewDaemon(hostedVM, p, 0).Fold(30*sim.Day, 0, 1, func(float64) { writes++ })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		foldSink = NewDaemon(hostedVM, p, 0).Fold(30*sim.Day, 0, 1, nil)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(writes), "writes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(writes), "ns/write")
 }
