@@ -26,51 +26,6 @@ import (
 	"spothost/internal/vm"
 )
 
-func parsePolicy(s string) (sched.Bidding, error) {
-	switch s {
-	case "on-demand", "on-demand-only", "baseline":
-		return sched.OnDemandOnly, nil
-	case "reactive":
-		return sched.Reactive, nil
-	case "proactive":
-		return sched.Proactive, nil
-	case "pure-spot", "spot":
-		return sched.PureSpot, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q (on-demand|reactive|proactive|pure-spot)", s)
-}
-
-func parseMechanism(s string) (vm.Mechanism, error) {
-	switch s {
-	case "ckpt":
-		return vm.CKPT, nil
-	case "ckpt-lr":
-		return vm.CKPTLazy, nil
-	case "ckpt-live":
-		return vm.CKPTLive, nil
-	case "ckpt-lr-live":
-		return vm.CKPTLazyLive, nil
-	case "naive":
-		return vm.Naive, nil
-	}
-	return 0, fmt.Errorf("unknown mechanism %q (ckpt|ckpt-lr|ckpt-live|ckpt-lr-live|naive)", s)
-}
-
-func parseMarkets(s string) ([]market.ID, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []market.ID
-	for _, part := range strings.Split(s, ",") {
-		bits := strings.Split(strings.TrimSpace(part), "/")
-		if len(bits) != 2 || bits[0] == "" || bits[1] == "" {
-			return nil, fmt.Errorf("bad market %q, want region/type", part)
-		}
-		out = append(out, market.ID{Region: market.Region(bits[0]), Type: market.InstanceType(bits[1])})
-	}
-	return out, nil
-}
-
 var (
 	run        = cli.Register(cli.Flags{Seeds: 3, Stride: 17, Days: 30, Trace: true})
 	policyF    = flag.String("policy", "proactive", "bidding policy")
@@ -90,12 +45,15 @@ func main() {
 	run.Parse()
 	ph := trace.NewPhases()
 
-	policy, err := parsePolicy(*policyF)
+	policy, err := sched.ParseBidding(*policyF)
 	cli.Check(err)
-	mech, err := parseMechanism(*mechF)
+	mech, err := vm.ParseMechanism(*mechF)
 	cli.Check(err)
-	extraMarkets, err := parseMarkets(*marketsF)
-	cli.Check(err)
+	var extraMarkets []market.ID
+	if *marketsF != "" {
+		extraMarkets, err = market.ParseIDs(strings.Split(*marketsF, ","))
+		cli.Check(err)
+	}
 
 	home := market.ID{Region: market.Region(*regionF), Type: market.InstanceType(*typeF)}
 	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
@@ -120,17 +78,7 @@ func main() {
 	if *tracesF != "" {
 		f, err := os.Open(*tracesF)
 		cli.Check(err)
-		var set *market.Set
-		switch *formatF {
-		case "csv":
-			set, err = market.ReadCSV(f)
-		case "aws-json":
-			set, err = replay.LoadJSON(f, replay.Options{Product: *productF})
-		case "aws-legacy":
-			set, err = replay.LoadLegacy(f, replay.Options{Product: *productF})
-		default:
-			err = fmt.Errorf("unknown trace format %q", *formatF)
-		}
+		set, err := replay.Load(*formatF, f, replay.Options{Product: *productF})
 		f.Close()
 		cli.Check(err)
 		ph.Mark("load")

@@ -61,7 +61,7 @@ func sampleHistory() string {
 }
 
 func main() {
-	prices, err := replay.LoadJSON(strings.NewReader(sampleHistory()),
+	prices, err := replay.Load("aws-json", strings.NewReader(sampleHistory()),
 		replay.Options{Product: "Linux/UNIX"})
 	if err != nil {
 		log.Fatal(err)

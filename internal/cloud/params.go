@@ -14,19 +14,22 @@ import (
 	"spothost/internal/sim"
 )
 
-// Params configures provider behaviour. DefaultParams matches the paper's
-// measurements (Table 1) and the EC2 policies it describes.
-type Params struct {
+// The EC2 spot policies the paper describes.
+const (
 	// GracePeriod is the warning-to-termination window on revocation.
 	// Amazon gives "an explicit two minute warning prior to revoking a
 	// spot server".
-	GracePeriod sim.Duration
+	GracePeriod sim.Duration = 2 * sim.Minute
 
 	// BidCap is the maximum allowed bid as a multiple of the on-demand
 	// price ("the largest bid price currently allowed by Amazon is four
 	// times the on-demand price").
-	BidCap float64
+	BidCap float64 = 4
+)
 
+// Params configures provider behaviour. DefaultParams matches the paper's
+// measurements (Table 1).
+type Params struct {
 	// Startup latency means by region class (Table 1), plus the sampling
 	// coefficient of variation. Lookups fall back to DefaultStartupClass.
 	OnDemandStartupMean map[string]sim.Duration
@@ -45,8 +48,6 @@ const DefaultStartupClass = "default"
 // minutes, varying slightly by region.
 func DefaultParams(seed int64) Params {
 	return Params{
-		GracePeriod: 2 * sim.Minute,
-		BidCap:      4,
 		OnDemandStartupMean: map[string]sim.Duration{
 			"us-east-1":         94.85,
 			"us-west-1":         93.63,

@@ -130,7 +130,7 @@ func (p *Provider) OnDemandPrice(id market.ID) float64 {
 // MaxBid returns the largest bid the provider accepts for a market
 // (BidCap x on-demand).
 func (p *Provider) MaxBid(id market.ID) float64 {
-	return p.params.BidCap * p.set.OnDemand(id)
+	return BidCap * p.set.OnDemand(id)
 }
 
 // SubscribePrice registers fn to run on every price change of market id
@@ -283,7 +283,7 @@ func (p *Provider) beginRevocation(in *Instance) {
 		return // already revoking or gone
 	}
 	in.state = Revoking
-	in.warnDeadline = p.eng.Now() + p.params.GracePeriod
+	in.warnDeadline = p.eng.Now() + GracePeriod
 	if in.cb.OnRevocationWarning != nil {
 		in.cb.OnRevocationWarning(in, in.warnDeadline)
 	}

@@ -17,7 +17,7 @@ import (
 // worker pool; universes come from the shared market cache. Canceling the
 // option context aborts every in-flight seed.
 func runPolicy(opts Options, cfg sched.Config) (metrics.Report, error) {
-	rs, err := sched.RunSeedsTracedCtx(opts.Context, opts.Market, opts.Cloud, cfg,
+	rs, err := sched.RunSeedsTracedCtx(opts.Context, opts.Market, cloud.DefaultParams(0), cfg,
 		opts.Horizon, opts.Seeds, opts.Parallel, opts.Trace)
 	if err != nil {
 		return metrics.Report{}, err
@@ -32,7 +32,7 @@ func runPolicy(opts Options, cfg sched.Config) (metrics.Report, error) {
 // configs serially through runPolicy would.
 func runPolicies(opts Options, cfgs []sched.Config) ([]metrics.Report, error) {
 	grid, err := runpool.Grid(opts.Context, opts.Parallel, len(cfgs), opts.Seeds, func(ctx context.Context, c int, seed int64) (metrics.Report, error) {
-		set, cp, err := cloud.Seeded(opts.Market, opts.Cloud, seed)
+		set, cp, err := cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
 		if err != nil {
 			return metrics.Report{}, err
 		}

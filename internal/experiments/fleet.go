@@ -80,7 +80,7 @@ func fleetBase(opts Options) (fleet.Config, error) {
 // the first seed's universe of mc that the catalog deems compatible with
 // the anchor type.
 func catalogMarkets(opts Options, mc market.Config, cat *catalog.Catalog, anchor market.InstanceType) ([]market.ID, error) {
-	set, _, err := cloud.Seeded(mc, opts.Cloud, opts.Seeds[0])
+	set, _, err := cloud.Seeded(mc, cloud.DefaultParams(0), opts.Seeds[0])
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func fleetGrid(opts Options, mc market.Config, col *trace.Collector, rows int,
 	row func(r int) (fleet.Config, string)) ([][]fleet.Report, error) {
 
 	return runpool.Grid(opts.Context, opts.Parallel, rows, opts.Seeds, func(ctx context.Context, r int, seed int64) (fleet.Report, error) {
-		set, cp, err := cloud.Seeded(mc, opts.Cloud, seed)
+		set, cp, err := cloud.Seeded(mc, cloud.DefaultParams(0), seed)
 		if err != nil {
 			return fleet.Report{}, err
 		}

@@ -51,9 +51,7 @@ func Table1(opts Options) (Table1Result, error) {
 	}
 	for _, seedBase := range opts.Seeds[:1] {
 		eng := sim.NewEngine()
-		cp := opts.Cloud
-		cp.Seed = seedBase
-		prov := cloud.NewProvider(eng, set, cp)
+		prov := cloud.NewProvider(eng, set, cloud.DefaultParams(seedBase))
 		type acc struct{ od, spot stats.Welford }
 		accs := map[string]*acc{}
 		for _, r := range regions {

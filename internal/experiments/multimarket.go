@@ -121,7 +121,7 @@ func Figure8(opts Options) (Figure8Result, error) {
 func regionCorrelation(opts Options, r market.Region) (float64, error) {
 	sum := 0.0
 	for _, seed := range opts.Seeds {
-		set, _, err := cloud.Seeded(opts.Market, opts.Cloud, seed)
+		set, _, err := cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
 		if err != nil {
 			return 0, err
 		}
@@ -221,7 +221,7 @@ func Figure9(opts Options) (Figure9Result, error) {
 
 		corr := 0.0
 		for _, seed := range opts.Seeds {
-			set, _, err := cloud.Seeded(opts.Market, opts.Cloud, seed)
+			set, _, err := cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
 			if err != nil {
 				return res, err
 			}

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"spothost/internal/catalog"
-	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/obs"
 	"spothost/internal/sim"
@@ -31,8 +30,6 @@ type Options struct {
 	// Market is the synthetic-universe configuration (Seed overridden per
 	// run).
 	Market market.Config
-	// Cloud is the provider parameterization (Table 1 latencies etc.).
-	Cloud cloud.Params
 	// VM holds the migration-mechanism constants (Table 2).
 	VM vm.Params
 	// Region is the default region for single-region figures.
@@ -75,7 +72,6 @@ func Defaults() Options {
 		Seeds:   []int64{11, 22, 33, 44, 55},
 		Horizon: 30 * sim.Day,
 		Market:  market.DefaultConfig(0),
-		Cloud:   cloud.DefaultParams(0),
 		VM:      vm.DefaultParams(),
 		Region:  "us-east-1a",
 	}
@@ -106,9 +102,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Market.Horizon < o.Horizon {
 		o.Horizon = o.Market.Horizon
-	}
-	if o.Cloud.GracePeriod == 0 {
-		o.Cloud = d.Cloud
 	}
 	if o.VM.CheckpointWriteMBps == 0 {
 		o.VM = d.VM

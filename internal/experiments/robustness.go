@@ -44,7 +44,7 @@ func Robustness(opts Options) (RobustnessResult, error) {
 	// calibrated one.
 	universe := func(regime int, seed int64) (*market.Set, cloud.Params, error) {
 		if regime == 2 {
-			return cloud.Seeded(opts.Market, opts.Cloud, seed)
+			return cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
 		}
 		rcfg := market.DefaultReserveConfig(seed)
 		rcfg.Horizon = opts.Horizon
@@ -52,9 +52,7 @@ func Robustness(opts Options) (RobustnessResult, error) {
 			rcfg.SpikesPerDay = 3
 		}
 		set, err := market.SharedCache().GenerateReserve(rcfg)
-		cp := opts.Cloud
-		cp.Seed = seed
-		return set, cp, err
+		return set, cloud.DefaultParams(seed), err
 	}
 
 	// Rows are policy-major, then regime.

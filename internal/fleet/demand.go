@@ -22,6 +22,20 @@ type ConstantDemand float64
 // At implements Demand.
 func (d ConstantDemand) At(sim.Time) float64 { return float64(d) }
 
+// The shape of the diurnal demand curve.
+const (
+	// peakStartHour and peakEndHour bound the daily peak window, in hours
+	// of the day [0, 24); rampHours is the width of the smooth shoulder on
+	// each side.
+	peakStartHour float64 = 10
+	peakEndHour   float64 = 18
+	rampHours     float64 = 2
+	// noiseCV is the coefficient of variation of the lognormal noise
+	// factor; noiseAR is its per-step AR(1) coefficient (step = 30 min).
+	noiseCV float64 = 0.10
+	noiseAR float64 = 0.9
+)
+
 // DiurnalConfig parameterizes a tracegen-style synthetic demand curve: a
 // daily base/peak cycle with smooth shoulders, modulated by a slowly
 // wandering AR(1) noise factor — the fleet-layer analogue of the market
@@ -30,16 +44,6 @@ type DiurnalConfig struct {
 	// Base and Peak are the off-peak and on-peak loads.
 	Base float64
 	Peak float64
-	// PeakStartHour and PeakEndHour bound the daily peak window, in hours
-	// of the day [0, 24); RampHours is the width of the smooth shoulder on
-	// each side.
-	PeakStartHour float64
-	PeakEndHour   float64
-	RampHours     float64
-	// NoiseCV is the coefficient of variation of the lognormal noise
-	// factor; NoiseAR is its per-step AR(1) coefficient (step = 30 min).
-	NoiseCV float64
-	NoiseAR float64
 	// Horizon bounds the precomputed noise series; At clamps beyond it.
 	Horizon sim.Duration
 	Seed    int64
@@ -50,15 +54,10 @@ type DiurnalConfig struct {
 // noise.
 func DefaultDiurnalConfig(horizon sim.Duration, seed int64) DiurnalConfig {
 	return DiurnalConfig{
-		Base:          12,
-		Peak:          48,
-		PeakStartHour: 10,
-		PeakEndHour:   18,
-		RampHours:     2,
-		NoiseCV:       0.10,
-		NoiseAR:       0.9,
-		Horizon:       horizon,
-		Seed:          seed,
+		Base:    12,
+		Peak:    48,
+		Horizon: horizon,
+		Seed:    seed,
 	}
 }
 
@@ -76,33 +75,23 @@ func NewDiurnalDemand(cfg DiurnalConfig) (*DiurnalDemand, error) {
 	switch {
 	case cfg.Base <= 0 || cfg.Peak < cfg.Base:
 		return nil, fmt.Errorf("fleet: demand needs 0 < Base <= Peak, got %v/%v", cfg.Base, cfg.Peak)
-	case cfg.PeakStartHour < 0 || cfg.PeakEndHour > 24 || cfg.PeakEndHour <= cfg.PeakStartHour:
-		return nil, fmt.Errorf("fleet: bad peak window [%v, %v)", cfg.PeakStartHour, cfg.PeakEndHour)
-	case cfg.RampHours < 0:
-		return nil, fmt.Errorf("fleet: negative ramp")
-	case cfg.NoiseCV < 0:
-		return nil, fmt.Errorf("fleet: negative noise CV")
-	case cfg.NoiseAR < 0 || cfg.NoiseAR >= 1:
-		return nil, fmt.Errorf("fleet: NoiseAR must be in [0,1)")
 	case cfg.Horizon <= 0:
 		return nil, fmt.Errorf("fleet: demand horizon must be positive")
 	}
 	d := &DiurnalDemand{cfg: cfg, step: 30 * sim.Minute}
 	n := int(cfg.Horizon/d.step) + 2
 	d.noise = make([]float64, n)
-	if cfg.NoiseCV == 0 {
-		for i := range d.noise {
-			d.noise[i] = 1
-		}
-		return d, nil
-	}
 	rng := randx.Derive(cfg.Seed, "fleet/demand")
-	sigma2 := math.Log(1 + cfg.NoiseCV*cfg.NoiseCV)
+	// Through variables, so cv² and 1-ar² round like float64 arithmetic;
+	// an untyped constant expression would fold them exactly (1-0.9*0.9
+	// to 0.19, not 0.18999999999999995) and move the noise series.
+	cv, ar := noiseCV, noiseAR
+	sigma2 := math.Log(1 + cv*cv)
 	sigma := math.Sqrt(sigma2)
 	x := rng.NormFloat64()
 	for i := range d.noise {
 		if i > 0 {
-			x = cfg.NoiseAR*x + math.Sqrt(1-cfg.NoiseAR*cfg.NoiseAR)*rng.NormFloat64()
+			x = ar*x + math.Sqrt(1-ar*ar)*rng.NormFloat64()
 		}
 		// Lognormal with unit mean: E[exp(sigma x - sigma^2/2)] = 1.
 		d.noise[i] = math.Exp(sigma*x - sigma2/2)
@@ -117,15 +106,15 @@ func (d *DiurnalDemand) At(t sim.Time) float64 {
 	if hour < 0 {
 		hour += 24
 	}
-	// Trapezoid with smooth (raised-cosine) shoulders of width RampHours.
+	// Trapezoid with smooth (raised-cosine) shoulders of width rampHours.
 	level := 0.0
 	switch {
-	case hour >= c.PeakStartHour && hour < c.PeakEndHour:
+	case hour >= peakStartHour && hour < peakEndHour:
 		level = 1
-	case c.RampHours > 0 && hour >= c.PeakStartHour-c.RampHours && hour < c.PeakStartHour:
-		level = 0.5 * (1 - math.Cos(math.Pi*(hour-(c.PeakStartHour-c.RampHours))/c.RampHours))
-	case c.RampHours > 0 && hour >= c.PeakEndHour && hour < c.PeakEndHour+c.RampHours:
-		level = 0.5 * (1 + math.Cos(math.Pi*(hour-c.PeakEndHour)/c.RampHours))
+	case hour >= peakStartHour-rampHours && hour < peakStartHour:
+		level = 0.5 * (1 - math.Cos(math.Pi*(hour-(peakStartHour-rampHours))/rampHours))
+	case hour >= peakEndHour && hour < peakEndHour+rampHours:
+		level = 0.5 * (1 + math.Cos(math.Pi*(hour-peakEndHour)/rampHours))
 	}
 	load := c.Base + (c.Peak-c.Base)*level
 	i := int(t / d.step)

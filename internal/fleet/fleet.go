@@ -29,12 +29,22 @@ const (
 	DefaultBidMultiple       = 1.5
 	DefaultMaxReplicas       = 64
 	DefaultReverseHysteresis = 0.15
-	// DefaultRebalanceHysteresis is deliberately much stiffer than the
-	// reverse margin: a spot-to-spot move pays a full boot overlap, and a
-	// market that undercuts by less rarely stays cheap long enough to
-	// recoup it.
-	DefaultRebalanceHysteresis = 0.45
-	DefaultMaxReversePerTick   = 1
+)
+
+// Fixed controller limits.
+const (
+	// minReplicas is the floor of the planner's target.
+	minReplicas = 1
+	// rebalanceHysteresis is the per-unit discount another market must
+	// offer below a live spot replica's current price before the
+	// controller migrates it there (mixed-size catalog mode only). It is
+	// deliberately much stiffer than the reverse margin: a spot-to-spot
+	// move pays a full boot overlap, and a market that undercuts by less
+	// rarely stays cheap long enough to recoup it.
+	rebalanceHysteresis float64 = 0.45
+	// maxReversePerTick bounds the make-before-break drains (reverse
+	// replacement, rebalance, downsize) each started per tick.
+	maxReversePerTick = 1
 )
 
 // Config parameterizes a fleet controller.
@@ -54,23 +64,14 @@ type Config struct {
 	// on-demand price (clamped to the provider's bid cap). Zero means
 	// DefaultBidMultiple.
 	BidMultiple float64
-	// MinReplicas and MaxReplicas clamp the planner's target. Zeros mean
-	// 1 and DefaultMaxReplicas.
-	MinReplicas int
+	// MaxReplicas caps the planner's target. Zero means
+	// DefaultMaxReplicas.
 	MaxReplicas int
 	// ReverseHysteresis is the discount a spot market must offer below an
 	// on-demand replica's price before the controller drains that replica
 	// onto spot. Zero means DefaultReverseHysteresis; negative disables
 	// reverse replacement.
 	ReverseHysteresis float64
-	// RebalanceHysteresis is the per-unit discount another market must
-	// offer below a live spot replica's current price before the
-	// controller migrates it there (mixed-size catalog mode only). Zero
-	// means DefaultRebalanceHysteresis; negative disables rebalancing.
-	RebalanceHysteresis float64
-	// MaxReversePerTick bounds reverse replacements started per tick.
-	// Zero means DefaultMaxReversePerTick.
-	MaxReversePerTick int
 	// Catalog, when set, turns on heterogeneous placement: replicas may
 	// be any catalog type at least as powerful as AnchorType
 	// (catalog.Compatible), the Planner's target and all capacity
@@ -93,20 +94,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.BidMultiple <= 0 {
 		cfg.BidMultiple = DefaultBidMultiple
 	}
-	if cfg.MinReplicas <= 0 {
-		cfg.MinReplicas = 1
-	}
 	if cfg.MaxReplicas <= 0 {
 		cfg.MaxReplicas = DefaultMaxReplicas
 	}
 	if cfg.ReverseHysteresis == 0 {
 		cfg.ReverseHysteresis = DefaultReverseHysteresis
-	}
-	if cfg.RebalanceHysteresis == 0 {
-		cfg.RebalanceHysteresis = DefaultRebalanceHysteresis
-	}
-	if cfg.MaxReversePerTick <= 0 {
-		cfg.MaxReversePerTick = DefaultMaxReversePerTick
 	}
 	return cfg
 }
@@ -231,8 +223,6 @@ func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("fleet: nil demand")
 	case cfg.Planner == nil:
 		return nil, fmt.Errorf("fleet: nil planner")
-	case cfg.MinReplicas > cfg.MaxReplicas:
-		return nil, fmt.Errorf("fleet: MinReplicas %d > MaxReplicas %d", cfg.MinReplicas, cfg.MaxReplicas)
 	}
 	var anchor catalog.Entry
 	if cfg.Catalog != nil {
@@ -366,8 +356,8 @@ func (c *Controller) tick() {
 	c.advance(now)
 	load := c.cfg.Demand.At(now)
 	target := c.cfg.Planner.Replicas(load)
-	if target < c.cfg.MinReplicas {
-		target = c.cfg.MinReplicas
+	if target < minReplicas {
+		target = minReplicas
 	}
 	if target > c.cfg.MaxReplicas {
 		target = c.cfg.MaxReplicas
@@ -860,7 +850,7 @@ func (c *Controller) terminate(r *replica) {
 	_ = c.prov.Terminate(r.in)
 }
 
-// reverseReplace drains up to MaxReversePerTick on-demand replicas whose
+// reverseReplace drains up to maxReversePerTick on-demand replicas whose
 // market a recovered spot market now undercuts by at least the hysteresis
 // margin: a spot replacement launches first, and the on-demand replica is
 // terminated only once the replacement boots.
@@ -870,7 +860,7 @@ func (c *Controller) reverseReplace() {
 	}
 	started := 0
 	for _, r := range c.replicas {
-		if started >= c.cfg.MaxReversePerTick {
+		if started >= maxReversePerTick {
 			return
 		}
 		if r.spot || r.draining || r.doomed || !r.in.Alive() {
@@ -908,10 +898,13 @@ func (c *Controller) reverseReplace() {
 // to the cheapest market. Mixed-size mode only — the legacy controller
 // keeps the paper's migrate-on-revocation-only behavior.
 func (c *Controller) rebalance() {
-	if !c.mixed || c.cfg.RebalanceHysteresis < 0 {
+	if !c.mixed {
 		return
 	}
-	for started := 0; started < c.cfg.MaxReversePerTick; started++ {
+	// Through a variable, so 1-h rounds like float64 arithmetic rather
+	// than folding exactly as an untyped constant expression would.
+	h := rebalanceHysteresis
+	for started := 0; started < maxReversePerTick; started++ {
 		// Same-size moves only: a bigger replacement would manufacture
 		// surplus for downsize to shave (and a smaller one a hole),
 		// churning the fleet through boot overlaps. Size changes stay the
@@ -925,7 +918,7 @@ func (c *Controller) rebalance() {
 			}
 			cur := c.priceOf(r) * r.invUnits
 			id, eff, ok := c.pickEff(r.units)
-			if !ok || eff >= (1-c.cfg.RebalanceHysteresis)*cur {
+			if !ok || eff >= (1-h)*cur {
 				continue
 			}
 			gap := cur - eff
@@ -953,15 +946,15 @@ func (c *Controller) rebalance() {
 // when the overnight target drops below its size). When that happens the
 // controller launches a smaller, currently cheaper replacement for the
 // most expensive such box and retires the box once the replacement boots
-// — the same make-before-break drain as reverse replacement, rate-limited
-// by the same knob. No-op in legacy mode, where every replica is one unit
-// and trimming alone tracks the target exactly.
+// — the same make-before-break drain as reverse replacement, under the
+// same maxReversePerTick. No-op in legacy mode, where every replica is one
+// unit and trimming alone tracks the target exactly.
 func (c *Controller) downsize() {
 	if !c.mixed || c.cfg.ReverseHysteresis < 0 {
 		return
 	}
 	started := 0
-	for started < c.cfg.MaxReversePerTick {
+	for started < maxReversePerTick {
 		// Only alive surplus counts: overshoot explained by a pending
 		// consolidation box is transient — the deferred trim reclaims it
 		// when the box boots — and must not trigger a drain of its own.

@@ -49,6 +49,20 @@ func (id ID) String() string { return string(id.Region) + "/" + string(id.Type) 
 // are deterministic.
 func (id ID) MarshalText() ([]byte, error) { return []byte(id.String()), nil }
 
+// ParseIDs parses market names written as "region/type": exactly one
+// "/" with both sides non-empty, after trimming surrounding spaces.
+func ParseIDs(names []string) ([]ID, error) {
+	var out []ID
+	for _, name := range names {
+		bits := strings.Split(strings.TrimSpace(name), "/")
+		if len(bits) != 2 || bits[0] == "" || bits[1] == "" {
+			return nil, fmt.Errorf("bad market %q, want region/type", name)
+		}
+		out = append(out, ID{Region: Region(bits[0]), Type: InstanceType(bits[1])})
+	}
+	return out, nil
+}
+
 // UnmarshalText parses "region/type".
 func (id *ID) UnmarshalText(b []byte) error {
 	s := string(b)

@@ -26,7 +26,7 @@ const (
 // for the versioning rules).
 const TimelineSchema = 1
 
-// Config sizes a Recorder's series and its SLO policy.
+// Config sizes a Recorder's series.
 type Config struct {
 	// Budget bounds the bucket count of every series; 0 means
 	// DefaultBudget. Memory per series is Budget buckets, fixed.
@@ -34,9 +34,6 @@ type Config struct {
 	// Width is the initial bucket width in simulated seconds; 0 means
 	// DefaultWidth.
 	Width float64
-	// SLO configures burn-rate alerting over the shortfall timeline; the
-	// zero value applies the defaults documented on SLOConfig.
-	SLO SLOConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -226,7 +223,7 @@ func (o *Recorder) Snapshot(now float64, served, target int) Timeline {
 			tl.Series = append(tl.Series, m[k].data(now))
 		}
 	}
-	tl.Alerts = evaluateSLO(o.cfg.SLO, sfS, targetS, now)
+	tl.Alerts = evaluateSLO(sfS, targetS, now)
 	if tl.Alerts == nil {
 		tl.Alerts = []Alert{}
 	}

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -357,5 +360,51 @@ func TestTimelineCSV(t *testing.T) {
 		if got := strings.Count(l, ","); got != 5 {
 			t.Fatalf("row %q has %d commas, want 5 (matching %q)", l, got, TimelineCSVHeader)
 		}
+	}
+}
+
+// TestSLOBurnDigest pins the burn-rate alerts bit for bit on a synthetic
+// three-day shortfall timeline: capacity changes every 17 minutes, with
+// targets and partial outages drawn from a fixed LCG, so both windows
+// cross their thresholds many times at fractional burn rates. The digest
+// covers every alert's At, Window and Burn bits and its severity, so a
+// change in how the error budget 1 - 0.999 or a window is rounded shows.
+func TestSLOBurnDigest(t *testing.T) {
+	o := NewRecorder("r", Config{})
+	x := uint32(12345)
+	next := func(n uint32) int {
+		x = x*1664525 + 1013904223
+		return int((x >> 16) % n)
+	}
+	const step = 17 * 60
+	at := 0.0
+	for ; at < 3*86400; at += step {
+		target := 5 + next(8)
+		served := target
+		if next(5) == 0 {
+			served -= 1 + next(3)
+		}
+		o.Capacity(at, served, target)
+	}
+	o.Finalize(at, 8, 8)
+	alerts := o.SnapshotFinal().Alerts
+	var pages, tickets int
+	var buf bytes.Buffer
+	for _, a := range alerts {
+		switch a.Severity {
+		case "page":
+			pages++
+		case "ticket":
+			tickets++
+		}
+		fmt.Fprintf(&buf, "%x %x %x %s\n", math.Float64bits(a.At), math.Float64bits(a.Window), math.Float64bits(a.Burn), a.Severity)
+	}
+	if pages == 0 || tickets == 0 {
+		t.Fatalf("alerts = %d pages + %d tickets, want both windows to fire", pages, tickets)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	const want = "3be42ae9f12dd0bd4cbce4caf560de6a1e3b2a87a67eb8ac0a9f41b9b1883232"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("SLO burn digest = %s, want %s (%d pages, %d tickets)", got, want, pages, tickets)
 	}
 }

@@ -1,41 +1,19 @@
 package obs
 
-// SLOConfig derives an error budget from an availability objective and
-// alerts when the burn rate over a trailing window exceeds a threshold —
-// the standard multiwindow burn-rate policy, evaluated over simulated
-// time instead of a live metrics store.
-type SLOConfig struct {
-	// Availability is the served/target objective (e.g. 0.999); the
-	// error budget is 1 - Availability. Zero means DefaultAvailability.
-	Availability float64
-	// FastWindow/FastBurn page on sharp budget burn (default 1h at
-	// 14.4x); SlowWindow/SlowBurn ticket on sustained burn (default 6h
-	// at 6x). Windows are simulated seconds.
-	FastWindow, FastBurn float64
-	SlowWindow, SlowBurn float64
-}
+// The SLO policy derives an error budget from an availability objective
+// and alerts when the burn rate over a trailing window exceeds a
+// threshold — the standard multiwindow burn-rate policy, evaluated over
+// simulated time instead of a live metrics store. The fast window pages
+// on sharp budget burn, the slow one tickets on sustained burn. Windows
+// are simulated seconds.
+const (
+	// availability is the served/target objective; the error budget is
+	// 1 - availability.
+	availability float64 = 0.999
 
-// DefaultAvailability is the default served/target objective.
-const DefaultAvailability = 0.999
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Availability <= 0 || c.Availability >= 1 {
-		c.Availability = DefaultAvailability
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 3600
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14.4
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 6 * 3600
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 6
-	}
-	return c
-}
+	fastWindow, fastBurn float64 = 3600, 14.4
+	slowWindow, slowBurn float64 = 6 * 3600, 6
+)
 
 // Alert is one upward burn-rate threshold crossing.
 type Alert struct {
@@ -53,16 +31,19 @@ type Alert struct {
 // period. Evaluation is a pure function of the bucketized series, so
 // alerts are deterministic for a given run. Alerts come out window by
 // window, fast then slow, each window's in time order.
-func evaluateSLO(cfg SLOConfig, shortfall, target *Series, now float64) []Alert {
-	cfg = cfg.withDefaults()
-	budget := 1 - cfg.Availability
+func evaluateSLO(shortfall, target *Series, now float64) []Alert {
+	// Through a variable, so the budget rounds like float64 arithmetic
+	// (0.0010000000000000009); the untyped constant expression 1-0.999
+	// would fold exactly to 0.001 and move every burn rate.
+	avail := availability
+	budget := 1 - avail
 	var alerts []Alert
 	for _, w := range []struct {
 		width, thresh float64
 		sev           string
 	}{
-		{cfg.FastWindow, cfg.FastBurn, "page"},
-		{cfg.SlowWindow, cfg.SlowBurn, "ticket"},
+		{fastWindow, fastBurn, "page"},
+		{slowWindow, slowBurn, "ticket"},
 	} {
 		prev := 0.0
 		for i := 0; i < len(shortfall.b); i++ {

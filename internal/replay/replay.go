@@ -42,10 +42,6 @@ type Record struct {
 type Options struct {
 	// Product filters records by product description; empty keeps all.
 	Product string
-	// TypeMap renames AWS instance types to catalog sizes (e.g.
-	// "m1.small" -> "small"). Nil uses DefaultTypeMap; unmapped types
-	// keep their AWS name.
-	TypeMap map[string]market.InstanceType
 	// OnDemand overrides the on-demand price book per market. Markets
 	// not listed fall back to the default catalog for known sizes, then
 	// to the trace's maximum price.
@@ -54,20 +50,19 @@ type Options struct {
 	Start, End time.Time
 }
 
-// DefaultTypeMap maps the 2015-era instance families the paper used onto
-// the catalog's four sizes.
-func DefaultTypeMap() map[string]market.InstanceType {
-	return map[string]market.InstanceType{
-		"m1.small":   "small",
-		"t1.micro":   "small",
-		"m3.medium":  "medium",
-		"m1.medium":  "medium",
-		"m3.large":   "large",
-		"m1.large":   "large",
-		"m3.xlarge":  "xlarge",
-		"m1.xlarge":  "xlarge",
-		"m3.2xlarge": "xlarge",
-	}
+// typeMap renames the 2015-era AWS instance families the paper used to
+// the catalog's four sizes (e.g. "m1.small" -> "small"); unmapped types
+// keep their AWS name.
+var typeMap = map[string]market.InstanceType{
+	"m1.small":   "small",
+	"t1.micro":   "small",
+	"m3.medium":  "medium",
+	"m1.medium":  "medium",
+	"m3.large":   "large",
+	"m1.large":   "large",
+	"m3.xlarge":  "xlarge",
+	"m1.xlarge":  "xlarge",
+	"m3.2xlarge": "xlarge",
 }
 
 // awsHistory matches the AWS CLI JSON envelope.
@@ -189,10 +184,6 @@ func ParseLegacy(r io.Reader) ([]Record, error) {
 
 // Build converts records into a market.Set per the options.
 func Build(records []Record, opts Options) (*market.Set, error) {
-	tm := opts.TypeMap
-	if tm == nil {
-		tm = DefaultTypeMap()
-	}
 	// Filter and map.
 	var kept []Record
 	for _, rec := range records {
@@ -224,7 +215,7 @@ func Build(records []Record, opts Options) (*market.Set, error) {
 	points := map[market.ID][]market.Point{}
 	for _, rec := range kept {
 		ty := market.InstanceType(rec.Type)
-		if mapped, ok := tm[rec.Type]; ok {
+		if mapped, ok := typeMap[rec.Type]; ok {
 			ty = mapped
 		}
 		id := market.ID{Region: market.Region(rec.Zone), Type: ty}
@@ -294,18 +285,23 @@ func resolveOnDemand(id market.ID, tr *market.Trace, opts Options) float64 {
 	return tr.Max()
 }
 
-// LoadJSON parses and builds in one step.
-func LoadJSON(r io.Reader, opts Options) (*market.Set, error) {
-	recs, err := ParseJSON(r)
-	if err != nil {
-		return nil, err
+// Load reads a price file in one of the trace formats: "csv"
+// (market.WriteCSV, as tracegen writes it), "aws-json"
+// (describe-spot-price-history) or "aws-legacy" (ec2-api-tools). The AWS
+// formats are parsed and built per opts.
+func Load(format string, r io.Reader, opts Options) (*market.Set, error) {
+	var recs []Record
+	var err error
+	switch format {
+	case "csv":
+		return market.ReadCSV(r)
+	case "aws-json":
+		recs, err = ParseJSON(r)
+	case "aws-legacy":
+		recs, err = ParseLegacy(r)
+	default:
+		return nil, fmt.Errorf("unknown trace format %q", format)
 	}
-	return Build(recs, opts)
-}
-
-// LoadLegacy parses and builds in one step.
-func LoadLegacy(r io.Reader, opts Options) (*market.Set, error) {
-	recs, err := ParseLegacy(r)
 	if err != nil {
 		return nil, err
 	}

@@ -237,7 +237,7 @@ func TestReplayEndToEnd(t *testing.T) {
 				r.price, r.at.Format(time.RFC3339))
 		}
 	}
-	set, err := LoadLegacy(strings.NewReader(b.String()), Options{Product: "Linux/UNIX"})
+	set, err := Load("aws-legacy", strings.NewReader(b.String()), Options{Product: "Linux/UNIX"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,10 +158,10 @@ func (sc Scenario) Validate() error {
 		if s.Region == "" || s.Type == "" {
 			return fmt.Errorf("scenario: service %q needs region and type", s.Name)
 		}
-		if _, err := parsePolicy(s.Policy); err != nil {
+		if _, err := s.bidding(); err != nil {
 			return fmt.Errorf("scenario: service %q: %w", s.Name, err)
 		}
-		if _, err := parseMechanism(s.Mechanism); err != nil {
+		if _, err := s.mechanism(); err != nil {
 			return fmt.Errorf("scenario: service %q: %w", s.Name, err)
 		}
 		if s.StopHour != 0 && s.StopHour <= s.StartHour {
@@ -267,49 +267,21 @@ func (f FleetDef) strategyName() string {
 	return f.Strategy
 }
 
-func parsePolicy(s string) (sched.Bidding, error) {
-	switch s {
-	case "on-demand", "on-demand-only", "baseline":
-		return sched.OnDemandOnly, nil
-	case "reactive":
-		return sched.Reactive, nil
-	case "proactive", "":
+// bidding resolves the service's policy name; empty means proactive.
+func (s ServiceDef) bidding() (sched.Bidding, error) {
+	if s.Policy == "" {
 		return sched.Proactive, nil
-	case "pure-spot", "spot":
-		return sched.PureSpot, nil
 	}
-	return 0, fmt.Errorf("unknown policy %q", s)
+	return sched.ParseBidding(s.Policy)
 }
 
-func parseMechanism(s string) (vm.Mechanism, error) {
-	switch s {
-	case "ckpt":
-		return vm.CKPT, nil
-	case "ckpt-lr":
-		return vm.CKPTLazy, nil
-	case "ckpt-live":
-		return vm.CKPTLive, nil
-	case "ckpt-lr-live", "":
+// mechanism resolves the service's mechanism name; empty means the
+// paper's best, CKPT LR + Live.
+func (s ServiceDef) mechanism() (vm.Mechanism, error) {
+	if s.Mechanism == "" {
 		return vm.CKPTLazyLive, nil
-	case "naive":
-		return vm.Naive, nil
 	}
-	return 0, fmt.Errorf("unknown mechanism %q", s)
-}
-
-func parseMarkets(list []string) ([]market.ID, error) {
-	var out []market.ID
-	for _, part := range list {
-		bits := strings.Split(strings.TrimSpace(part), "/")
-		if len(bits) != 2 || bits[0] == "" || bits[1] == "" {
-			return nil, fmt.Errorf("bad market %q, want region/type", part)
-		}
-		out = append(out, market.ID{
-			Region: market.Region(bits[0]),
-			Type:   market.InstanceType(bits[1]),
-		})
-	}
-	return out, nil
+	return vm.ParseMechanism(s.Mechanism)
 }
 
 // typeSpecs merges the default type universe with every fleet catalog's
@@ -365,16 +337,15 @@ func (sc Scenario) prices() (*market.Set, error) {
 		return nil, fmt.Errorf("scenario: opening traces: %w", err)
 	}
 	defer f.Close()
-	opts := replay.Options{Product: sc.Product}
-	switch sc.TracesFormat {
-	case "", "csv":
-		return market.ReadCSV(f)
-	case "aws-json":
-		return replay.LoadJSON(f, opts)
-	case "aws-legacy":
-		return replay.LoadLegacy(f, opts)
+	format := sc.TracesFormat
+	if format == "" {
+		format = "csv"
 	}
-	return nil, fmt.Errorf("scenario: unknown traces format %q", sc.TracesFormat)
+	set, err := replay.Load(format, f, replay.Options{Product: sc.Product})
+	if err != nil {
+		return nil, fmt.Errorf("scenario: traces: %w", err)
+	}
+	return set, nil
 }
 
 // config builds one service's scheduler config.
@@ -384,8 +355,8 @@ func (s ServiceDef) config() (sched.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Bidding, _ = parsePolicy(s.Policy)
-	cfg.Mechanism, _ = parseMechanism(s.Mechanism)
+	cfg.Bidding, _ = s.bidding()
+	cfg.Mechanism, _ = s.mechanism()
 	if s.Pessimistic {
 		cfg.VMParams = vm.PessimisticParams()
 	}
@@ -397,7 +368,7 @@ func (s ServiceDef) config() (sched.Config, error) {
 	}
 	cfg.StabilityPenalty = s.StabilityPenalty
 	if len(s.Markets) > 0 {
-		ms, err := parseMarkets(s.Markets)
+		ms, err := market.ParseIDs(s.Markets)
 		if err != nil {
 			return cfg, err
 		}
@@ -437,7 +408,7 @@ func (f FleetDef) Validate() error {
 	if _, ok := fleet.StrategyFor(f.strategyName()); !ok {
 		return fmt.Errorf("unknown strategy %q", f.Strategy)
 	}
-	if _, err := parseMarkets(f.Markets); err != nil {
+	if _, err := market.ParseIDs(f.Markets); err != nil {
 		return err
 	}
 	if f.BaseLoad < 0 || f.PeakLoad < 0 || f.PerReplicaLoad < 0 {
@@ -461,7 +432,7 @@ func (f FleetDef) config(horizon sim.Duration, seed int64) (fleet.Config, error)
 	if !ok {
 		return fleet.Config{}, fmt.Errorf("unknown strategy %q", f.Strategy)
 	}
-	markets, err := parseMarkets(f.Markets)
+	markets, err := market.ParseIDs(f.Markets)
 	if err != nil {
 		return fleet.Config{}, err
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"spothost/internal/market"
-	"spothost/internal/sim"
 	"spothost/internal/vm"
 )
 
@@ -64,6 +63,22 @@ func (b Bidding) String() string {
 	default:
 		return "pure-spot"
 	}
+}
+
+// ParseBidding parses a policy name: on-demand (or on-demand-only,
+// baseline), reactive, proactive, or pure-spot (or spot).
+func ParseBidding(s string) (Bidding, error) {
+	switch s {
+	case "on-demand", "on-demand-only", "baseline":
+		return OnDemandOnly, nil
+	case "reactive":
+		return Reactive, nil
+	case "proactive":
+		return Proactive, nil
+	case "pure-spot", "spot":
+		return PureSpot, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q (on-demand|reactive|proactive|pure-spot)", s)
 }
 
 // ServiceSpec describes the hosted service: Count identical nested VMs of
@@ -108,10 +123,6 @@ type Config struct {
 	// thrashing between near-equal markets).
 	Hysteresis float64
 
-	// DecisionSlack pads the migration lead time before a billing-hour
-	// boundary.
-	DecisionSlack sim.Duration
-
 	// StabilityPenalty is the lambda of stability-aware bidding (the
 	// paper's stated future work): candidate spot markets are ranked by
 	// current price plus lambda times their recent price volatility
@@ -142,15 +153,14 @@ func DefaultConfig(home market.ID, types []market.TypeSpec) (Config, error) {
 			},
 			Count: 1,
 		},
-		Home:          home,
-		Markets:       []market.ID{home},
-		Bidding:       Proactive,
-		BidMultiple:   4,
-		Mechanism:     vm.CKPTLazyLive,
-		VMParams:      vm.DefaultParams(),
-		Hysteresis:    0.05,
-		DecisionSlack: 30,
-		Types:         types,
+		Home:        home,
+		Markets:     []market.ID{home},
+		Bidding:     Proactive,
+		BidMultiple: 4,
+		Mechanism:   vm.CKPTLazyLive,
+		VMParams:    vm.DefaultParams(),
+		Hysteresis:  0.05,
+		Types:       types,
 	}, nil
 }
 

@@ -110,3 +110,61 @@ func digestUniverse(t *testing.T, seed int64) *market.Set {
 	}
 	return set
 }
+
+// TestPureSpotPortfolioDigest pins the order in which waiting pure-spot
+// services wake up when they share one engine. Per seed, a us-east-1a
+// portfolio runs, for each instance type, a pure-spot, a proactive, a
+// reactive and a second pure-spot service, alternating single-market and
+// four-VM multi-market configs, added 3 h + 17 s apart. Waiting services
+// that watch the same market retry at the same price change, in the
+// order the provider's price clock drains them; a wake-up delivered by
+// any other route (an engine event posted at the first grantable change,
+// say) reorders those retries and moves the reports.
+func TestPureSpotPortfolioDigest(t *testing.T) {
+	h := sha256.New()
+	biddings := []Bidding{PureSpot, Proactive, Reactive, PureSpot}
+	for _, seed := range []int64{1, 2, 3} {
+		p := NewPortfolio(digestUniverse(t, seed), cloud.DefaultParams(seed))
+		k := 0
+		for _, ts := range market.DefaultTypes() {
+			id := market.ID{Region: "us-east-1a", Type: ts.Name}
+			for _, bidding := range biddings {
+				cfg, err := DefaultConfig(id, market.DefaultTypes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Bidding = bidding
+				if k%2 == 1 {
+					cfg.Service = ServiceSpec{
+						VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
+						Count: 4,
+					}
+					for _, other := range market.DefaultTypes() {
+						if other.Name != ts.Name {
+							cfg.Markets = append(cfg.Markets, market.ID{Region: id.Region, Type: other.Name})
+						}
+					}
+				}
+				name := fmt.Sprintf("%s-%d-%v", ts.Name, k, bidding)
+				if err := p.AddAt(sim.Time(k)*(3*sim.Hour+17), name, cfg); err != nil {
+					t.Fatal(err)
+				}
+				k++
+			}
+		}
+		if err := p.Run(30 * sim.Day); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range p.Services() {
+			rep, err := p.Report(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "seed=%d %s %+v\n", seed, name, rep)
+		}
+	}
+	const want = "98c563d8a57ca9682cf19b4793b09ed2b0298dbdc11a764f42e1c16f9e29e0be"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("pure-spot portfolio digest = %s, want %s", got, want)
+	}
+}

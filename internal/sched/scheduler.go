@@ -396,6 +396,10 @@ func (s *Scheduler) setPlacement(p placement) {
 
 // --- voluntary migration decisions ----------------------------------------
 
+// decisionSlack pads the migration lead time before a billing-hour
+// boundary.
+const decisionSlack sim.Duration = 30
+
 // decisionLead estimates how long before a billing boundary the decision
 // must run so a migration can complete by the boundary: worst-case
 // destination startup plus worst-case migration duration plus slack.
@@ -420,7 +424,7 @@ func (s *Scheduler) decisionLead() sim.Duration {
 			worst = tl.Duration
 		}
 	}
-	return startup + worst + float64(s.cfg.DecisionSlack)
+	return startup + worst + decisionSlack
 }
 
 // scheduleNextDecision arms the placement check before the current group's

@@ -3,6 +3,7 @@ package sweep
 import (
 	"math"
 
+	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
@@ -60,7 +61,7 @@ var never = sim.Time(math.Inf(1))
 // could diverge on this universe, or +Inf. ok is false when the warm knob
 // has no static oracle (tau, lambda): the caller must treat every pair as
 // divergent at time 0 or consult the pilot's runtime ForkLog.
-func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, bidCap float64, horizon sim.Time) ([]sim.Time, bool) {
+func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, horizon sim.Time) ([]sim.Time, bool) {
 	if plan.WarmAxis < 0 || len(members) < 2 {
 		return nil, false
 	}
@@ -71,7 +72,7 @@ func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, bidCap flo
 	switch {
 	case knob == KnobBid && cfg.Bidding == sched.Proactive:
 		pairTime = func(lo, hi float64) sim.Time {
-			return bidPairDivergeTime(set, cfg.Markets, lo, hi, bidCap, horizon)
+			return bidPairDivergeTime(set, cfg.Markets, lo, hi, horizon)
 		}
 	case knob == KnobBid:
 		// Reactive / PureSpot / OnDemandOnly never read BidMultiple.
@@ -125,15 +126,15 @@ func singletons(members []int) [][]int {
 // within the horizon that lands strictly above lo's effective bid and
 // at-or-below hi's. Effective bids mirror bidFor: min(k x od, cap x od).
 // The initial price (step 0) is in effect from time 0.
-func bidPairDivergeTime(set *market.Set, markets []market.ID, lo, hi, bidCap float64, horizon sim.Time) sim.Time {
+func bidPairDivergeTime(set *market.Set, markets []market.ID, lo, hi float64, horizon sim.Time) sim.Time {
 	first := never
 	for _, m := range markets {
 		od := set.OnDemand(m)
 		elo, ehi := lo*od, hi*od
-		if cap := bidCap * od; elo > cap {
+		if cap := cloud.BidCap * od; elo > cap {
 			elo = cap
 		}
-		if cap := bidCap * od; ehi > cap {
+		if cap := cloud.BidCap * od; ehi > cap {
 			ehi = cap
 		}
 		if elo >= ehi {

@@ -25,8 +25,7 @@ type Spec struct {
 	FleetSize int          // multi-market fleet size (0 means default 4)
 	Horizon   sim.Duration // 0 means the universe's full extent
 	Market    market.Config
-	Cloud     cloud.Params // zero BidCap means cloud.DefaultParams(0)
-	Workers   int          // simulation parallelism; 0 means one per CPU
+	Workers   int // simulation parallelism; 0 means one per CPU
 
 	// WarmStart shares one pilot simulation across each certified-equal
 	// class of warm-axis siblings (see certify.go). Reports of shared
@@ -41,10 +40,6 @@ type Spec struct {
 	// never shares — nearly as cheap as a warm one, and it composes with
 	// WarmStart: classes that never diverge still share outright.
 	Fork bool
-
-	// CheckpointEvery is the capture cadence of fork pilots in simulated
-	// time. 0 means a default of six simulated hours.
-	CheckpointEvery sim.Duration
 
 	// Prune cuts configurations that are strictly worse on cost and no
 	// better on availability than another configuration on every seed
@@ -160,6 +155,10 @@ type pointState struct {
 // config that should have run.
 const maxDominatorChecks = 4
 
+// pilotCheckpointEvery is the capture cadence of fork pilots in
+// simulated time.
+const pilotCheckpointEvery = 6 * sim.Hour
+
 // waveJob is one phase-1 simulation of a seed wave: a cold run, with
 // checkpoint capture when the point pilots forks.
 type waveJob struct {
@@ -212,10 +211,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	cloudP := spec.Cloud
-	if cloudP.BidCap == 0 {
-		cloudP = cloud.DefaultParams(0)
-	}
+	cloudP := cloud.DefaultParams(0)
 	universe := spec.Universe
 	if universe == nil {
 		cache := market.SharedCache()
@@ -225,11 +221,6 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			return cache.Generate(mc)
 		}
 	}
-	ckEvery := spec.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 6 * sim.Hour
-	}
-
 	nP := len(plan.Points)
 	totalCells := nP * len(spec.Seeds)
 	states := make([]pointState, nP)
@@ -305,7 +296,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			}
 			switch {
 			case warmable(warmKnob) && (spec.WarmStart || spec.Fork):
-				times, _ := adjacentDivergeTimes(plan, alive, set, cloudP.BidCap, horizon)
+				times, _ := adjacentDivergeTimes(plan, alive, set, horizon)
 				var classes [][]int
 				if spec.WarmStart {
 					classes = classesFromTimes(alive, times, horizon)
@@ -373,7 +364,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			cp.Seed = seed
 			cfg := plan.Points[j.pt].Config
 			if j.capture {
-				rep, lg, err := sched.RunWithCheckpointsCtx(ctx, set, cp, cfg, horizon, ckEvery)
+				rep, lg, err := sched.RunWithCheckpointsCtx(ctx, set, cp, cfg, horizon, pilotCheckpointEvery)
 				if err == nil {
 					done.Add(1)
 					simulated.Add(1)

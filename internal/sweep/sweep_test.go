@@ -46,7 +46,7 @@ func TestShareClassesBid(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := plan.Families[0].Members
-	classes := shareClasses(plan, members, quiet, 4, quiet.Horizon())
+	classes := shareClasses(plan, members, quiet, quiet.Horizon())
 	if len(classes) != 1 || len(classes[0]) != 6 {
 		t.Fatalf("quiet universe classes = %v, want one class of 6", classes)
 	}
@@ -55,7 +55,7 @@ func TestShareClassesBid(t *testing.T) {
 	// above it: the spike price lands in (e_lo, e_hi] exactly when the
 	// pair straddles 2.5. Values 4, 5, 8 share the capped effective bid.
 	spiky := flatUniverse(t, 0.5, 2.5, 20*sim.Minute, 3)
-	classes = shareClasses(plan, members, spiky, 4, spiky.Horizon())
+	classes = shareClasses(plan, members, spiky, spiky.Horizon())
 	// 1.5 vs 2: the spike price 0.25 is above both effective bids, so both
 	// get revoked identically — the band (0.15, 0.2] is never hit and they
 	// certify equal. 2 vs 3 straddles the spike (0.25 in (0.2, 0.3]) and
@@ -68,7 +68,7 @@ func TestShareClassesBid(t *testing.T) {
 
 	// Beyond the horizon, spikes must not count: certify over just the
 	// first 12 hours (before any spike) and everything merges again.
-	classes = shareClasses(plan, members, spiky, 4, 12*sim.Hour)
+	classes = shareClasses(plan, members, spiky, 12*sim.Hour)
 	if len(classes) != 1 {
 		t.Fatalf("pre-spike horizon classes = %v, want one class", classes)
 	}
@@ -94,7 +94,7 @@ func TestShareClassesHysteresis(t *testing.T) {
 		plan.Points[i].Config.Home = testHome
 	}
 	members := plan.Families[0].Members
-	classes := shareClasses(plan, members, set, 4, set.Horizon())
+	classes := shareClasses(plan, members, set, set.Horizon())
 	if len(classes) < 2 {
 		t.Fatalf("classes = %v: 0.02 and 0.1 must diverge (ratio 0.952 in band)", classes)
 	}
@@ -106,7 +106,7 @@ func TestShareClassesHysteresis(t *testing.T) {
 	// (0.02, 0.4] catches them... except ratio 0.5 needs 1-h < 0.5, i.e.
 	// h > 0.5, outside the range — so all three values certify equal.
 	quiet := flatUniverse(t, 0.5, 0, 0, 3)
-	classes = shareClasses(plan, members, quiet, 4, quiet.Horizon())
+	classes = shareClasses(plan, members, quiet, quiet.Horizon())
 	if len(classes) != 1 || len(classes[0]) != 3 {
 		t.Fatalf("quiet classes = %v, want one class of 3", classes)
 	}
@@ -369,11 +369,11 @@ func TestPruneDominatedUnit(t *testing.T) {
 // ascending warm value) into runs certified to simulate identically on
 // this universe within [0, horizon). The first member of each class is the
 // pilot.
-func shareClasses(plan *Plan, members []int, set *market.Set, bidCap float64, horizon sim.Time) [][]int {
+func shareClasses(plan *Plan, members []int, set *market.Set, horizon sim.Time) [][]int {
 	if len(members) <= 1 || plan.WarmAxis < 0 {
 		return singletons(members)
 	}
-	times, ok := adjacentDivergeTimes(plan, members, set, bidCap, horizon)
+	times, ok := adjacentDivergeTimes(plan, members, set, horizon)
 	if !ok {
 		return singletons(members)
 	}

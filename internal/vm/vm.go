@@ -99,6 +99,24 @@ func (m Mechanism) String() string {
 	}
 }
 
+// ParseMechanism parses a mechanism name: ckpt, ckpt-lr, ckpt-live,
+// ckpt-lr-live or naive.
+func ParseMechanism(s string) (Mechanism, error) {
+	switch s {
+	case "ckpt":
+		return CKPT, nil
+	case "ckpt-lr":
+		return CKPTLazy, nil
+	case "ckpt-live":
+		return CKPTLive, nil
+	case "ckpt-lr-live":
+		return CKPTLazyLive, nil
+	case "naive":
+		return Naive, nil
+	}
+	return 0, fmt.Errorf("unknown mechanism %q (ckpt|ckpt-lr|ckpt-live|ckpt-lr-live|naive)", s)
+}
+
 // UsesLive reports whether voluntary migrations use live pre-copy.
 func (m Mechanism) UsesLive() bool { return m == CKPTLive || m == CKPTLazyLive }
 
