@@ -52,33 +52,54 @@ func warmLoop(t *testing.T, eng *sim.Engine) sim.Time {
 // over the six measured days, so one leaked slab exceeds this bound.
 const maxBytesPerDay = 512
 
-// checkWarmDays runs the warm loop one simulated day at a time and fails
-// unless it averages under one allocation and maxBytesPerDay per day.
-func checkWarmDays(t *testing.T, eng *sim.Engine, horizon sim.Time, what string) {
+// checkWarmDays runs the warm loop on a fresh engine from newEngine one
+// simulated day at a time and fails unless it averages under one
+// allocation and maxBytesPerDay per day. Both figures are read from
+// process-wide counters, so they also count what the Go runtime
+// allocates for itself in the window: on a loaded machine it may start
+// an OS thread, whose M, g0 and gsignal structs and profiling stacks
+// come to 5,248 bytes in 5 allocations, or 875 bytes per measured day.
+// The simulation is deterministic, so a leak of its own repeats byte for
+// byte on a second engine, while the runtime's thread start does not: a
+// window over either bound is measured once more from scratch, and only
+// a repeat fails.
+func checkWarmDays(t *testing.T, what string, newEngine func() *sim.Engine) {
 	t.Helper()
+	for attempt := 1; ; attempt++ {
+		eng := newEngine()
+		allocs, perDay := measureWarmDays(eng, warmLoop(t, eng))
+		// A day of the warm loop fires thousands of price-change and
+		// billing events, and none of them may allocate: less than one
+		// allocation per day-long window on average.
+		if allocs < 1 && perDay <= maxBytesPerDay {
+			return
+		}
+		if attempt == 2 {
+			t.Fatalf("%s allocated %.2f times and %d bytes per simulated day on two fresh engines, want < 1 and <= %d",
+				what, allocs, perDay, maxBytesPerDay)
+		}
+		t.Logf("%s allocated %.2f times and %d bytes per simulated day; measuring again on a fresh engine",
+			what, allocs, perDay)
+	}
+}
+
+// measureWarmDays returns the allocations and bytes per simulated day of
+// the warm loop over the days after horizon.
+func measureWarmDays(eng *sim.Engine, horizon sim.Time) (allocs float64, perDay uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const runs = 5
-	allocs := testing.AllocsPerRun(runs, func() {
+	allocs = testing.AllocsPerRun(runs, func() {
 		horizon += sim.Day
 		eng.RunUntil(horizon)
 	})
 	runtime.ReadMemStats(&after)
-	// A day of the warm loop fires thousands of price-change and billing
-	// events, and none of them may allocate: less than one allocation per
-	// day-long window on average.
-	if allocs >= 1 {
-		t.Fatalf("%s allocated %.2f per simulated day, want < 1", what, allocs)
-	}
 	// AllocsPerRun runs the window once more to warm up.
-	if perDay := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perDay > maxBytesPerDay {
-		t.Fatalf("%s allocated %d bytes per simulated day, want <= %d", what, perDay, maxBytesPerDay)
-	}
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
 }
 
 func TestSteadyStateRunLoopAllocs(t *testing.T) {
-	eng := sim.NewEngine()
-	checkWarmDays(t, eng, warmLoop(t, eng), "steady-state run loop")
+	checkWarmDays(t, "steady-state run loop", sim.NewEngine)
 }
 
 // TestObsOffAllocs pins the telemetry layer's disabled-path contract:
@@ -88,7 +109,9 @@ func TestSteadyStateRunLoopAllocs(t *testing.T) {
 // recorder before building any argument, so this is the same bound as
 // TestSteadyStateRunLoopAllocs.
 func TestObsOffAllocs(t *testing.T) {
-	eng := sim.NewEngine()
-	eng.SetObs(nil) // explicit: telemetry off
-	checkWarmDays(t, eng, warmLoop(t, eng), "obs-off steady state")
+	checkWarmDays(t, "obs-off steady state", func() *sim.Engine {
+		eng := sim.NewEngine()
+		eng.SetObs(nil) // explicit: telemetry off
+		return eng
+	})
 }

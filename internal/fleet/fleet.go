@@ -11,7 +11,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"spothost/internal/catalog"
@@ -185,6 +184,10 @@ type Controller struct {
 	candScratch []Candidate
 	occScratch  []int // per c.markets index
 
+	// floor lets rebalance skip scans that cannot trigger a move; built
+	// in mixed-size mode only.
+	floor hourFloor
+
 	// Time-integrated accounting, advanced before every state change.
 	lastAccounted sim.Time
 	acc           accrual
@@ -304,6 +307,13 @@ func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 	}
 	if cfg.Catalog != nil {
 		c.anchorUnits = anchor.Units
+	}
+	if c.mixed {
+		traces := make([]*market.Trace, n)
+		for i, id := range sorted {
+			traces[i] = prov.Markets().Trace(id)
+		}
+		c.floor = newHourFloor(traces, c.mktUnits, c.mktInv)
 	}
 	c.odBest = c.computeCheapestOnDemand()
 	c.tickFn = c.tick
@@ -510,21 +520,13 @@ func (c *Controller) fastPick(sizeMask int) (market.ID, float64, bool) {
 	case LowestPrice:
 		return id, weighted, true
 	case Diversified:
-		share := st.MaxShare
-		if share <= 0 || share > 1 {
-			share = DefaultMaxShare
-		}
-		limit := int(math.Ceil(share * float64(c.targetUnits)))
-		if limit < 1 {
-			limit = 1
-		}
 		occ := 0
 		for _, r := range c.replicas {
 			if r.spot && r.mi == i {
 				occ += r.units
 			}
 		}
-		if occ < limit {
+		if occ < st.limit(c.targetUnits) {
 			return id, weighted, true
 		}
 	}
@@ -687,9 +689,9 @@ func (c *Controller) pickEff(mask int) (market.ID, float64, bool) {
 	if !ok {
 		return market.ID{}, 0, false
 	}
-	for _, cand := range cands {
-		if cand.ID == id {
-			return id, cand.eff(), true
+	for i := range cands {
+		if cands[i].ID == id {
+			return id, cands[i].eff(), true
 		}
 	}
 	return id, 0, true
@@ -904,6 +906,7 @@ func (c *Controller) rebalance() {
 	// Through a variable, so 1-h rounds like float64 arithmetic rather
 	// than folding exactly as an untyped constant expression would.
 	h := rebalanceHysteresis
+	now := c.eng.Now()
 	for started := 0; started < maxReversePerTick; started++ {
 		// Same-size moves only: a bigger replacement would manufacture
 		// surplus for downsize to shave (and a smaller one a hole),
@@ -917,8 +920,12 @@ func (c *Controller) rebalance() {
 				continue
 			}
 			cur := c.priceOf(r) * r.invUnits
+			bar := (1 - h) * cur
+			if c.floor.at(now, r.units) >= bar {
+				continue // no same-size market dips below bar this hour
+			}
 			id, eff, ok := c.pickEff(r.units)
-			if !ok || eff >= (1-h)*cur {
+			if !ok || eff >= bar {
 				continue
 			}
 			gap := cur - eff

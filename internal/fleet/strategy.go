@@ -36,7 +36,7 @@ type Candidate struct {
 // candidate carries size information, raw otherwise. Spot*InvUnits is
 // bit-identical to Spot when InvUnits is 1, so legacy comparisons are
 // unchanged.
-func (c Candidate) eff() float64 {
+func (c *Candidate) eff() float64 {
 	if c.InvUnits > 0 {
 		return c.Spot * c.InvUnits
 	}
@@ -97,22 +97,25 @@ const DefaultMaxShare = 0.34
 // Name implements Strategy.
 func (Diversified) Name() string { return "diversified" }
 
-// Pick implements Strategy.
-func (d Diversified) Pick(cands []Candidate, target int) (market.ID, bool) {
+// limit returns the per-market cap for a fleet whose target is target:
+// MaxShare of it, rounded up, and at least one.
+func (d Diversified) limit(target int) int {
 	share := d.MaxShare
 	if share <= 0 || share > 1 {
 		share = DefaultMaxShare
 	}
-	limit := int(math.Ceil(share * float64(target)))
-	if limit < 1 {
-		limit = 1
-	}
+	return max(int(math.Ceil(share*float64(target))), 1)
+}
+
+// Pick implements Strategy.
+func (d Diversified) Pick(cands []Candidate, target int) (market.ID, bool) {
+	limit := d.limit(target)
 	best := -1
-	for i, c := range cands {
-		if c.Replicas >= limit {
+	for i := range cands {
+		if cands[i].Replicas >= limit {
 			continue
 		}
-		if best < 0 || c.eff() < cands[best].eff() {
+		if best < 0 || cands[i].eff() < cands[best].eff() {
 			best = i
 		}
 	}
@@ -155,16 +158,16 @@ func (s StabilityOptimized) Pick(cands []Candidate, _ int) (market.ID, bool) {
 		lambda = DefaultLambda
 	}
 	best := 0
-	bestScore := score(cands[0], lambda)
+	bestScore := score(&cands[0], lambda)
 	for i := 1; i < len(cands); i++ {
-		if sc := score(cands[i], lambda); sc < bestScore {
+		if sc := score(&cands[i], lambda); sc < bestScore {
 			best, bestScore = i, sc
 		}
 	}
 	return cands[best].ID, true
 }
 
-func score(c Candidate, lambda float64) float64 {
+func score(c *Candidate, lambda float64) float64 {
 	m := c.InvUnits
 	if m == 0 {
 		m = 1
