@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -34,8 +35,12 @@ type Provider struct {
 	clockFn func()
 	origin  sim.Time
 
-	nextID    InstanceID
-	instances map[InstanceID]*Instance
+	// instances is the instance table, indexed by the dense IDs; open
+	// holds the instances not yet terminated, in ID order. A terminated
+	// instance is never written again, so a snapshot shares the table's
+	// prefix instead of copying it (snapshot.go).
+	instances []*Instance
+	open      []*Instance
 	// spotScratch is reused by onPriceChange to snapshot a market's live
 	// spot instances without allocating per price change.
 	spotScratch []*Instance
@@ -51,14 +56,13 @@ type Provider struct {
 // listens to.
 func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
 	p := &Provider{
-		eng:       eng,
-		set:       set,
-		params:    params,
-		rng:       randx.Derive(params.Seed, "cloud/provider"),
-		markets:   map[market.ID]*marketState{},
-		instances: map[InstanceID]*Instance{},
-		clockAt:   math.Inf(1),
-		origin:    eng.Now(),
+		eng:     eng,
+		set:     set,
+		params:  params,
+		rng:     randx.Derive(params.Seed, "cloud/provider"),
+		markets: map[market.ID]*marketState{},
+		clockAt: math.Inf(1),
+		origin:  eng.Now(),
 	}
 	p.clockFn = p.fireClock
 	for rank, id := range set.IDs() {
@@ -92,18 +96,18 @@ type marketState struct {
 	// subs are the price subscribers, in subscription order.
 	subs []func(t sim.Time, price float64)
 	// live holds the market's live spot instances in ascending instance
-	// ID: instances append in nextID order and removal keeps the order.
+	// ID: instances append in ID order and removal keeps the order.
 	live []*Instance
 }
 
-// removeLive drops a terminated spot instance from the live list.
-func (ms *marketState) removeLive(in *Instance) {
-	for i, x := range ms.live {
-		if x == in {
-			ms.live = slices.Delete(ms.live, i, i+1)
-			return
-		}
+// without drops in from a list of instances in ascending ID, keeping the
+// order.
+func without(list []*Instance, in *Instance) []*Instance {
+	i, ok := slices.BinarySearchFunc(list, in.id, func(x *Instance, id InstanceID) int { return cmp.Compare(x.id, id) })
+	if !ok {
+		return list
 	}
+	return slices.Delete(list, i, i+1)
 }
 
 // Engine returns the simulation engine driving this provider.
@@ -205,7 +209,7 @@ func (p *Provider) RequestOnDemand(id market.ID, cb Callbacks) (*Instance, error
 
 func (p *Provider) newInstance(ms *marketState, id market.ID, lc Lifecycle, bid float64, cb Callbacks) *Instance {
 	in := &Instance{
-		id:        p.nextID,
+		id:        InstanceID(len(p.instances)),
 		market:    id,
 		ms:        ms,
 		lifecycle: lc,
@@ -216,8 +220,8 @@ func (p *Provider) newInstance(ms *marketState, id market.ID, lc Lifecycle, bid 
 	// One persistent billing closure per instance instead of one per
 	// instance-hour.
 	in.hourFn = func() { p.chargeHour(in) }
-	p.nextID++
-	p.instances[in.id] = in
+	p.instances = append(p.instances, in)
+	p.open = append(p.open, in)
 	if lc == Spot {
 		ms.live = append(ms.live, in)
 		p.activate(ms)
@@ -329,8 +333,9 @@ func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 		p.eng.Cancel(in.hourEvent)
 		in.hourEvent = nil
 	}
+	p.open = without(p.open, in)
 	if in.lifecycle == Spot {
-		in.ms.removeLive(in)
+		in.ms.live = without(in.ms.live, in)
 	}
 	if in.cb.OnTerminated != nil {
 		in.cb.OnTerminated(in, reason)
@@ -338,4 +343,9 @@ func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 }
 
 // Instance returns a previously created instance by ID, or nil.
-func (p *Provider) Instance(id InstanceID) *Instance { return p.instances[id] }
+func (p *Provider) Instance(id InstanceID) *Instance {
+	if id < 0 || id >= InstanceID(len(p.instances)) {
+		return nil
+	}
+	return p.instances[id]
+}

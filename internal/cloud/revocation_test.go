@@ -86,7 +86,7 @@ func TestRevocationOrderByInstanceID(t *testing.T) {
 		}
 		// RestoreProvider must rebuild the live list in ID order even from
 		// a snapshot that lists its instances out of order.
-		slices.Reverse(s.insts)
+		slices.Reverse(s.open)
 		eng2 := sim.NewEngineAt(eng.Now())
 		p2, err := RestoreProvider(eng2, p.Markets(), fixedParams(), s)
 		if err != nil {

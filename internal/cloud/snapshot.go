@@ -10,36 +10,38 @@ import (
 	"spothost/internal/sim"
 )
 
-// instSnap is the plain-data image of one instance: every field except the
-// lifecycle callbacks and the billing closure/event, which RestoreProvider
-// rebuilds (they close over the owning provider and cannot be copied).
+// instSnap is the plain-data image of one open instance at a quiescent
+// instant. Such an instance is Running (Snapshot refuses Pending and
+// Revoking ones), so its termination fields are still zero and only the
+// fields below vary. The lifecycle callbacks and the billing closure and
+// event close over the owning provider; RestoreProvider rebuilds them.
 type instSnap struct {
 	id           InstanceID
 	market       market.ID
 	lifecycle    Lifecycle
 	bid          float64
-	state        State
 	runningAt    sim.Time
-	terminatedAt sim.Time
-	warnDeadline sim.Time
-	reason       TerminationReason
 	lastHourAt   sim.Time
 	lastHourCost float64
 	charged      float64
 }
 
-// Snapshot is a deep copy of a provider's model state at a quiescent
-// instant: instance records, the running bill, and the RNG position. The
-// pending event heap is deliberately absent — at a quiescent instant every
-// provider event is a deterministic function of this state (the price
-// clock from the traces and the live instances, billing hours from
-// lastHourAt), so RestoreProvider re-arms them instead of copying
+// Snapshot is a provider's model state at a quiescent instant: the
+// instance table, the running bill, and the RNG position. It copies only
+// what can still change. The images of the open instances are copies; the
+// table is the provider's own, shared with cap == len: an append past it
+// reallocates in whoever appends, and the entries it holds for terminated
+// instances are frozen, because a terminated Instance is never written
+// again. The pending event heap is deliberately absent — at a quiescent
+// instant every provider event is a deterministic function of this state
+// (the price clock from the traces and the live instances, billing hours
+// from lastHourAt), so RestoreProvider re-arms them instead of copying
 // closures.
 type Snapshot struct {
 	at     sim.Time
 	rng    randx.State
-	nextID InstanceID
-	insts  []instSnap
+	table  []*Instance
+	open   []instSnap
 	billed float64
 }
 
@@ -49,56 +51,51 @@ type Snapshot struct {
 // model state, so a provider in such a state reports ok=false and the
 // caller skips this checkpoint.
 func (p *Provider) Snapshot() (*Snapshot, bool) {
-	s := &Snapshot{
-		at:     p.eng.Now(),
-		rng:    p.rng.State(),
-		nextID: p.nextID,
-		billed: p.billed,
-	}
-	// Instance IDs are dense from 0, so this order is deterministic.
-	s.insts = make([]instSnap, 0, len(p.instances))
-	for id := InstanceID(0); id < p.nextID; id++ {
-		in := p.instances[id]
-		if in == nil {
-			continue
-		}
-		if in.state == Pending || in.state == Revoking {
+	open := make([]instSnap, len(p.open))
+	for i, in := range p.open {
+		if in.state != Running {
 			return nil, false
 		}
-		s.insts = append(s.insts, instSnap{
+		open[i] = instSnap{
 			id:           in.id,
 			market:       in.market,
 			lifecycle:    in.lifecycle,
 			bid:          in.bid,
-			state:        in.state,
 			runningAt:    in.runningAt,
-			terminatedAt: in.terminatedAt,
-			warnDeadline: in.warnDeadline,
-			reason:       in.reason,
 			lastHourAt:   in.lastHourAt,
 			lastHourCost: in.lastHourCost,
 			charged:      in.charged,
-		})
+		}
 	}
-	return s, true
+	return &Snapshot{
+		at:     p.eng.Now(),
+		rng:    p.rng.State(),
+		table:  slices.Clip(p.instances),
+		open:   open,
+		billed: p.billed,
+	}, true
 }
 
 // RestoreProvider rebuilds a provider from a snapshot on a fresh engine
-// whose clock stands exactly at the snapshot time. The price clock arms
-// only the markets with live spot instances, at their first change after
-// the snapshot time (subscribers re-subscribe and arm their own), and each
-// alive instance's hourly billing event is rescheduled at lastHourAt + 1h
-// — the same float arithmetic the original chargeHour used — so the
-// restored provider's future is bit-identical to the original's.
+// whose clock stands exactly at the snapshot time. The restored table is
+// one copy of the snapshot's pointers: terminated instances are the
+// snapshot's own, read-only, and each open image becomes a fresh instance.
+// The price clock arms only the markets with live spot instances, at their
+// first change after the snapshot time (subscribers re-subscribe and arm
+// their own), and each open instance's hourly billing event is rescheduled
+// at lastHourAt + 1h — the same float arithmetic the original chargeHour
+// used — so the restored provider's future is bit-identical to the
+// original's.
 func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapshot) (*Provider, error) {
 	if eng.Now() != s.at {
 		return nil, fmt.Errorf("cloud: restore at t=%v but snapshot taken at t=%v", eng.Now(), s.at)
 	}
 	p := NewProvider(eng, set, params)
 	p.rng = randx.Restore(s.rng)
-	p.nextID = s.nextID
 	p.billed = s.billed
-	for _, si := range s.insts {
+	p.instances = slices.Clone(s.table)
+	p.open = make([]*Instance, len(s.open))
+	for i, si := range s.open {
 		ms := p.markets[si.market]
 		if ms == nil {
 			return nil, fmt.Errorf("cloud: snapshot instance %d in unknown market %s", si.id, si.market)
@@ -109,30 +106,28 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 			ms:           ms,
 			lifecycle:    si.lifecycle,
 			bid:          si.bid,
-			state:        si.state,
+			state:        Running,
 			runningAt:    si.runningAt,
-			terminatedAt: si.terminatedAt,
-			warnDeadline: si.warnDeadline,
-			reason:       si.reason,
 			lastHourAt:   si.lastHourAt,
 			lastHourCost: si.lastHourCost,
 			charged:      si.charged,
 		}
 		in.hourFn = func() { p.chargeHour(in) }
+		in.hourEvent = eng.Schedule(si.lastHourAt+sim.Hour, in.hourFn)
 		p.instances[in.id] = in
-		if in.Alive() {
-			if in.lifecycle == Spot {
-				ms.live = append(ms.live, in)
-			}
-			in.hourEvent = eng.Schedule(si.lastHourAt+sim.Hour, in.hourFn)
+		p.open[i] = in
+		if in.lifecycle == Spot {
+			ms.live = append(ms.live, in)
 		}
 	}
 	// Revocation walks each live list in instance-ID order, whatever order
 	// the snapshot listed its instances in. Markets arm in set order, so
 	// the restored clock posts the same events on every run.
+	byID := func(a, b *Instance) int { return cmp.Compare(a.id, b.id) }
+	slices.SortFunc(p.open, byID)
 	for _, id := range set.IDs() {
 		ms := p.markets[id]
-		slices.SortFunc(ms.live, func(a, b *Instance) int { return cmp.Compare(a.id, b.id) })
+		slices.SortFunc(ms.live, byID)
 		if ms.active() {
 			p.activate(ms)
 		}

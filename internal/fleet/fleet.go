@@ -10,7 +10,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"spothost/internal/catalog"
@@ -183,6 +185,11 @@ type Controller struct {
 	// no caller retains it.
 	candScratch []Candidate
 	occScratch  []int // per c.markets index
+	// poolScratch backs surplusPool's result, valid until the next call.
+	// Callers finish with it before anything rebuilds it: the trim loop's
+	// retire ends in a user termination, whose OnTerminated is
+	// bookkeeping only.
+	poolScratch []*replica
 
 	// floor lets rebalance skip scans that cannot trigger a move; built
 	// in mixed-size mode only.
@@ -805,29 +812,36 @@ func (c *Controller) priceOf(r *replica) float64 {
 	return c.mktOD[r.mi]
 }
 
-// surplusPool returns the counted replicas in scale-down victim order:
+// surplusPool returns the counted replicas in scale-down victim order,
+// in a scratch buffer valid until the next call:
 // on-demand first (they cost full price), then the most expensive spot
 // per capacity unit, newest first on ties. reconcile pops greedily,
 // skipping replicas bigger than the remaining surplus.
 func (c *Controller) surplusPool() []*replica {
-	var pool []*replica
+	pool := c.poolScratch[:0]
 	for _, r := range c.replicas {
 		if r.doomed || r.replaces != nil {
 			continue
 		}
 		pool = append(pool, r)
 	}
-	sort.SliceStable(pool, func(i, j int) bool {
-		a, b := pool[i], pool[j]
+	slices.SortStableFunc(pool, func(a, b *replica) int {
 		if a.spot != b.spot {
-			return !a.spot // on-demand first
+			if !a.spot {
+				return -1 // on-demand first
+			}
+			return 1
 		}
 		pa, pb := c.priceOf(a)*a.invUnits, c.priceOf(b)*b.invUnits
 		if pa != pb {
-			return pa > pb // most expensive first
+			if pa > pb {
+				return -1 // most expensive first
+			}
+			return 1
 		}
-		return a.in.ID() > b.in.ID() // newest first
+		return cmp.Compare(b.in.ID(), a.in.ID()) // newest first
 	})
+	c.poolScratch = pool
 	return pool
 }
 

@@ -85,13 +85,14 @@ func (s *Scheduler) startCheckpointing() {
 	}
 	now := s.eng.Now()
 	s.ckptClock.fold(now)
-	s.openEpoch(vm.NewDaemon(s.cfg.Service.VM, s.cfg.VMParams, now))
-	s.daemonEpochs = append(s.daemonEpochs, daemonEpoch{start: now, stop: -1})
+	s.openEpoch(vm.NewDaemon(s.cfg.Service.VM, s.cfg.VMParams, now), now)
 }
 
-// openEpoch registers d as this scheduler's open daemon epoch.
-func (s *Scheduler) openEpoch(d *vm.Daemon) {
+// openEpoch registers d, started at start, as this scheduler's open daemon
+// epoch.
+func (s *Scheduler) openEpoch(d *vm.Daemon, start sim.Time) {
 	s.ckpt = d
+	s.ckptStart = start
 	s.ckptSeq = s.ckptClock.post()
 	s.ckptClock.open = append(s.ckptClock.open, s)
 }
@@ -106,7 +107,7 @@ func (s *Scheduler) stopCheckpointing() {
 	s.ckptClock.fold(now)
 	s.ckptClock.open = slices.DeleteFunc(s.ckptClock.open, func(o *Scheduler) bool { return o == s })
 	s.ckpt = nil
-	s.daemonEpochs[len(s.daemonEpochs)-1].stop = now
+	s.daemonEpochs = append(s.daemonEpochs, daemonEpoch{start: s.ckptStart, stop: now})
 }
 
 // foldCheckpoints fires the open epoch's pending event, then every later

@@ -26,7 +26,7 @@ func TestCheckpointFoldTieOrder(t *testing.T) {
 		s := &Scheduler{eng: sim.NewEngine(), ckptClock: clock}
 		s.cfg.Service = ServiceSpec{VM: vm.Spec{MemoryGB: gb, Units: 1}, Count: 1}
 		s.cfg.VMParams = p
-		s.openEpoch(vm.NewDaemon(s.cfg.Service.VM, p, start))
+		s.openEpoch(vm.NewDaemon(s.cfg.Service.VM, p, start), start)
 		return s
 	}
 	early := open(2, 0)

@@ -12,16 +12,21 @@
 //     the predicate is evaluated now or when the event was armed, because
 //     every earlier boundary already failed it),
 //
-// so a checkpoint is a deep copy of the model state plus a re-arm on a
-// fresh engine. The checkpoint daemon posts no events (ckpt.go), so it has
-// nothing to re-arm. Two states are deliberately *replayed* rather than
-// copied, so that a fork whose CheckpointBound (tau) differs from its
-// pilot's still restores bit-exactly: the downtime tracker (rebuilt from a
-// journal of tracker operations — a forced suspend lands at deadline -
-// tau, which moves with tau even though the trajectory does not) and the
-// cumulative checkpoint I/O (rebuilt by folding the daemon's write
-// schedule over its recorded run epochs in chronological order,
-// reproducing the identical float-add sequence a cold run performs).
+// so a checkpoint is the model state plus a re-arm on a fresh engine. It
+// copies only what can still change: the append-only past (the downtime
+// journal, the closed daemon epochs, the instance list, the provider's
+// terminated instances) is shared with the pilot as slices whose cap
+// equals their len, so whoever appends next reallocates instead of
+// writing into another run's array. The checkpoint daemon posts no events
+// (ckpt.go), so it has nothing to re-arm. Two states are deliberately
+// *replayed* rather than copied, so that a fork whose CheckpointBound
+// (tau) differs from its pilot's still restores bit-exactly: the downtime
+// tracker (rebuilt from a journal of tracker operations — a forced
+// suspend lands at deadline - tau, which moves with tau even though the
+// trajectory does not) and the cumulative checkpoint I/O (rebuilt by
+// folding the daemon's write schedule over its recorded run epochs in
+// chronological order, reproducing the identical float-add sequence a
+// cold run performs).
 package sched
 
 import (
@@ -59,8 +64,8 @@ type downOp struct {
 	amount  sim.Duration // opDegraded
 }
 
-// daemonEpoch is one interval during which the checkpoint daemon ran.
-// stop < 0 marks the epoch still open.
+// daemonEpoch is one closed interval during which the checkpoint daemon
+// ran.
 type daemonEpoch struct {
 	start sim.Time
 	stop  sim.Time
@@ -137,9 +142,11 @@ func replayDownJournal(ops []downOp, cfg Config) (metrics.DowntimeTracker, error
 	return d, nil
 }
 
-// Checkpoint is a deep copy of a scheduler run's model state at a
-// quiescent instant, sufficient to resume the run — or a sibling
-// configuration that has not yet diverged from it — on a fresh engine.
+// Checkpoint is a scheduler run's model state at a quiescent instant,
+// sufficient to resume the run — or a sibling configuration that has not
+// yet diverged from it — on a fresh engine. downJournal, daemonEpochs and
+// instances are the pilot's own arrays, cut to cap == len; the open daemon
+// epoch, which the pilot still closes in place, is kept by value.
 type Checkpoint struct {
 	at   sim.Time
 	prov *cloud.Snapshot
@@ -158,6 +165,8 @@ type Checkpoint struct {
 	migrations     metrics.MigrationCounts
 	downJournal    []downOp
 	daemonEpochs   []daemonEpoch
+	ckptOpen       bool
+	ckptStart      sim.Time
 	volatility     []forecast.Volatility
 }
 
@@ -194,18 +203,17 @@ func (s *Scheduler) checkpoint() (*Checkpoint, bool) {
 		serviceStart:   s.serviceStart,
 		bootFallbackOD: s.bootFallbackOD,
 		migrations:     s.migrations,
-		downJournal:    append([]downOp(nil), s.downJournal...),
-		daemonEpochs:   append([]daemonEpoch(nil), s.daemonEpochs...),
+		downJournal:    slices.Clip(s.downJournal),
+		daemonEpochs:   slices.Clip(s.daemonEpochs),
+		ckptOpen:       s.ckpt != nil,
+		ckptStart:      s.ckptStart,
+		instances:      slices.Clip(s.instances),
+		volatility:     slices.Clone(s.volatility),
 	}
 	ck.groupInsts = make([]cloud.InstanceID, len(s.group.insts))
 	for i, in := range s.group.insts {
 		ck.groupInsts[i] = in.ID()
 	}
-	ck.instances = make([]cloud.InstanceID, len(s.instances))
-	for i, in := range s.instances {
-		ck.instances[i] = in.ID()
-	}
-	ck.volatility = slices.Clone(s.volatility)
 	return ck, true
 }
 
@@ -238,16 +246,16 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 	s.odSeconds = ck.odSeconds
 	s.bootFallbackOD = ck.bootFallbackOD
 	s.migrations = ck.migrations
-	s.downJournal = append([]downOp(nil), ck.downJournal...)
-	s.daemonEpochs = append([]daemonEpoch(nil), ck.daemonEpochs...)
-
+	// The shared slices have cap == len: the fork's first append
+	// reallocates and never writes into the pilot's arrays.
+	s.downJournal = ck.downJournal
+	s.daemonEpochs = ck.daemonEpochs
 	for _, id := range ck.instances {
-		in := prov.Instance(id)
-		if in == nil {
+		if prov.Instance(id) == nil {
 			return nil, fmt.Errorf("sched: checkpoint instance %d missing from restored provider", id)
 		}
-		s.instances = append(s.instances, in)
 	}
+	s.instances = ck.instances
 
 	g := &serverGroup{market: ck.groupMarket, lifecycle: ck.groupLC, ready: true}
 	cb := s.groupCallbacks(g)
@@ -294,12 +302,12 @@ func (s *Scheduler) resumeDaemon(ck *Checkpoint) {
 	count := float64(s.cfg.Service.Count)
 	for _, ep := range ck.daemonEpochs {
 		d := vm.NewDaemon(spec, p, ep.start)
-		if ep.stop >= 0 {
-			s.ckptWrittenMB = d.Fold(ep.stop, s.ckptWrittenMB, count, nil)
-			continue
-		}
+		s.ckptWrittenMB = d.Fold(ep.stop, s.ckptWrittenMB, count, nil)
+	}
+	if ck.ckptOpen {
+		d := vm.NewDaemon(spec, p, ck.ckptStart)
 		s.ckptWrittenMB = d.Fold(ck.at, s.ckptWrittenMB, count, nil)
-		s.openEpoch(d)
+		s.openEpoch(d, ck.ckptStart)
 	}
 }
 
@@ -352,7 +360,7 @@ func RunWithCheckpointsCtx(ctx context.Context, set *market.Set, cloudParams clo
 		return metrics.Report{}, nil, err
 	}
 	log.ForcedWarnings = append([]ForcedWarning(nil), s.forcedWarns...)
-	log.DaemonRan = len(s.daemonEpochs) > 0
+	log.DaemonRan = len(s.daemonEpochs) > 0 || s.ckpt != nil
 	return s.Report(), log, nil
 }
 

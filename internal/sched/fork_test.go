@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
+	"spothost/internal/cloud"
 	"spothost/internal/market"
+	"spothost/internal/metrics"
 	"spothost/internal/sim"
 	"spothost/internal/vm"
 )
@@ -142,6 +145,81 @@ func TestForkDifferentTau(t *testing.T) {
 				t.Fatalf("seed %d %v: tau-30 fork of tau-3 pilot diverges:\ncold %+v\nfork %+v",
 					seed, bidding, cold, forked)
 			}
+		}
+	}
+}
+
+// TestForkSiblingIsolation: a checkpoint shares the pilot's append-only
+// past (the downtime journal, the closed daemon epochs, the instance list
+// and the provider's terminated instances), so the forks of one
+// checkpoint must not see each other's writes. Each checkpoint is forked
+// from two goroutines at once, then once more on its own, and every
+// report must equal the cold run. Under -race a fork that appended into a
+// shared array shows as a data race.
+func TestForkSiblingIsolation(t *testing.T) {
+	ctx := context.Background()
+	horizon := 4 * sim.Day
+	every := 6 * sim.Hour
+	for _, seed := range []int64{7, 23} {
+		set := forkUniverse(t, seed)
+		for name, cfg := range forkConfigs(t) {
+			cold, err := RunCtx(ctx, set, fixedCloudParams(), cfg, horizon)
+			if err != nil {
+				t.Fatalf("seed %d %s cold: %v", seed, name, err)
+			}
+			_, log, err := RunWithCheckpointsCtx(ctx, set, fixedCloudParams(), cfg, horizon, every)
+			if err != nil {
+				t.Fatalf("seed %d %s pilot: %v", seed, name, err)
+			}
+			for _, ck := range log.Checkpoints {
+				var reps [3]metrics.Report
+				var errs [3]error
+				var wg sync.WaitGroup
+				for i := 0; i < 2; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						reps[i], errs[i] = RunForkedCtx(ctx, set, fixedCloudParams(), cfg, horizon, ck)
+					}()
+				}
+				wg.Wait()
+				reps[2], errs[2] = RunForkedCtx(ctx, set, fixedCloudParams(), cfg, horizon, ck)
+				for i, rep := range reps {
+					if errs[i] != nil {
+						t.Fatalf("seed %d %s fork %d at t=%v: %v", seed, name, i, ck.At(), errs[i])
+					}
+					if !reflect.DeepEqual(cold, rep) {
+						t.Fatalf("seed %d %s: fork %d at t=%v diverges from cold run:\ncold %+v\nfork %+v",
+							seed, name, i, ck.At(), cold, rep)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPilotCheckpoints measures one 30-day sweep pilot: a proactive
+// run capturing a checkpoint every 6 hours. Its B/op is what the captures
+// cost on top of the run.
+func BenchmarkPilotCheckpoints(b *testing.B) {
+	cfg, err := DefaultConfig(home, market.DefaultTypes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mcfg := market.DefaultConfig(23)
+	mcfg.Horizon = 30 * sim.Day
+	set, err := market.SharedCache().Generate(mcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, log, err := RunWithCheckpointsCtx(context.Background(), set, cloud.DefaultParams(0), cfg, 30*sim.Day, 6*sim.Hour)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(log.Checkpoints) == 0 {
+			b.Fatal("pilot captured no checkpoints")
 		}
 	}
 }

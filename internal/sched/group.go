@@ -105,7 +105,7 @@ func (s *Scheduler) acquireGroup(m market.ID, lc cloud.Lifecycle, bid float64, n
 			return nil, err
 		}
 		g.insts = append(g.insts, in)
-		s.instances = append(s.instances, in)
+		s.instances = append(s.instances, in.ID())
 	}
 	return g, nil
 }

@@ -74,7 +74,7 @@ type Scheduler struct {
 	serviceStart   sim.Time
 	down           metrics.DowntimeTracker
 	migrations     metrics.MigrationCounts
-	instances      []*cloud.Instance
+	instances      []cloud.InstanceID // every instance requested, resolved through prov
 	curPlace       placement
 	lastPlaceT     sim.Time
 	spotSeconds    float64
@@ -82,17 +82,20 @@ type Scheduler struct {
 	bootFallbackOD bool
 
 	// Fork bookkeeping (fork.go): an append-only journal of downtime-
-	// tracker operations, the checkpoint daemon's run epochs, and the
-	// forced-warning log. A fork with a different CheckpointBound replays
-	// these under its own parameters instead of copying the metric state.
+	// tracker operations, the checkpoint daemon's closed run epochs, and
+	// the forced-warning log. A fork with a different CheckpointBound
+	// replays these under its own parameters instead of copying the metric
+	// state.
 	downJournal  []downOp
 	daemonEpochs []daemonEpoch
 	forcedWarns  []ForcedWarning
 
 	// Background checkpointing: the open daemon epoch's write schedule
-	// (nil when none is open), its posting order, and the clock folding it
-	// with every other scheduler's on the same engine (ckpt.go).
+	// (nil when none is open), its start, its posting order, and the clock
+	// folding it with every other scheduler's on the same engine
+	// (ckpt.go).
 	ckpt      *vm.Daemon
+	ckptStart sim.Time
 	ckptSeq   uint64
 	ckptClock *ckptClock
 
@@ -910,8 +913,8 @@ func (s *Scheduler) Report() metrics.Report {
 	}
 
 	cost := 0.0
-	for _, in := range s.instances {
-		cost += in.Charged()
+	for _, id := range s.instances {
+		cost += s.prov.Instance(id).Charged()
 	}
 	horizon := sim.Duration(0)
 	if s.started {
