@@ -70,9 +70,6 @@ func (d *DowntimeTracker) AddDegraded(dt sim.Duration) {
 	}
 }
 
-// Down reports whether the service is currently marked down.
-func (d *DowntimeTracker) Down() bool { return d.down }
-
 // Total returns accumulated downtime as of time t (including a currently
 // open episode).
 func (d *DowntimeTracker) Total(t sim.Time) sim.Duration {

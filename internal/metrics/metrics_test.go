@@ -34,9 +34,6 @@ func TestDowntimeTrackerOpenEpisode(t *testing.T) {
 	if got := d.Total(25); got != 15 {
 		t.Fatalf("open episode total = %v", got)
 	}
-	if !d.Down() {
-		t.Fatal("should be down")
-	}
 }
 
 func TestDegraded(t *testing.T) {

@@ -79,46 +79,71 @@ type ForcedWarning struct {
 	Grace sim.Duration
 }
 
-// markDown applies and journals a plain downtime start.
+// markDown journals a plain downtime start.
 func (s *Scheduler) markDown(t sim.Time) {
 	s.downJournal = append(s.downJournal, downOp{kind: opDown, t: t})
-	s.down.MarkDown(t)
 }
 
-// markUp applies and journals a downtime end.
+// markUp journals a downtime end.
 func (s *Scheduler) markUp(t sim.Time) {
 	s.downJournal = append(s.downJournal, downOp{kind: opUp, t: t})
-	s.down.MarkUp(t)
 }
 
-// addDegraded applies and journals degraded-service time.
+// addDegraded journals degraded-service time.
 func (s *Scheduler) addDegraded(d sim.Duration) {
 	s.downJournal = append(s.downJournal, downOp{kind: opDegraded, amount: d})
-	s.down.AddDegraded(d)
 }
 
-// markForcedDown applies the forced-migration suspend (the caller runs at
-// the correct instant) and journals it with enough context for a fork with
-// a different tau to recompute its own suspend time.
+// markForcedDown journals the forced-migration suspend (the caller runs at
+// the suspend instant) with enough context for a fork with a different
+// tau to recompute its own suspend time.
 func (s *Scheduler) markForcedDown(deadline sim.Time, grace sim.Duration, memLost bool) {
 	s.downJournal = append(s.downJournal, downOp{
 		kind: opForcedDown, t: deadline, grace: grace, memLost: memLost,
 	})
-	s.down.MarkDown(s.eng.Now())
 }
 
-// replayDownJournal rebuilds a downtime tracker under cfg's parameters.
-// The ops are applied in their original chronological order with the same
-// float arithmetic a cold run of cfg performs, so the resulting tracker is
-// bit-identical to that run's. It errors if a forced migration's
-// memory-loss outcome flips under cfg's tau — the trajectory itself would
-// have diverged there, so the checkpoint is not valid for this sibling
-// (the sweep planner's divergence scan prevents this; the check is
-// defense in depth).
-func replayDownJournal(ops []downOp, cfg Config) (metrics.DowntimeTracker, error) {
-	var d metrics.DowntimeTracker
+// isDown reports whether the service is down: the journal's last up or
+// down op is a down.
+func (s *Scheduler) isDown() bool {
+	for i := len(s.downJournal) - 1; i >= 0; i-- {
+		switch s.downJournal[i].kind {
+		case opUp:
+			return false
+		case opDown, opForcedDown:
+			return true
+		}
+	}
+	return false
+}
+
+// checkForcedFlips errors if a journaled forced migration's memory-loss
+// outcome flips under cfg's tau — the trajectory itself would have
+// diverged there, so the checkpoint is not valid for this sibling (the
+// sweep planner's divergence scan prevents this; the check is defense in
+// depth).
+func checkForcedFlips(ops []downOp, cfg Config) error {
 	tau := float64(cfg.VMParams.CheckpointBound)
 	naive := cfg.Mechanism == vm.Naive
+	for _, op := range ops {
+		if op.kind == opForcedDown && (naive || op.grace < tau) != op.memLost {
+			return fmt.Errorf("sched: forced migration at t=%v flips memory-loss under tau=%v", op.t, tau)
+		}
+	}
+	return nil
+}
+
+// replayDownJournal rebuilds the downtime tracker under cfg's parameters.
+// The journal is the run's only downtime record: Report replays it under
+// the run's own config, and a fork's replay of its pilot's prefix runs
+// under the fork's. The ops are applied in their original chronological
+// order with the same float arithmetic a cold run of cfg performs, so the
+// resulting tracker is bit-identical to that run's. Forced suspends
+// replay at the journaled memory-loss outcome, which checkForcedFlips
+// has confirmed for a fork's cfg.
+func replayDownJournal(ops []downOp, cfg Config) metrics.DowntimeTracker {
+	var d metrics.DowntimeTracker
+	tau := float64(cfg.VMParams.CheckpointBound)
 	for _, op := range ops {
 		switch op.kind {
 		case opDown:
@@ -128,18 +153,14 @@ func replayDownJournal(ops []downOp, cfg Config) (metrics.DowntimeTracker, error
 		case opDegraded:
 			d.AddDegraded(op.amount)
 		case opForcedDown:
-			memLost := naive || op.grace < tau
-			if memLost != op.memLost {
-				return d, fmt.Errorf("sched: forced migration at t=%v flips memory-loss under tau=%v", op.t, tau)
-			}
-			if memLost {
+			if op.memLost {
 				d.MarkDown(op.t)
 			} else {
 				d.MarkDown(op.t - tau)
 			}
 		}
 	}
-	return d, nil
+	return d
 }
 
 // Checkpoint is a scheduler run's model state at a quiescent instant,
@@ -180,7 +201,7 @@ func (ck *Checkpoint) At() sim.Time { return ck.at }
 func (s *Scheduler) checkpoint() (*Checkpoint, bool) {
 	if !s.started || s.stopped || s.phase != phaseSteady ||
 		s.group == nil || !s.group.ready || s.target != nil ||
-		len(s.pendingTimers) != 0 || s.down.Down() ||
+		len(s.pendingTimers) != 0 || s.isDown() ||
 		s.cfg.Bidding == PureSpot {
 		return nil, false
 	}
@@ -232,11 +253,9 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 	if cfg.Bidding == PureSpot {
 		return nil, fmt.Errorf("sched: pure-spot runs are not forkable")
 	}
-	down, err := replayDownJournal(ck.downJournal, cfg)
-	if err != nil {
+	if err := checkForcedFlips(ck.downJournal, cfg); err != nil {
 		return nil, err
 	}
-	s.down = down
 	s.phase = phaseSteady
 	s.started = true
 	s.serviceStart = ck.serviceStart

@@ -72,7 +72,6 @@ type Scheduler struct {
 	stopped        bool
 	stoppedAt      sim.Time
 	serviceStart   sim.Time
-	down           metrics.DowntimeTracker
 	migrations     metrics.MigrationCounts
 	instances      []cloud.InstanceID // every instance requested, resolved through prov
 	curPlace       placement
@@ -82,10 +81,10 @@ type Scheduler struct {
 	bootFallbackOD bool
 
 	// Fork bookkeeping (fork.go): an append-only journal of downtime-
-	// tracker operations, the checkpoint daemon's closed run epochs, and
-	// the forced-warning log. A fork with a different CheckpointBound
-	// replays these under its own parameters instead of copying the metric
-	// state.
+	// tracker operations (the run's only downtime record, replayed by
+	// Report), the checkpoint daemon's closed run epochs, and the
+	// forced-warning log. A fork with a different CheckpointBound replays
+	// these under its own parameters instead of copying the metric state.
 	downJournal  []downOp
 	daemonEpochs []daemonEpoch
 	forcedWarns  []ForcedWarning
@@ -925,6 +924,7 @@ func (s *Scheduler) Report() metrics.Report {
 	n := float64(s.cfg.serversFor(s.cfg.Home.Type))
 	hours := math.Ceil(float64(horizon) / sim.Hour)
 	baseline := n * s.prov.OnDemandPrice(s.cfg.Home) * hours
+	down := replayDownJournal(s.downJournal, s.cfg)
 
 	return metrics.Report{
 		Policy:          s.cfg.Bidding.String(),
@@ -935,12 +935,12 @@ func (s *Scheduler) Report() metrics.Report {
 		BaselineCost:    baseline,
 		SpotSeconds:     s.spotSeconds,
 		OnDemandSeconds: s.odSeconds,
-		DowntimeSeconds: float64(s.down.Total(now)),
-		DegradedSeconds: float64(s.down.Degraded()),
-		DownEpisodes:    s.down.Episodes(),
-		LongestDowntime: s.down.Longest(),
+		DowntimeSeconds: float64(down.Total(now)),
+		DegradedSeconds: float64(down.Degraded()),
+		DownEpisodes:    down.Episodes(),
+		LongestDowntime: down.Longest(),
 		Migrations:      s.migrations,
-		DowntimeLog:     s.down.Log(),
+		DowntimeLog:     down.Log(),
 		CheckpointGB:    s.ckptWrittenMB / 1024,
 	}
 }
