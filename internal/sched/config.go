@@ -214,8 +214,9 @@ func (c Config) typeOf(t market.InstanceType) market.TypeSpec {
 	return ts
 }
 
-// serversFor returns how many servers of type t the service needs.
-func (c Config) serversFor(t market.InstanceType) int {
+// ServersFor returns how many servers of type t the service needs; the
+// config must have been validated.
+func (c Config) ServersFor(t market.InstanceType) int {
 	per := c.typeOf(t).Units / c.Service.VM.Units
 	if per < 1 {
 		per = 1

@@ -205,7 +205,7 @@ func (s *Scheduler) initEnvelope() {
 	}
 	weights := make([]float64, len(s.cfg.Markets))
 	for i, m := range s.cfg.Markets {
-		weights[i] = float64(s.cfg.serversFor(m.Type))
+		weights[i] = float64(s.cfg.ServersFor(m.Type))
 	}
 	if env := s.prov.Markets().Envelope(s.cfg.Markets, weights); env != nil {
 		s.envCur = env.Cursor()
@@ -229,7 +229,7 @@ func (s *Scheduler) bootstrap() {
 		budget = math.Inf(1)
 	}
 	if m, ok := s.bestSpotMarket(budget); ok {
-		g, err := s.acquireGroup(m, cloud.Spot, s.bidFor(m), s.cfg.serversFor(m.Type),
+		g, err := s.acquireGroup(m, cloud.Spot, s.bidFor(m), s.cfg.ServersFor(m.Type),
 			s.bootReady, s.bootFailed)
 		if err == nil {
 			s.group = g
@@ -246,7 +246,7 @@ func (s *Scheduler) bootstrap() {
 
 func (s *Scheduler) bootOnDemand() {
 	m := s.odBest
-	g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.serversFor(m.Type),
+	g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.ServersFor(m.Type),
 		s.bootReady, s.bootFailed)
 	if err != nil {
 		panic(fmt.Sprintf("sched: on-demand bootstrap failed: %v", err))
@@ -307,7 +307,7 @@ func (s *Scheduler) bidFor(m market.ID) float64 {
 // hourlyCost returns the current hourly cost of hosting the whole service
 // in market m with the given lifecycle.
 func (s *Scheduler) hourlyCost(m market.ID, lc cloud.Lifecycle) float64 {
-	n := float64(s.cfg.serversFor(m.Type))
+	n := float64(s.cfg.ServersFor(m.Type))
 	if lc == cloud.Spot {
 		return n * s.prov.SpotPrice(m)
 	}
@@ -344,7 +344,7 @@ func (s *Scheduler) bestSpotMarket(budget float64) (market.ID, bool) {
 		}
 		score := s.hourlyCost(m, cloud.Spot)
 		if s.volatility != nil {
-			n := float64(s.cfg.serversFor(m.Type))
+			n := float64(s.cfg.ServersFor(m.Type))
 			score = forecast.Score(score, n*s.volatility[i].Std(s.eng.Now()), s.cfg.StabilityPenalty)
 		}
 		if score < bestScore {
@@ -501,7 +501,7 @@ func (s *Scheduler) beginPlannedMigration(m market.ID, lc cloud.Lifecycle) {
 	if lc == cloud.Spot {
 		bid = s.bidFor(m)
 	}
-	g, err := s.acquireGroup(m, lc, bid, s.cfg.serversFor(m.Type),
+	g, err := s.acquireGroup(m, lc, bid, s.cfg.ServersFor(m.Type),
 		s.plannedTargetReady, s.plannedTargetFailed)
 	if err != nil {
 		// Race: the target market moved; stay put and re-evaluate at the
@@ -723,7 +723,7 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 		// Flee to on-demand servers of the dying group's market: the
 		// checkpoint volume is region local.
 		m := s.group.market
-		g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.serversFor(m.Type),
+		g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.ServersFor(m.Type),
 			s.forcedTargetReady, func(*serverGroup) { s.retargetForced() })
 		if err != nil {
 			panic(fmt.Sprintf("sched: forced on-demand acquisition failed: %v", err))
@@ -752,7 +752,7 @@ func (s *Scheduler) retargetForced() {
 		s.target = nil
 	}
 	m := s.group.market // the checkpoint volume is region local
-	g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.serversFor(m.Type),
+	g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.ServersFor(m.Type),
 		s.forcedTargetReady, func(*serverGroup) { s.retargetForced() })
 	if err != nil {
 		panic(fmt.Sprintf("sched: forced on-demand reacquisition failed: %v", err))
@@ -832,7 +832,7 @@ func (s *Scheduler) tryReacquireSpot() {
 	if !ok {
 		return
 	}
-	g, err := s.acquireGroup(m, cloud.Spot, s.bidFor(m), s.cfg.serversFor(m.Type),
+	g, err := s.acquireGroup(m, cloud.Spot, s.bidFor(m), s.cfg.ServersFor(m.Type),
 		s.waitingReady, s.waitingFailed)
 	if err != nil {
 		return // price moved between the event and the request; keep waiting
@@ -921,7 +921,7 @@ func (s *Scheduler) Report() metrics.Report {
 	}
 	// Baseline: the same service on on-demand servers of the home type
 	// for the same horizon.
-	n := float64(s.cfg.serversFor(s.cfg.Home.Type))
+	n := float64(s.cfg.ServersFor(s.cfg.Home.Type))
 	hours := math.Ceil(float64(horizon) / sim.Hour)
 	baseline := n * s.prov.OnDemandPrice(s.cfg.Home) * hours
 	down := replayDownJournal(s.downJournal, s.cfg)

@@ -12,14 +12,13 @@ import (
 // Warm-start certification and divergence points.
 //
 // A family's members differ only in the warm-axis knob. The per-knob
-// oracles below scan the price columns and report, for each adjacent pair
-// of knob values, the *first divergence time*: the earliest instant at
-// which the two values could produce a different decision. From that one
-// number both reuse modes fall out:
+// oracles below report the *first divergence time* of two knob values:
+// the earliest instant at which they could produce a different decision.
+// From that one number both reuse modes fall out:
 //
 //   - whole-horizon sharing: divergence >= horizon means no trajectory can
 //     ever separate, so one pilot simulation runs cold and its report is
-//     reused byte for byte (classesFromTimes);
+//     reused byte for byte;
 //   - mid-horizon forking: divergence at T < horizon means the runs are
 //     provably identical on [0, T), so a sibling resumes the pilot's last
 //     quiescent checkpoint at or before T (sched.Checkpoint — model-state
@@ -44,27 +43,23 @@ import (
 //     the time is exact to the bit.
 //   - tau: for live-migration mechanisms the checkpoint bound is invisible
 //     to the trajectory until a forced warning whose grace window
-//     separates the two values (see the runner's dynamic divergence scan
-//     over the pilot's ForkLog); it has no static oracle here.
+//     separates the two values. It has no static oracle: tauDivergence
+//     reads the divergence off the pilot's ForkLog once the pilot has run.
 //   - lambda: consumed continuously (volatility scoring), so distinct
 //     values are never certified equal and never forked.
 //
-// Certification depends on the universe, so classes are recomputed per
-// seed; it reads only the columnar trace slabs and costs O(values x steps)
-// per family.
+// Certification depends on the universe, so it is recomputed per seed; it
+// reads only the columnar trace slabs and costs O(values x steps) per
+// family.
 
 // never is the divergence time of a pair that can never separate.
 var never = sim.Time(math.Inf(1))
 
 // adjacentDivergeTimes returns, for each adjacent pair of family members
 // (sorted by ascending warm value), the first time the pair's knob values
-// could diverge on this universe, or +Inf. ok is false when the warm knob
-// has no static oracle (tau, lambda): the caller must treat every pair as
-// divergent at time 0 or consult the pilot's runtime ForkLog.
-func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, horizon sim.Time) ([]sim.Time, bool) {
-	if plan.WarmAxis < 0 || len(members) < 2 {
-		return nil, false
-	}
+// could diverge on this universe, or +Inf. It returns nil when the warm
+// knob has no static oracle (tau, lambda).
+func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, horizon sim.Time) []sim.Time {
 	knob := plan.Axes[plan.WarmAxis].Knob
 	cfg := plan.Points[members[0]].Config
 
@@ -83,7 +78,7 @@ func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, horizon si
 			return hystPairDivergeTime(curves, lo, hi, horizon)
 		}
 	default:
-		return nil, false
+		return nil
 	}
 
 	out := make([]sim.Time, len(members)-1)
@@ -96,29 +91,33 @@ func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, horizon si
 			out[i-1] = pairTime(lo, hi)
 		}
 	}
-	return out, true
-}
-
-// classesFromTimes splits members into contiguous runs at every adjacent
-// pair whose divergence time falls inside the horizon.
-func classesFromTimes(members []int, times []sim.Time, horizon sim.Time) [][]int {
-	classes := [][]int{{members[0]}}
-	for i := 1; i < len(members); i++ {
-		if times[i-1] < horizon {
-			classes = append(classes, nil)
-		}
-		last := len(classes) - 1
-		classes[last] = append(classes[last], members[i])
-	}
-	return classes
-}
-
-func singletons(members []int) [][]int {
-	out := make([][]int, len(members))
-	for i, m := range members {
-		out[i] = []int{m}
-	}
 	return out
+}
+
+// tauDivergence reads, from a pilot's fork log, when a sibling with
+// checkpoint bound tauJ separates from the pilot's tau0. Trajectories under
+// two bounds separate at the first forced warning whose grace window loses
+// memory under one bound but not the other. share reports that the
+// sibling's entire report is byte-identical to the pilot's: the bounds are
+// equal, or no warning flips, every warning lost memory under both bounds
+// (so the metric-only suspend instant deadline-tau never fired) and the
+// checkpoint daemon never ran.
+func tauDivergence(log *sched.ForkLog, tau0, tauJ float64) (div sim.Time, share bool) {
+	if tau0 == tauJ {
+		return never, true
+	}
+	div, share = never, !log.DaemonRan
+	for _, w := range log.ForcedWarnings {
+		lost0, lostJ := w.Grace < tau0, w.Grace < tauJ
+		switch {
+		case lost0 != lostJ:
+			share = false
+			div = min(div, w.At)
+		case !lost0:
+			share = false
+		}
+	}
+	return div, share
 }
 
 // bidPairDivergeTime returns the first time bid multiples lo < hi can
@@ -187,31 +186,13 @@ func costCurves(set *market.Set, cfg sched.Config) []costCurve {
 	}
 	curves := make([]costCurve, 0, 2*len(ids))
 	for _, m := range ids {
-		n := float64(serversFor(cfg, m.Type))
+		n := float64(cfg.ServersFor(m.Type))
 		if tr := set.Trace(m); tr != nil {
 			curves = append(curves, costCurve{times: tr.Times(), prices: tr.Prices(), scale: n})
 		}
 		curves = append(curves, costCurve{prices: []float64{set.OnDemand(m)}, scale: n})
 	}
 	return curves
-}
-
-// serversFor mirrors sched.Config.serversFor: how many servers of type t
-// the service needs.
-func serversFor(cfg sched.Config, t market.InstanceType) int {
-	types := cfg.Types
-	if types == nil {
-		types = market.DefaultTypes()
-	}
-	ts, ok := market.FindType(types, t)
-	if !ok || cfg.Service.VM.Units <= 0 {
-		return 1
-	}
-	per := ts.Units / cfg.Service.VM.Units
-	if per < 1 {
-		per = 1
-	}
-	return (cfg.Service.Count + per - 1) / per
 }
 
 // hystPairDivergeTime returns the first time hysteresis values h1 < h2 can

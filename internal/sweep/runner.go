@@ -27,18 +27,19 @@ type Spec struct {
 	Market    market.Config
 	Workers   int // simulation parallelism; 0 means one per CPU
 
-	// WarmStart shares one pilot simulation across each certified-equal
-	// class of warm-axis siblings (see certify.go). Reports of shared
-	// cells are byte-identical to what a cold run would produce.
+	// WarmStart shares a pilot's report with each warm-axis sibling that
+	// is certified never to diverge from its neighbour within the horizon
+	// (see certify.go). Shared reports are byte-identical to what a cold
+	// run would produce.
 	WarmStart bool
 
-	// Fork resumes warm-axis siblings from the family pilot's last
-	// quiescent checkpoint at or before their first divergence point, so
-	// a sibling simulates only the tail of the horizon instead of all of
-	// it. Forked reports are byte-identical to cold runs. Fork is what
-	// makes a tau axis — which has no whole-horizon oracle and therefore
-	// never shares — nearly as cheap as a warm one, and it composes with
-	// WarmStart: classes that never diverge still share outright.
+	// Fork resumes each warm-axis sibling that is not shared from the
+	// family pilot's last quiescent checkpoint at or before their first
+	// divergence point, so the sibling simulates only the tail of the
+	// horizon. Forked reports are byte-identical to cold runs. A tau axis
+	// has no static oracle and reuses work only through Fork: its
+	// divergence point is read from the pilot's fork log, and siblings the
+	// log proves identical share outright.
 	Fork bool
 
 	// Prune cuts configurations that are strictly worse on cost and no
@@ -166,29 +167,19 @@ type waveJob struct {
 	capture bool
 }
 
-// waveRes carries a phase-1 result; log is non-nil only for capture jobs.
+// waveRes carries a phase-1 result; log holds checkpoints only for capture
+// jobs.
 type waveRes struct {
 	rep metrics.Report
 	log *sched.ForkLog
 }
 
-// forkJob is one phase-2 resolution: a class pilot that resumes its family
-// pilot's checkpoint instead of running the whole horizon.
+// forkJob is one phase-2 resolution: a family member resolved against the
+// family pilot's fork log once the pilot has run.
 type forkJob struct {
-	pt         int      // point to resolve
-	pilot      int      // family pilot whose checkpoints it resumes
-	div        sim.Time // static divergence bound vs the family pilot
-	dynamic    bool     // tau: divergence read from the pilot's ForkLog
-	tau0, tauJ float64  // checkpoint bounds of pilot and sibling (dynamic)
-}
-
-// forkRes is how a fork job was resolved: shared outright, forked from a
-// checkpoint, or (fallback) simulated cold.
-type forkRes struct {
-	rep    metrics.Report
-	shared bool
-	forked bool
-	forkAt sim.Time
+	pt    int      // point to resolve
+	pilot int      // family pilot whose checkpoints it resumes
+	div   sim.Time // static divergence bound vs the pilot (unused for tau)
 }
 
 // resolved is a wave cell's final report plus how it was obtained.
@@ -254,11 +245,13 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			Elapsed:     now.Sub(start),
 		})
 	}
-
-	warmKnob := ""
-	if plan.WarmAxis >= 0 {
-		warmKnob = plan.Axes[plan.WarmAxis].Knob
+	// resolve counts one cell resolved by route.
+	resolve := func(route *atomic.Int64) {
+		done.Add(1)
+		route.Add(1)
+		emit(false)
 	}
+
 	pilotOf := make([]int, nP)      // point -> class pilot this wave, or -1
 	jobIdx := make([]int, nP)       // point -> index in the phase-1 job list
 	cellRes := make([]resolved, nP) // per-point resolution this wave
@@ -269,9 +262,13 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 		}
 		horizon := set.ClampHorizon(spec.Horizon)
 
-		// Plan the wave. Phase 1 runs cold simulations (family pilots of
-		// forking families capture checkpoints); phase 2 resumes every
-		// remaining class pilot from its family pilot's checkpoints.
+		// Plan the wave by one rule per family. alive[0] is the family
+		// pilot; each later member is shared with the previous member's
+		// class leader when the pair can never diverge, else forked from
+		// the pilot's last checkpoint at or before its divergence bound,
+		// else run cold. Phase 1 runs pilots and cold members (a pilot
+		// captures checkpoints when its family queued a fork); phase 2
+		// resolves the forks.
 		for i := range pilotOf {
 			pilotOf[i] = -1
 		}
@@ -288,97 +285,54 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			if len(alive) == 0 {
 				continue
 			}
-			if len(alive) == 1 || plan.WarmAxis < 0 {
+			if len(alive) == 1 || !(spec.WarmStart || spec.Fork) {
 				for _, m := range alive {
 					jobs = append(jobs, waveJob{pt: m})
 				}
 				continue
 			}
-			switch {
-			case warmable(warmKnob) && (spec.WarmStart || spec.Fork):
-				times, _ := adjacentDivergeTimes(plan, alive, set, horizon)
-				var classes [][]int
-				if spec.WarmStart {
-					classes = classesFromTimes(alive, times, horizon)
-				} else {
-					classes = singletons(alive)
+			pilot := alive[0]
+			jobs = append(jobs, waveJob{pt: pilot})
+			pilotJob, queued := len(jobs)-1, len(forkJobs)
+			// The pilot and member j are provably identical until the
+			// prefix-minimum of the adjacent divergence times up to j.
+			// Tau has no static oracle (times is nil): its members never
+			// share here, and phase 2 reads their bound from the pilot's
+			// fork log.
+			times := adjacentDivergeTimes(plan, alive, set, horizon)
+			leader, div := pilot, never
+			for j, m := range alive[1:] {
+				adj := sim.Time(0)
+				if times != nil {
+					adj = times[j]
 				}
-				if !spec.Fork || len(classes) == 1 {
-					for _, cls := range classes {
-						jobs = append(jobs, waveJob{pt: cls[0]})
-						for _, m := range cls[1:] {
-							pilotOf[m] = cls[0]
-						}
-					}
+				div = min(div, adj)
+				switch {
+				case spec.WarmStart && adj >= horizon:
+					pilotOf[m] = leader
 					continue
-				}
-				// Trajectories of the family pilot and member j are
-				// provably identical until the prefix-minimum of the
-				// adjacent divergence times up to j, so each later class
-				// pilot resumes the last checkpoint at or before it.
-				famPilot := alive[0]
-				jobs = append(jobs, waveJob{pt: famPilot, capture: true})
-				prefix := make([]sim.Time, len(alive))
-				prefix[0] = never
-				for j := 1; j < len(alive); j++ {
-					prefix[j] = prefix[j-1]
-					if times[j-1] < prefix[j] {
-						prefix[j] = times[j-1]
-					}
-				}
-				off := 0
-				for ci, cls := range classes {
-					if ci > 0 {
-						forkJobs = append(forkJobs, forkJob{pt: cls[0], pilot: famPilot, div: prefix[off]})
-					}
-					for _, m := range cls[1:] {
-						pilotOf[m] = cls[0]
-					}
-					off += len(cls)
-				}
-			case warmKnob == KnobTau && spec.Fork:
-				// No static oracle: divergence is found in phase 2 from
-				// the pilot's forced-warning log, per sibling.
-				famPilot := alive[0]
-				jobs = append(jobs, waveJob{pt: famPilot, capture: true})
-				tau0 := plan.Points[famPilot].Values[plan.WarmAxis]
-				for _, m := range alive[1:] {
-					tauJ := plan.Points[m].Values[plan.WarmAxis]
-					if tauJ == tau0 {
-						pilotOf[m] = famPilot
-						continue
-					}
-					forkJobs = append(forkJobs, forkJob{
-						pt: m, pilot: famPilot, dynamic: true, tau0: tau0, tauJ: tauJ,
-					})
-				}
-			default:
-				for _, m := range alive {
+				case spec.Fork:
+					forkJobs = append(forkJobs, forkJob{pt: m, pilot: pilot, div: div})
+				default:
 					jobs = append(jobs, waveJob{pt: m})
 				}
+				leader = m
 			}
+			jobs[pilotJob].capture = len(forkJobs) > queued
 		}
 
 		reports, err := runpool.MapCtx(ctx, spec.Workers, jobs, func(ctx context.Context, _ int, j waveJob) (waveRes, error) {
 			cp := cloudP
 			cp.Seed = seed
-			cfg := plan.Points[j.pt].Config
+			every := sim.Duration(0)
 			if j.capture {
-				rep, lg, err := sched.RunWithCheckpointsCtx(ctx, set, cp, cfg, horizon, pilotCheckpointEvery)
-				if err == nil {
-					done.Add(1)
-					simulated.Add(1)
-					emit(false)
-				}
-				return waveRes{rep: rep, log: lg}, err
+				every = pilotCheckpointEvery
 			}
-			rep, err := sched.RunCtx(ctx, set, cp, cfg, horizon)
+			rep, lg, err := sched.RunWithCheckpointsCtx(ctx, set, cp, plan.Points[j.pt].Config, horizon, every)
 			if err == nil {
-				done.Add(1)
-				simulated.Add(1)
-				emit(false)
+				resolve(&simulated)
 			}
-			return waveRes{rep: rep}, err
+			return waveRes{rep: rep, log: lg}, err
 		})
 		if err != nil {
 			return nil, err
@@ -388,74 +342,40 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			cellRes[j.pt] = resolved{rep: reports[i].rep, pilot: j.pt}
 		}
 
-		fres, err := runpool.MapCtx(ctx, spec.Workers, forkJobs, func(ctx context.Context, _ int, j forkJob) (forkRes, error) {
+		fres, err := runpool.MapCtx(ctx, spec.Workers, forkJobs, func(ctx context.Context, _ int, j forkJob) (resolved, error) {
 			pr := reports[jobIdx[j.pilot]]
 			div := j.div
-			if j.dynamic {
-				// Trajectories under two checkpoint bounds separate at the
-				// first forced warning whose grace window loses memory
-				// under one bound but not the other. When no warning flips
-				// and every warning lost memory under both bounds (so the
-				// metric-only suspend instant deadline-tau never fired)
-				// and the checkpoint daemon never ran, the sibling's
-				// entire report is byte-identical: share it outright.
-				div = never
-				share := !pr.log.DaemonRan
-				for _, w := range pr.log.ForcedWarnings {
-					lost0, lostJ := w.Grace < j.tau0, w.Grace < j.tauJ
-					switch {
-					case lost0 != lostJ:
-						share = false
-						if w.At < div {
-							div = w.At
-						}
-					case !lost0:
-						share = false
-					}
-				}
+			if warm := plan.WarmAxis; plan.Axes[warm].Knob == KnobTau {
+				var share bool
+				div, share = tauDivergence(pr.log, plan.Points[j.pilot].Values[warm], plan.Points[j.pt].Values[warm])
 				if share {
-					done.Add(1)
-					sharedCt.Add(1)
-					emit(false)
-					return forkRes{rep: pr.rep, shared: true}, nil
+					resolve(&sharedCt)
+					return resolved{rep: pr.rep, pilot: j.pilot, shared: true}, nil
 				}
 			}
 			cp := cloudP
 			cp.Seed = seed
 			cfg := plan.Points[j.pt].Config
-			bound := div
-			if bound > horizon {
-				bound = horizon
-			}
-			if ck := pr.log.LastCheckpointAtOrBefore(bound); ck != nil {
+			if ck := pr.log.LastCheckpointAtOrBefore(min(div, horizon)); ck != nil {
 				rep, err := sched.RunForkedCtx(ctx, set, cp, cfg, horizon, ck)
 				if err == nil {
-					done.Add(1)
-					forkedCt.Add(1)
-					emit(false)
+					resolve(&forkedCt)
 				}
-				return forkRes{rep: rep, forked: true, forkAt: ck.At()}, err
+				return resolved{rep: rep, pilot: j.pilot, forked: true, forkAt: ck.At()}, err
 			}
 			// No usable checkpoint (divergence before the first capture,
 			// or the pilot never reached quiescence): run cold.
 			rep, err := sched.RunCtx(ctx, set, cp, cfg, horizon)
 			if err == nil {
-				done.Add(1)
-				simulated.Add(1)
-				emit(false)
+				resolve(&simulated)
 			}
-			return forkRes{rep: rep}, err
+			return resolved{rep: rep, pilot: j.pt}, err
 		})
 		if err != nil {
 			return nil, err
 		}
 		for i, j := range forkJobs {
-			fr := fres[i]
-			r := resolved{rep: fr.rep, pilot: j.pt, shared: fr.shared, forked: fr.forked, forkAt: fr.forkAt}
-			if fr.shared || fr.forked {
-				r.pilot = j.pilot
-			}
-			cellRes[j.pt] = r
+			cellRes[j.pt] = fres[i]
 		}
 
 		// Distribute resolutions to every alive point, in point order.
@@ -469,8 +389,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 				// Certified identical to its class pilot for the whole
 				// horizon: reuse the pilot's resolved report.
 				r = resolved{rep: cellRes[pilotOf[p]].rep, pilot: pilotOf[p], shared: true}
-				sharedCt.Add(1)
-				done.Add(1)
+				resolve(&sharedCt)
 			}
 			st.accum.Add(r.rep)
 			st.stats = append(st.stats, seedStat{cost: r.rep.NormalizedCost(), unav: r.rep.Unavailability()})

@@ -367,15 +367,18 @@ func TestPruneDominatedUnit(t *testing.T) {
 
 // shareClasses partitions family members (point indices sorted by
 // ascending warm value) into runs certified to simulate identically on
-// this universe within [0, horizon). The first member of each class is the
-// pilot.
+// this universe within [0, horizon): the runner's whole-horizon share
+// test, applied to every adjacent pair. The first member of each class is
+// the pilot.
 func shareClasses(plan *Plan, members []int, set *market.Set, horizon sim.Time) [][]int {
-	if len(members) <= 1 || plan.WarmAxis < 0 {
-		return singletons(members)
+	times := adjacentDivergeTimes(plan, members, set, horizon)
+	classes := [][]int{{members[0]}}
+	for i := 1; i < len(members); i++ {
+		if times == nil || times[i-1] < horizon {
+			classes = append(classes, nil)
+		}
+		last := len(classes) - 1
+		classes[last] = append(classes[last], members[i])
 	}
-	times, ok := adjacentDivergeTimes(plan, members, set, horizon)
-	if !ok {
-		return singletons(members)
-	}
-	return classesFromTimes(members, times, horizon)
+	return classes
 }
