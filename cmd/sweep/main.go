@@ -125,7 +125,7 @@ func runKnob() error {
 	// sweep; rows print in value order once all cells finish.
 	cfgs := make([]sched.Config, len(values))
 	for i, v := range values {
-		if cfgs[i], err = buildConfig(*knob, v, home, *fleet); err != nil {
+		if cfgs[i], err = sweep.BuildConfig(home, *fleet, []sweep.Setting{{Knob: *knob, Value: v}}); err != nil {
 			return cli.Usagef("%v", err)
 		}
 	}
@@ -189,13 +189,6 @@ func parseValues(s, knob string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// buildConfig applies the knob value to a scheduler config. The grid
-// engine owns the knob-to-config mapping now; this keeps the historical
-// single-knob entry point.
-func buildConfig(knob string, v float64, home market.ID, fleet int) (sched.Config, error) {
-	return sweep.BuildConfig(home, fleet, []sweep.Setting{{Knob: knob, Value: v}})
 }
 
 // gridOpts carries the flag values of a -grid run.

@@ -12,6 +12,7 @@ import (
 
 	"spothost/internal/market"
 	"spothost/internal/sched"
+	"spothost/internal/sweep"
 )
 
 func TestParseValues(t *testing.T) {
@@ -48,6 +49,9 @@ func TestParseValues(t *testing.T) {
 
 func TestBuildConfig(t *testing.T) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
+	buildConfig := func(knob string, v float64, home market.ID, fleet int) (sched.Config, error) {
+		return sweep.BuildConfig(home, fleet, []sweep.Setting{{Knob: knob, Value: v}})
+	}
 
 	cfg, err := buildConfig("bid", 2.5, home, 0)
 	if err != nil {

@@ -96,13 +96,17 @@ func MustNew(entries []Entry) *Catalog {
 // market.DefaultTypes with VCPU = Units. A fleet over this catalog (or
 // any single type of it) behaves bit-identically to the pre-catalog
 // controller — the toggle-equivalence tests pin that.
-func Legacy() *Catalog {
-	return MustNew([]Entry{
-		{Name: "small", VCPU: 1, MemoryGB: 1.7, Units: 1, OnDemand: 0.06},
-		{Name: "medium", VCPU: 2, MemoryGB: 3.75, Units: 2, OnDemand: 0.12},
-		{Name: "large", VCPU: 4, MemoryGB: 7.5, Units: 4, OnDemand: 0.24},
-		{Name: "xlarge", VCPU: 8, MemoryGB: 15, Units: 8, OnDemand: 0.48},
-	})
+func Legacy() *Catalog { return MustNew(legacyEntries()) }
+
+// legacyEntries converts market.DefaultTypes to catalog entries with
+// VCPU = Units.
+func legacyEntries() []Entry {
+	types := market.DefaultTypes()
+	out := make([]Entry, len(types))
+	for i, ts := range types {
+		out[i] = Entry{Name: ts.Name, VCPU: ts.Units, MemoryGB: ts.MemoryGB, Units: ts.Units, OnDemand: ts.OnDemand}
+	}
+	return out
 }
 
 // Default returns the ten-type catalog the heterogeneity experiments
@@ -114,18 +118,14 @@ func Legacy() *Catalog {
 // Crossed with the four default regions this is a 40-market universe,
 // ~10x the single-type fleet's.
 func Default() *Catalog {
-	return MustNew([]Entry{
-		{Name: "small", VCPU: 1, MemoryGB: 1.7, Units: 1, OnDemand: 0.06},
-		{Name: "medium", VCPU: 2, MemoryGB: 3.75, Units: 2, OnDemand: 0.12},
-		{Name: "large", VCPU: 4, MemoryGB: 7.5, Units: 4, OnDemand: 0.24},
-		{Name: "xlarge", VCPU: 8, MemoryGB: 15, Units: 8, OnDemand: 0.48},
-		{Name: "c-large", VCPU: 8, MemoryGB: 3.75, Units: 4, OnDemand: 0.21},
-		{Name: "c-xlarge", VCPU: 16, MemoryGB: 7.5, Units: 8, OnDemand: 0.42},
-		{Name: "m-large", VCPU: 4, MemoryGB: 15, Units: 4, OnDemand: 0.26},
-		{Name: "m-xlarge", VCPU: 8, MemoryGB: 30, Units: 8, OnDemand: 0.52},
-		{Name: "xxlarge", VCPU: 16, MemoryGB: 30, Units: 16, OnDemand: 0.88},
-		{Name: "t-small", VCPU: 1, MemoryGB: 0.6, Units: 1, OnDemand: 0.035},
-	})
+	return MustNew(append(legacyEntries(),
+		Entry{Name: "c-large", VCPU: 8, MemoryGB: 3.75, Units: 4, OnDemand: 0.21},
+		Entry{Name: "c-xlarge", VCPU: 16, MemoryGB: 7.5, Units: 8, OnDemand: 0.42},
+		Entry{Name: "m-large", VCPU: 4, MemoryGB: 15, Units: 4, OnDemand: 0.26},
+		Entry{Name: "m-xlarge", VCPU: 8, MemoryGB: 30, Units: 8, OnDemand: 0.52},
+		Entry{Name: "xxlarge", VCPU: 16, MemoryGB: 30, Units: 16, OnDemand: 0.88},
+		Entry{Name: "t-small", VCPU: 1, MemoryGB: 0.6, Units: 1, OnDemand: 0.035},
+	))
 }
 
 // Lookup returns the entry named t, with ok=false when absent.

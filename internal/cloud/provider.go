@@ -55,11 +55,17 @@ type Provider struct {
 // subscribers as they happen; no engine event is spent on markets nobody
 // listens to.
 func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
+	return newProvider(eng, set, params, randx.Derive(params.Seed, "cloud/provider"))
+}
+
+// newProvider builds a provider drawing from rng: a fresh stream, or one
+// restored from a snapshot.
+func newProvider(eng *sim.Engine, set *market.Set, params Params, rng *randx.Stream) *Provider {
 	p := &Provider{
 		eng:     eng,
 		set:     set,
 		params:  params,
-		rng:     randx.Derive(params.Seed, "cloud/provider"),
+		rng:     rng,
 		markets: map[market.ID]*marketState{},
 		clockAt: math.Inf(1),
 		origin:  eng.Now(),

@@ -90,8 +90,7 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 	if eng.Now() != s.at {
 		return nil, fmt.Errorf("cloud: restore at t=%v but snapshot taken at t=%v", eng.Now(), s.at)
 	}
-	p := NewProvider(eng, set, params)
-	p.rng = randx.Restore(s.rng)
+	p := newProvider(eng, set, params, randx.Restore(s.rng))
 	p.billed = s.billed
 	p.instances = slices.Clone(s.table)
 	p.open = make([]*Instance, len(s.open))
