@@ -6,9 +6,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
+	"spothost/internal/cloud"
 	"spothost/internal/market"
+	"spothost/internal/sched"
 	"spothost/internal/sim"
 )
 
@@ -86,4 +89,95 @@ func TestSweepRouteDigest(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != routeDigestWant {
 		t.Fatalf("route digest = %s, want %s", got, routeDigestWant)
 	}
+}
+
+// fuzzKnobValue maps a fuzz byte into knob's valid range: bids above 1
+// (some past the bid cap), checkpoint bounds on both sides of the
+// two-minute revocation grace, hysteresis in [0, 1), lambda in [0, 4).
+// Small ranges make equal neighbours, which the share rule must handle.
+func fuzzKnobValue(knob string, b byte) float64 {
+	switch knob {
+	case KnobBid:
+		return 1 + float64(b%128+1)/16
+	case KnobTau:
+		return float64(b%64+1) * 4
+	case KnobHysteresis:
+		return float64(b%100) / 100
+	}
+	return float64(b%16) / 4
+}
+
+// FuzzSweepRoutes sweeps one knob over 2-5 fuzzed values under fuzzed
+// WarmStart, Fork and Prune switches and checks every resolution route
+// against the ground truth: each cell is accounted for exactly once, and
+// every shared or forked cell's report equals a cold run of its config.
+// The seed bit picks which of the two universes runs first, which steers
+// pruning.
+func FuzzSweepRoutes(f *testing.F) {
+	knobs := []string{KnobBid, KnobTau, KnobHysteresis, KnobLambda}
+	f.Add(uint8(0), []byte{8, 16, 40, 100}, uint8(7), false)
+	f.Add(uint8(0), []byte{1, 2, 2, 3}, uint8(3), true)
+	f.Add(uint8(1), []byte{0, 0, 29, 30, 63}, uint8(2), false)
+	f.Add(uint8(1), []byte{10, 40}, uint8(7), true)
+	f.Add(uint8(2), []byte{0, 5, 5, 40}, uint8(3), false)
+	f.Add(uint8(3), []byte{0, 4}, uint8(7), true)
+	mcfg := market.DefaultConfig(0)
+	mcfg.Horizon = 2 * sim.Day
+	f.Fuzz(func(t *testing.T, knob uint8, raw []byte, flags uint8, swap bool) {
+		if len(raw) < 2 || len(raw) > 5 {
+			return
+		}
+		k := knobs[int(knob)%len(knobs)]
+		values := make([]float64, len(raw))
+		for i, b := range raw {
+			values[i] = fuzzKnobValue(k, b)
+		}
+		seeds := []int64{23, 46}
+		if swap {
+			seeds[0], seeds[1] = seeds[1], seeds[0]
+		}
+		spec := Spec{
+			Axes:      []Axis{{Knob: k, Values: values}},
+			Seeds:     seeds,
+			Home:      testHome,
+			Horizon:   2 * sim.Day,
+			Market:    mcfg,
+			Workers:   1,
+			WarmStart: flags&1 != 0,
+			Fork:      flags&2 != 0,
+			Prune:     flags&4 != 0,
+		}
+		var reused []Cell
+		spec.OnCell = func(c Cell) {
+			if c.Shared || c.Forked {
+				reused = append(reused, c)
+			}
+		}
+		sum, err := Run(context.Background(), &spec)
+		if err != nil {
+			t.Fatalf("%s=%v: %v", k, values, err)
+		}
+		if sum.Simulated+sum.Shared+sum.Forked+sum.PrunedCells != sum.Cells {
+			t.Fatalf("%s=%v: %d simulated + %d shared + %d forked + %d pruned != %d cells",
+				k, values, sum.Simulated, sum.Shared, sum.Forked, sum.PrunedCells, sum.Cells)
+		}
+		for _, c := range reused {
+			mc := mcfg
+			mc.Seed = c.Seed
+			set, err := market.SharedCache().Generate(mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp := cloud.DefaultParams(0)
+			cp.Seed = c.Seed
+			cold, err := sched.RunCtx(context.Background(), set, cp, sum.Plan.Points[c.Point].Config, spec.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(c.Report, cold) {
+				t.Fatalf("%s=%v point %d seed %d (shared=%v forked=%v at %v, pilot %d): report differs from a cold run\nreused: %+v\ncold:   %+v",
+					k, values, c.Point, c.Seed, c.Shared, c.Forked, c.ForkAt, c.Pilot, c.Report, cold)
+			}
+		}
+	})
 }
