@@ -57,8 +57,9 @@ var never = sim.Time(math.Inf(1))
 
 // adjacentDivergeTimes returns, for each adjacent pair of family members
 // (sorted by ascending warm value), the first time the pair's knob values
-// could diverge on this universe, or +Inf. It returns nil when the warm
-// knob has no static oracle (tau, lambda).
+// could diverge on this universe, or +Inf. members must hold at least two
+// points of a plan with a warm axis. It returns nil when the warm knob has
+// no static oracle (tau, lambda).
 func adjacentDivergeTimes(plan *Plan, members []int, set *market.Set, horizon sim.Time) []sim.Time {
 	knob := plan.Axes[plan.WarmAxis].Knob
 	cfg := plan.Points[members[0]].Config
