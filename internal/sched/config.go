@@ -206,7 +206,7 @@ func (c Config) Validate() error {
 
 // typeOf returns the catalog entry for an instance type; the config must
 // have been validated.
-func (c Config) typeOf(t market.InstanceType) market.TypeSpec {
+func (c *Config) typeOf(t market.InstanceType) market.TypeSpec {
 	ts, ok := market.FindType(c.Types, t)
 	if !ok {
 		panic(fmt.Sprintf("sched: unvalidated type %q", t))
@@ -216,7 +216,7 @@ func (c Config) typeOf(t market.InstanceType) market.TypeSpec {
 
 // ServersFor returns how many servers of type t the service needs; the
 // config must have been validated.
-func (c Config) ServersFor(t market.InstanceType) int {
+func (c *Config) ServersFor(t market.InstanceType) int {
 	per := c.typeOf(t).Units / c.Service.VM.Units
 	if per < 1 {
 		per = 1

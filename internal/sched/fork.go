@@ -276,7 +276,11 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 	}
 	s.instances = ck.instances
 
-	g := &serverGroup{market: ck.groupMarket, lifecycle: ck.groupLC, ready: true}
+	idx := s.indexOf(ck.groupMarket)
+	if idx < 0 {
+		return nil, fmt.Errorf("sched: checkpoint group market %s is not a candidate", ck.groupMarket)
+	}
+	g := &serverGroup{market: ck.groupMarket, idx: idx, lifecycle: ck.groupLC, ready: true}
 	cb := s.groupCallbacks(g)
 	for _, id := range ck.groupInsts {
 		in := prov.Instance(id)
@@ -288,7 +292,7 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 	}
 	g.readyCount = len(g.insts)
 	if g.lifecycle == cloud.Spot {
-		g.bid = s.bidFor(g.market)
+		g.bid = s.mktBid[idx]
 		for _, in := range g.insts {
 			if err := prov.Rebid(in, g.bid); err != nil {
 				return nil, err

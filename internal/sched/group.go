@@ -12,6 +12,7 @@ import (
 // ever became ready.
 type serverGroup struct {
 	market    market.ID
+	idx       int // market's index in the scheduler's candidate slices
 	lifecycle cloud.Lifecycle
 	bid       float64
 	insts     []*cloud.Instance
@@ -77,14 +78,17 @@ func (s *Scheduler) groupCallbacks(g *serverGroup) cloud.Callbacks {
 	}
 }
 
-// acquireGroup requests n servers in market m. Lifecycle warnings and
-// terminations are routed to the scheduler's handlers; group-level ready
-// and failure conditions fire the provided callbacks.
-func (s *Scheduler) acquireGroup(m market.ID, lc cloud.Lifecycle, bid float64, n int,
+// acquireGroup requests the servers the service needs in market
+// cands[i]. Lifecycle warnings and terminations are routed to the
+// scheduler's handlers; group-level ready and failure conditions fire the
+// provided callbacks.
+func (s *Scheduler) acquireGroup(i int, lc cloud.Lifecycle, bid float64,
 	onReady, onFailed func(*serverGroup)) (*serverGroup, error) {
 
+	m, n := s.cands[i], int(s.mktServers[i])
 	g := &serverGroup{
 		market:    m,
+		idx:       i,
 		lifecycle: lc,
 		bid:       bid,
 		onReady:   onReady,

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spothost/internal/cloud"
 	"spothost/internal/forecast"
@@ -61,12 +62,24 @@ type Scheduler struct {
 	// like cfg.Markets; nil unless stability-aware bidding is on.
 	volatility []forecast.Volatility
 
+	// Per-candidate state, indexed like cands (cfg.Markets, then Home when
+	// it is not a candidate) and built in New, so the decision path indexes
+	// instead of hashing a market.ID. A group's idx is the first index of
+	// its market, so equal indices mean equal markets.
+	cands      []market.ID
+	mktServers []float64        // servers the service needs there, as hourlyCost multiplies
+	mktBid     []float64        // the policy's spot bid; see New
+	mktOD      []float64        // fixed on-demand price
+	mktPrice   []*market.Cursor // spot price source, same trace as the provider's
+	mktLead    []sim.Duration   // decisionLead from the market's region; 0 until needed
+
 	// Hot-path caches: the precomputed cheapest-market envelope over the
 	// candidate set (nil under stability-aware bidding, whose volatility
-	// term is not precomputable) and the cheapest on-demand market,
-	// computed in New (on-demand prices are constants).
+	// term is not precomputable) and the cheapest on-demand candidate with
+	// its hourly cost, computed in New (on-demand prices are constants).
 	envCur         *market.EnvelopeCursor
-	odBest         market.ID
+	odBest         int
+	odBestCost     float64
 	ckptWrittenMB  float64
 	started        bool
 	stopped        bool
@@ -129,8 +142,41 @@ func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{cfg: cfg, prov: prov, eng: prov.Engine(), ckptClock: &ckptClock{}}
 	s.decideFn = s.decide
-	s.odBest = s.cheapestOnDemand()
+	s.cands = cfg.Markets
+	home := s.indexOf(cfg.Home)
+	if home < 0 {
+		home = len(s.cands)
+		s.cands = append(slices.Clip(s.cands), cfg.Home)
+	}
+	n := len(s.cands)
+	s.mktServers = make([]float64, n)
+	s.mktBid = make([]float64, n)
+	s.mktOD = make([]float64, n)
+	s.mktPrice = make([]*market.Cursor, n)
+	s.mktLead = make([]sim.Duration, n)
+	for i, m := range s.cands {
+		od := prov.OnDemandPrice(m)
+		s.mktServers[i] = float64(s.cfg.ServersFor(m.Type))
+		s.mktOD[i] = od
+		// Proactive bids min(BidMultiple x od, the provider's cap); the
+		// others bid the on-demand price.
+		s.mktBid[i] = od
+		if cfg.Bidding == Proactive {
+			s.mktBid[i] = cfg.BidMultiple * od
+			if max := prov.MaxBid(m); s.mktBid[i] > max {
+				s.mktBid[i] = max
+			}
+		}
+		s.mktPrice[i] = market.NewCursor(prov.Markets().Trace(m))
+	}
+	s.odBest = s.cheapestOnDemand(home)
+	s.odBestCost = s.hourlyCost(s.odBest, cloud.OnDemand)
 	return s, nil
+}
+
+// indexOf returns the first index of market m in cands, or -1.
+func (s *Scheduler) indexOf(m market.ID) int {
+	return slices.Index(s.cands, m)
 }
 
 // useEnvelope gates the precomputed-envelope fast path in bestSpotMarket;
@@ -203,10 +249,7 @@ func (s *Scheduler) initEnvelope() {
 	if s.cfg.StabilityPenalty != 0 || !useEnvelope {
 		return
 	}
-	weights := make([]float64, len(s.cfg.Markets))
-	for i, m := range s.cfg.Markets {
-		weights[i] = float64(s.cfg.ServersFor(m.Type))
-	}
+	weights := s.mktServers[:len(s.cfg.Markets)]
 	if env := s.prov.Markets().Envelope(s.cfg.Markets, weights); env != nil {
 		s.envCur = env.Cursor()
 	}
@@ -224,13 +267,12 @@ func (s *Scheduler) bootstrap() {
 	// Start on spot only when it actually undercuts on-demand right now
 	// (a spot market can be grantable under a proactive 4x bid while
 	// costing more than on-demand). Pure spot has no such fallback.
-	budget := s.hourlyCost(s.odBest, cloud.OnDemand)
+	budget := s.odBestCost
 	if s.cfg.Bidding == PureSpot {
 		budget = math.Inf(1)
 	}
-	if m, ok := s.bestSpotMarket(budget); ok {
-		g, err := s.acquireGroup(m, cloud.Spot, s.bidFor(m), s.cfg.ServersFor(m.Type),
-			s.bootReady, s.bootFailed)
+	if i, ok := s.bestSpotMarket(budget); ok {
+		g, err := s.acquireGroup(i, cloud.Spot, s.mktBid[i], s.bootReady, s.bootFailed)
 		if err == nil {
 			s.group = g
 			return
@@ -245,9 +287,7 @@ func (s *Scheduler) bootstrap() {
 }
 
 func (s *Scheduler) bootOnDemand() {
-	m := s.odBest
-	g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.ServersFor(m.Type),
-		s.bootReady, s.bootFailed)
+	g, err := s.acquireGroup(s.odBest, cloud.OnDemand, 0, s.bootReady, s.bootFailed)
 	if err != nil {
 		panic(fmt.Sprintf("sched: on-demand bootstrap failed: %v", err))
 	}
@@ -289,36 +329,26 @@ func (s *Scheduler) bootFailed(g *serverGroup) {
 
 // --- pricing helpers -----------------------------------------------------
 
-// bidFor returns the policy's bid price in market m.
-func (s *Scheduler) bidFor(m market.ID) float64 {
-	od := s.prov.OnDemandPrice(m)
-	switch s.cfg.Bidding {
-	case Proactive:
-		bid := s.cfg.BidMultiple * od
-		if max := s.prov.MaxBid(m); bid > max {
-			bid = max
-		}
-		return bid
-	default: // Reactive, PureSpot
-		return od
-	}
+// spotPrice returns the current spot price of market cands[i].
+func (s *Scheduler) spotPrice(i int) float64 {
+	return s.mktPrice[i].PriceAt(s.eng.Now())
 }
 
 // hourlyCost returns the current hourly cost of hosting the whole service
-// in market m with the given lifecycle.
-func (s *Scheduler) hourlyCost(m market.ID, lc cloud.Lifecycle) float64 {
-	n := float64(s.cfg.ServersFor(m.Type))
+// in market cands[i] with the given lifecycle.
+func (s *Scheduler) hourlyCost(i int, lc cloud.Lifecycle) float64 {
 	if lc == cloud.Spot {
-		return n * s.prov.SpotPrice(m)
+		return s.mktServers[i] * s.spotPrice(i)
 	}
-	return n * s.prov.OnDemandPrice(m)
+	return s.mktServers[i] * s.mktOD[i]
 }
 
-// bestSpotMarket returns the candidate spot market with the lowest current
-// score that is grantable (price <= bid) and strictly cheaper than budget.
-// The score is the hourly cost, plus — under stability-aware bidding — a
-// penalty proportional to the market's recent price volatility.
-func (s *Scheduler) bestSpotMarket(budget float64) (market.ID, bool) {
+// bestSpotMarket returns the index of the candidate spot market with the
+// lowest current score that is grantable (price <= bid) and strictly
+// cheaper than budget. The score is the hourly cost, plus — under
+// stability-aware bidding — a penalty proportional to the market's recent
+// price volatility.
+func (s *Scheduler) bestSpotMarket(budget float64) (int, bool) {
 	if s.envCur != nil {
 		// Fast path: the envelope yields the first-index argmin of the
 		// weighted price over ALL candidates. If it is grantable, it is
@@ -326,43 +356,43 @@ func (s *Scheduler) bestSpotMarket(budget float64) (market.ID, bool) {
 		// earlier candidate scores strictly higher); if its score is not
 		// under budget, nothing qualifies. Only a non-grantable argmin
 		// (price spiked above its own bid) needs the full scan.
-		m, price, weighted := s.envCur.At(s.eng.Now())
-		if price <= s.bidFor(m) {
+		i, price, weighted := s.envCur.AtIndex(s.eng.Now())
+		if price <= s.mktBid[i] {
 			if weighted < budget {
-				return m, true
+				return i, true
 			}
-			return market.ID{}, false
+			return 0, false
 		}
 	}
-	var best market.ID
+	best := 0
 	bestScore := budget
 	found := false
-	for i, m := range s.cfg.Markets {
-		price := s.prov.SpotPrice(m)
-		if price > s.bidFor(m) {
+	for i := range s.cfg.Markets {
+		price := s.spotPrice(i)
+		if price > s.mktBid[i] {
 			continue // not grantable now
 		}
-		score := s.hourlyCost(m, cloud.Spot)
+		n := s.mktServers[i]
+		score := n * price
 		if s.volatility != nil {
-			n := float64(s.cfg.ServersFor(m.Type))
 			score = forecast.Score(score, n*s.volatility[i].Std(s.eng.Now()), s.cfg.StabilityPenalty)
 		}
 		if score < bestScore {
-			bestScore, best, found = score, m, true
+			bestScore, best, found = score, i, true
 		}
 	}
 	return best, found
 }
 
-// cheapestOnDemand returns the candidate (region, type) with the lowest
-// on-demand hourly cost for the service; the home market is always a
-// candidate.
-func (s *Scheduler) cheapestOnDemand() market.ID {
-	best := s.cfg.Home
+// cheapestOnDemand returns the index of the candidate (region, type) with
+// the lowest on-demand hourly cost for the service; the home market, at
+// index home, is always a candidate.
+func (s *Scheduler) cheapestOnDemand(home int) int {
+	best := home
 	bestCost := s.hourlyCost(best, cloud.OnDemand)
-	for _, m := range s.cfg.Markets {
-		if c := s.hourlyCost(m, cloud.OnDemand); c < bestCost {
-			best, bestCost = m, c
+	for i := range s.cfg.Markets {
+		if c := s.hourlyCost(i, cloud.OnDemand); c < bestCost {
+			best, bestCost = i, c
 		}
 	}
 	return best
@@ -403,18 +433,15 @@ func (s *Scheduler) setPlacement(p placement) {
 const decisionSlack sim.Duration = 30
 
 // decisionLead estimates how long before a billing boundary the decision
-// must run so a migration can complete by the boundary: worst-case
-// destination startup plus worst-case migration duration plus slack.
-func (s *Scheduler) decisionLead() sim.Duration {
+// must run so a migration from region cur can complete by the boundary:
+// worst-case destination startup plus worst-case migration duration plus
+// slack. It reads only the config and cur.
+func (s *Scheduler) decisionLead(cur market.Region) sim.Duration {
 	// Startup: spot acquisitions are the slow case (~4 min).
 	startup := 300.0
 	// Migration duration: evaluate the planned timeline against the worst
 	// candidate link.
 	worst := 0.0
-	cur := s.cfg.Home.Region
-	if s.group != nil {
-		cur = s.group.market.Region
-	}
 	for _, m := range s.cfg.Markets {
 		var link *vm.WANLink
 		if !market.SameRegionClass(cur, m.Region) {
@@ -427,6 +454,23 @@ func (s *Scheduler) decisionLead() sim.Duration {
 		}
 	}
 	return startup + worst + decisionSlack
+}
+
+// leadAt returns decisionLead from the region of market cands[i],
+// computing it once per region: the first query fills the slot of every
+// candidate in that region. A lead is at least the startup term, so 0
+// marks an empty slot.
+func (s *Scheduler) leadAt(i int) sim.Duration {
+	if s.mktLead[i] == 0 {
+		r := s.cands[i].Region
+		lead := s.decisionLead(r)
+		for j, m := range s.cands {
+			if m.Region == r {
+				s.mktLead[j] = lead
+			}
+		}
+	}
+	return s.mktLead[i]
 }
 
 // scheduleNextDecision arms the placement check before the current group's
@@ -444,10 +488,11 @@ func (s *Scheduler) scheduleNextDecision() {
 	now := s.eng.Now()
 	anchor := s.group.insts[0]
 	boundary := anchor.NextHourBoundary(now)
-	at := boundary - s.decisionLead()
+	lead := s.leadAt(s.group.idx)
+	at := boundary - lead
 	for at <= now {
 		boundary += sim.Hour
-		at = boundary - s.decisionLead()
+		at = boundary - lead
 	}
 	s.decisionEv = s.eng.Schedule(at, s.decideFn)
 }
@@ -459,17 +504,17 @@ func (s *Scheduler) decide() {
 		return
 	}
 	curLC := s.group.lifecycle
-	curCost := s.hourlyCost(s.group.market, curLC)
+	curCost := s.hourlyCost(s.group.idx, curLC)
 
-	odCost := s.hourlyCost(s.odBest, cloud.OnDemand)
-	spotM, spotOK := s.bestSpotMarket(math.Inf(1))
+	odCost := s.odBestCost
+	spotI, spotOK := s.bestSpotMarket(math.Inf(1))
 	// Never move to the market we're already in.
-	if spotOK && curLC == cloud.Spot && spotM == s.group.market {
+	if spotOK && curLC == cloud.Spot && spotI == s.group.idx {
 		spotOK = false
 	}
 	spotCost := math.Inf(1)
 	if spotOK {
-		spotCost = s.hourlyCost(spotM, cloud.Spot)
+		spotCost = s.hourlyCost(spotI, cloud.Spot)
 	}
 
 	// Reactive policy never *plans* a move off spot: its bid equals the
@@ -485,7 +530,7 @@ func (s *Scheduler) decide() {
 
 	switch {
 	case spotOK && spotCost <= odCost && improve(spotCost):
-		s.beginPlannedMigration(spotM, cloud.Spot)
+		s.beginPlannedMigration(spotI, cloud.Spot)
 	case curLC == cloud.Spot && improve(odCost):
 		// No cheaper spot market: on-demand is the better home.
 		s.beginPlannedMigration(s.odBest, cloud.OnDemand)
@@ -494,15 +539,14 @@ func (s *Scheduler) decide() {
 	}
 }
 
-// beginPlannedMigration acquires the destination group and, once it is
-// ready, runs the voluntary migration timeline.
-func (s *Scheduler) beginPlannedMigration(m market.ID, lc cloud.Lifecycle) {
+// beginPlannedMigration acquires the destination group in market cands[i]
+// and, once it is ready, runs the voluntary migration timeline.
+func (s *Scheduler) beginPlannedMigration(i int, lc cloud.Lifecycle) {
 	bid := 0.0
 	if lc == cloud.Spot {
-		bid = s.bidFor(m)
+		bid = s.mktBid[i]
 	}
-	g, err := s.acquireGroup(m, lc, bid, s.cfg.ServersFor(m.Type),
-		s.plannedTargetReady, s.plannedTargetFailed)
+	g, err := s.acquireGroup(i, lc, bid, s.plannedTargetReady, s.plannedTargetFailed)
 	if err != nil {
 		// Race: the target market moved; stay put and re-evaluate at the
 		// next boundary.
@@ -722,8 +766,7 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 	requestDest := func() {
 		// Flee to on-demand servers of the dying group's market: the
 		// checkpoint volume is region local.
-		m := s.group.market
-		g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.ServersFor(m.Type),
+		g, err := s.acquireGroup(s.group.idx, cloud.OnDemand, 0,
 			s.forcedTargetReady, func(*serverGroup) { s.retargetForced() })
 		if err != nil {
 			panic(fmt.Sprintf("sched: forced on-demand acquisition failed: %v", err))
@@ -751,8 +794,8 @@ func (s *Scheduler) retargetForced() {
 		s.target.abandon(s.prov)
 		s.target = nil
 	}
-	m := s.group.market // the checkpoint volume is region local
-	g, err := s.acquireGroup(m, cloud.OnDemand, 0, s.cfg.ServersFor(m.Type),
+	// The checkpoint volume is region local.
+	g, err := s.acquireGroup(s.group.idx, cloud.OnDemand, 0,
 		s.forcedTargetReady, func(*serverGroup) { s.retargetForced() })
 	if err != nil {
 		panic(fmt.Sprintf("sched: forced on-demand reacquisition failed: %v", err))
@@ -828,12 +871,11 @@ func (s *Scheduler) tryReacquireSpot() {
 	if s.phase != phaseWaiting {
 		return
 	}
-	m, ok := s.bestSpotMarket(math.Inf(1))
+	i, ok := s.bestSpotMarket(math.Inf(1))
 	if !ok {
 		return
 	}
-	g, err := s.acquireGroup(m, cloud.Spot, s.bidFor(m), s.cfg.ServersFor(m.Type),
-		s.waitingReady, s.waitingFailed)
+	g, err := s.acquireGroup(i, cloud.Spot, s.mktBid[i], s.waitingReady, s.waitingFailed)
 	if err != nil {
 		return // price moved between the event and the request; keep waiting
 	}
