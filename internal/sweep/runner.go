@@ -265,8 +265,8 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 		// Plan the wave by one rule per family. alive[0] is the family
 		// pilot; each later member is shared with the previous member's
 		// class leader when the pair can never diverge, else forked from
-		// the pilot's last checkpoint at or before its divergence bound,
-		// else run cold. Phase 1 runs pilots and cold members (a pilot
+		// the pilot's last checkpoint at or before its divergence bound
+		// when a capture can precede that bound, else run cold. Phase 1 runs pilots and cold members (a pilot
 		// captures checkpoints when its family queued a fork); phase 2
 		// resolves the forks.
 		for i := range pilotOf {
@@ -311,7 +311,10 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 				case spec.WarmStart && adj >= horizon:
 					pilotOf[m] = leader
 					continue
-				case spec.Fork:
+				case spec.Fork && (times == nil || min(div, horizon) >= pilotCheckpointEvery):
+					// A static bound before the pilot's first capture
+					// could resume no checkpoint: such a member runs
+					// cold below, in phase 1.
 					forkJobs = append(forkJobs, forkJob{pt: m, pilot: pilot, div: div})
 				default:
 					jobs = append(jobs, waveJob{pt: m})
@@ -363,8 +366,8 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 				}
 				return resolved{rep: rep, pilot: j.pilot, forked: true, forkAt: ck.At()}, err
 			}
-			// No usable checkpoint (divergence before the first capture,
-			// or the pilot never reached quiescence): run cold.
+			// No usable checkpoint (a tau divergence before the first
+			// capture, or the pilot never reached quiescence): run cold.
 			rep, err := sched.RunCtx(ctx, set, cp, cfg, horizon)
 			if err == nil {
 				resolve(&simulated)
