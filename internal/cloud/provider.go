@@ -79,6 +79,7 @@ func newProvider(eng *sim.Engine, set *market.Set, params Params, rng *randx.Str
 			times:    tr.Times(),
 			prices:   tr.Prices(),
 			onDemand: set.OnDemand(id),
+			label:    id.String(),
 		}
 	}
 	return p
@@ -94,6 +95,7 @@ type marketState struct {
 	times    []sim.Time
 	prices   []float64
 	onDemand float64
+	label    string // the market's ID.String(), for telemetry charges
 	// armed reports whether the market waits in the clock's due heap for
 	// the change at index next, due at nextAt.
 	armed  bool
@@ -274,7 +276,7 @@ func (p *Provider) chargeHour(in *Instance) {
 	in.charged += rate
 	p.billed += rate
 	if o := p.eng.Obs(); o != nil {
-		o.Charge(float64(now), in.market.String(), string(in.market.Type), rate)
+		o.Charge(float64(now), in.ms.label, string(in.market.Type), rate)
 	}
 	in.hourEvent = p.eng.After(sim.Hour, in.hourFn)
 }
