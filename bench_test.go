@@ -368,6 +368,43 @@ func BenchmarkSchedulerMonthTraced(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerMonthMulti measures one 30-day proactive run of the
+// sweep's multi-market shape (sweep.BuildConfig with a lambda setting:
+// four one-unit VMs over the home region's four types), where the
+// hour-boundary placement check dominates. lambda=0 takes the envelope
+// fast path; lambda=0.5 scans every candidate with its volatility term.
+// It cycles benchFleetPool's universes, generated, with their envelope
+// memos, by one untimed month per seed before the timer starts.
+func BenchmarkSchedulerMonthMulti(b *testing.B) {
+	ctx := context.Background()
+	home := market.ID{Region: "us-east-1a", Type: "small"}
+	for _, lambda := range []float64{0, 0.5} {
+		b.Run(fmt.Sprintf("lambda=%v", lambda), func(b *testing.B) {
+			cfg, err := sweep.BuildConfig(home, 0, []sweep.Setting{{Knob: sweep.KnobLambda, Value: lambda}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sets := make([]*market.Set, len(benchFleetPool))
+			params := make([]cloud.Params, len(benchFleetPool))
+			for k, seed := range benchFleetPool {
+				if sets[k], params[k], err = cloud.Seeded(market.DefaultConfig(0), cloud.DefaultParams(0), seed); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sched.RunCtx(ctx, sets[k], params[k], cfg, 30*sim.Day); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(benchFleetPool)
+				if _, err := sched.RunCtx(ctx, sets[k], params[k], cfg, 30*sim.Day); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchFleetPool is the fixed seed pool the fleet-month benchmarks cycle
 // through, so an op costs the same whatever -benchtime is.
 var benchFleetPool = []int64{1, 2, 3, 4}
