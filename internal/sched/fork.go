@@ -276,7 +276,7 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 	}
 	s.instances = ck.instances
 
-	idx := s.indexOf(ck.groupMarket)
+	idx := slices.Index(s.cands, ck.groupMarket)
 	if idx < 0 {
 		return nil, fmt.Errorf("sched: checkpoint group market %s is not a candidate", ck.groupMarket)
 	}

@@ -143,7 +143,7 @@ func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 	s := &Scheduler{cfg: cfg, prov: prov, eng: prov.Engine(), ckptClock: &ckptClock{}}
 	s.decideFn = s.decide
 	s.cands = cfg.Markets
-	home := s.indexOf(cfg.Home)
+	home := slices.Index(s.cands, cfg.Home)
 	if home < 0 {
 		home = len(s.cands)
 		s.cands = append(slices.Clip(s.cands), cfg.Home)
@@ -172,11 +172,6 @@ func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 	s.odBest = s.cheapestOnDemand(home)
 	s.odBestCost = s.hourlyCost(s.odBest, cloud.OnDemand)
 	return s, nil
-}
-
-// indexOf returns the first index of market m in cands, or -1.
-func (s *Scheduler) indexOf(m market.ID) int {
-	return slices.Index(s.cands, m)
 }
 
 // useEnvelope gates the precomputed-envelope fast path in bestSpotMarket;
