@@ -79,13 +79,17 @@ func (s *Scheduler) groupCallbacks(g *serverGroup) cloud.Callbacks {
 }
 
 // acquireGroup requests the servers the service needs in market
-// cands[i]. Lifecycle warnings and terminations are routed to the
-// scheduler's handlers; group-level ready and failure conditions fire the
-// provided callbacks.
-func (s *Scheduler) acquireGroup(i int, lc cloud.Lifecycle, bid float64,
+// cands[i], spot ones at the policy's bid. Lifecycle warnings and
+// terminations are routed to the scheduler's handlers; group-level ready
+// and failure conditions fire the provided callbacks.
+func (s *Scheduler) acquireGroup(i int, lc cloud.Lifecycle,
 	onReady, onFailed func(*serverGroup)) (*serverGroup, error) {
 
 	m, n := s.cands[i], int(s.mktServers[i])
+	bid := 0.0
+	if lc == cloud.Spot {
+		bid = s.mktBid[i]
+	}
 	g := &serverGroup{
 		market:    m,
 		idx:       i,
@@ -95,7 +99,7 @@ func (s *Scheduler) acquireGroup(i int, lc cloud.Lifecycle, bid float64,
 		onFailed:  onFailed,
 	}
 	cb := s.groupCallbacks(g)
-	for i := 0; i < n; i++ {
+	for range n {
 		var in *cloud.Instance
 		var err error
 		if lc == cloud.Spot {

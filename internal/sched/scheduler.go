@@ -267,7 +267,7 @@ func (s *Scheduler) bootstrap() {
 		budget = math.Inf(1)
 	}
 	if i, ok := s.bestSpotMarket(budget); ok {
-		g, err := s.acquireGroup(i, cloud.Spot, s.mktBid[i], s.bootReady, s.bootFailed)
+		g, err := s.acquireGroup(i, cloud.Spot, s.bootReady, s.bootFailed)
 		if err == nil {
 			s.group = g
 			return
@@ -282,7 +282,7 @@ func (s *Scheduler) bootstrap() {
 }
 
 func (s *Scheduler) bootOnDemand() {
-	g, err := s.acquireGroup(s.odBest, cloud.OnDemand, 0, s.bootReady, s.bootFailed)
+	g, err := s.acquireGroup(s.odBest, cloud.OnDemand, s.bootReady, s.bootFailed)
 	if err != nil {
 		panic(fmt.Sprintf("sched: on-demand bootstrap failed: %v", err))
 	}
@@ -537,11 +537,7 @@ func (s *Scheduler) decide() {
 // beginPlannedMigration acquires the destination group in market cands[i]
 // and, once it is ready, runs the voluntary migration timeline.
 func (s *Scheduler) beginPlannedMigration(i int, lc cloud.Lifecycle) {
-	bid := 0.0
-	if lc == cloud.Spot {
-		bid = s.mktBid[i]
-	}
-	g, err := s.acquireGroup(i, lc, bid, s.plannedTargetReady, s.plannedTargetFailed)
+	g, err := s.acquireGroup(i, lc, s.plannedTargetReady, s.plannedTargetFailed)
 	if err != nil {
 		// Race: the target market moved; stay put and re-evaluate at the
 		// next boundary.
@@ -761,7 +757,7 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 	requestDest := func() {
 		// Flee to on-demand servers of the dying group's market: the
 		// checkpoint volume is region local.
-		g, err := s.acquireGroup(s.group.idx, cloud.OnDemand, 0,
+		g, err := s.acquireGroup(s.group.idx, cloud.OnDemand,
 			s.forcedTargetReady, func(*serverGroup) { s.retargetForced() })
 		if err != nil {
 			panic(fmt.Sprintf("sched: forced on-demand acquisition failed: %v", err))
@@ -790,7 +786,7 @@ func (s *Scheduler) retargetForced() {
 		s.target = nil
 	}
 	// The checkpoint volume is region local.
-	g, err := s.acquireGroup(s.group.idx, cloud.OnDemand, 0,
+	g, err := s.acquireGroup(s.group.idx, cloud.OnDemand,
 		s.forcedTargetReady, func(*serverGroup) { s.retargetForced() })
 	if err != nil {
 		panic(fmt.Sprintf("sched: forced on-demand reacquisition failed: %v", err))
@@ -870,7 +866,7 @@ func (s *Scheduler) tryReacquireSpot() {
 	if !ok {
 		return
 	}
-	g, err := s.acquireGroup(i, cloud.Spot, s.mktBid[i], s.waitingReady, s.waitingFailed)
+	g, err := s.acquireGroup(i, cloud.Spot, s.waitingReady, s.waitingFailed)
 	if err != nil {
 		return // price moved between the event and the request; keep waiting
 	}
