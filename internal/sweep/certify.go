@@ -124,8 +124,9 @@ func tauDivergence(log *sched.ForkLog, tau0, tauJ float64) (div sim.Time, share 
 // bidPairDivergeTime returns the first time bid multiples lo < hi can
 // behave differently in any candidate market: the earliest price step
 // within the horizon that lands strictly above lo's effective bid and
-// at-or-below hi's. Effective bids mirror bidFor: min(k x od, cap x od).
-// The initial price (step 0) is in effect from time 0.
+// at-or-below hi's. Effective bids mirror the scheduler's (sched.New):
+// min(k x od, cap x od). The initial price (step 0) is in effect from
+// time 0.
 func bidPairDivergeTime(set *market.Set, markets []market.ID, lo, hi float64, horizon sim.Time) sim.Time {
 	first := never
 	for _, m := range markets {
