@@ -266,9 +266,9 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 		// pilot; each later member is shared with the previous member's
 		// class leader when the pair can never diverge, else forked from
 		// the pilot's last checkpoint at or before its divergence bound
-		// when a capture can precede that bound, else run cold. Phase 1 runs pilots and cold members (a pilot
-		// captures checkpoints when its family queued a fork); phase 2
-		// resolves the forks.
+		// when a capture can precede that bound, else run cold. Phase 1
+		// runs pilots and cold members (a pilot captures checkpoints when
+		// its family queued a fork); phase 2 resolves the forks.
 		for i := range pilotOf {
 			pilotOf[i] = -1
 		}
@@ -367,7 +367,8 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 				return resolved{rep: rep, pilot: j.pilot, forked: true, forkAt: ck.At()}, err
 			}
 			// No usable checkpoint (a tau divergence before the first
-			// capture, or the pilot never reached quiescence): run cold.
+			// capture, or no quiescent capture at or before the bound):
+			// run cold.
 			rep, err := sched.RunCtx(ctx, set, cp, cfg, horizon)
 			if err == nil {
 				resolve(&simulated)
