@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"spothost/internal/sim"
@@ -380,7 +382,7 @@ func foldWrites(d *Daemon, cutoff sim.Time, acc, scale float64) (float64, []floa
 // c1 must all equal stepping straight to c2, bit for bit.
 func FuzzDaemonFold(f *testing.F) {
 	// Cutoffs exactly at write completions.
-	f.Add(2.0, 8.0, 3.0, 36.6, 0.0, 1000.3, 3600.9, 4.0, uint8(3+4*37))
+	f.Add(2.0, 8.0, 3.0, 36.6, 0.0, 1000.3, 3600.9, 4.0, uint8(3+8*18))
 	// Writes longer than the interval (the clamp to the completion),
 	// backlogs shrinking below the memory size.
 	f.Add(2.0, 30.0, 3.0, 36.6, 17.0, 300.0, 900.0, 0.37, uint8(0))
@@ -391,6 +393,10 @@ func FuzzDaemonFold(f *testing.F) {
 	f.Add(2.0, 0.0, 3.0, 36.6, 86400.0, 10.0, 5000.0, 2.5, uint8(1))
 	// The first full write (56 s) straddles c1.
 	f.Add(2.0, 8.0, 7.5, 36.6, 0.0, 20.0, 2000.0, 0.001, uint8(0))
+	// Whole days from a day before 2^21 s: the write clock and the sum
+	// each cross binades, with c2 on a completion.
+	f.Add(2.0, 8.0, 1.0, 36.6, 2010752.0, 40000.0, 2e6, 3.0, uint8(4+2+8*5))
+	f.Add(2.0, 8.0, 39.0, 36.6, 1048000.0, 9e5, 2.5e6, 0.37, uint8(4))
 	f.Fuzz(func(t *testing.T, memGB, dirty, tau, writeMBps, start, w1, w2, scale float64, pick uint8) {
 		for _, v := range []float64{memGB, dirty, tau, writeMBps, start, w1, w2, scale} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -402,16 +408,26 @@ func FuzzDaemonFold(f *testing.F) {
 		p.CheckpointBound = 0.05 + math.Mod(math.Abs(tau), 120)
 		p.CheckpointWriteMBps = 1 + math.Mod(math.Abs(writeMBps), 255)
 		start = math.Mod(math.Abs(start), 30*sim.Day)
-		// Bound the work: at most ~2000 write cycles past the full image.
-		span := p.FullCheckpointTime(spec) + 2000*p.CheckpointInterval(spec)
+		// Bound the work: at most ~2000 write cycles past the full image,
+		// or, with pick's bit 2, up to 30 days but at most ~200,000
+		// cycles, long enough for the write clock and the sum to cross
+		// binades.
+		cycles := 2000 * p.CheckpointInterval(spec)
+		if pick&4 == 4 {
+			cycles = math.Min(100*cycles, 30*sim.Day)
+		}
+		span := p.FullCheckpointTime(spec) + cycles
 		if span <= p.FullCheckpointTime(spec) {
 			span += sim.Day
 		}
 		c1 := start + math.Mod(math.Abs(w1), span)
 		c2 := c1 + math.Mod(math.Abs(w2), span)
 		// Snap a cutoff onto a completion: pick's bit 0 snaps c1, bit 1
-		// snaps c2 onto a completion at or after c1.
-		all := stepUntil(NewDaemon(spec, p, start), c2+span)
+		// snaps c2 onto a completion at or after c1; pick>>3 picks which.
+		var all []write
+		if pick&3 != 0 {
+			all = stepUntil(NewDaemon(spec, p, start), c2+span)
+		}
 		snap := func(from sim.Time, k int) sim.Time {
 			var at []sim.Time
 			for _, w := range all {
@@ -425,11 +441,11 @@ func FuzzDaemonFold(f *testing.F) {
 			return at[k%len(at)]
 		}
 		if pick&1 == 1 {
-			c1 = snap(start, int(pick>>2))
+			c1 = snap(start, int(pick>>3))
 			c2 = math.Max(c2, c1)
 		}
 		if pick&2 == 2 {
-			c2 = snap(c1, int(pick>>2))
+			c2 = snap(c1, int(pick>>3))
 		}
 
 		stepped := NewDaemon(spec, p, start)
@@ -471,21 +487,118 @@ func FuzzDaemonFold(f *testing.F) {
 	})
 }
 
+// stepSum steps d through every event strictly before cutoff and adds
+// scale times each completed write to acc, one write at a time: the plain
+// Step loop a fold must match.
+func stepSum(d *Daemon, cutoff sim.Time, acc, scale float64) float64 {
+	for {
+		at, ok := d.Next()
+		if !ok || at >= cutoff {
+			return acc
+		}
+		if mb, wrote := d.Step(); wrote {
+			acc += mb * scale
+		}
+	}
+}
+
+// TestDaemonFoldLongSpans checks month-long folds without an observer
+// against the plain Step loop, bit for bit in the sum and the write
+// clocks, whole and split at a random cutoff. The cases cross binades of
+// the write clock (starts a day below 2^20 s and 2^21 s) and of the sum
+// (an incoming sum just below 2^24), tie the clock's or the sum's
+// rounding in one binade with a dyadic interval or scale, and run writes
+// longer than the interval.
+func TestDaemonFoldLongSpans(t *testing.T) {
+	const month = 30 * sim.Day
+	params := func(tau sim.Duration, writeMBps float64) Params {
+		p := DefaultParams()
+		p.CheckpointBound = tau
+		if writeMBps > 0 {
+			p.CheckpointWriteMBps = writeMBps
+		}
+		return p
+	}
+	// A 1 GB VM dirtying 4 MB/s and writing at 8 MB/s: tau = 4 s gives an
+	// interval of exactly 8 s and 32 MB writes.
+	dyadic := Spec{MemoryGB: 1, DirtyRateMBps: 4, Units: 1}
+	// Its interval at tau = 4 + 2^-34 s is 8 + 2^-33 s, whose rounding
+	// onto a clock in [2^20, 2^21) s (spacing 2^-32) is a tie.
+	clockTie := params(4+0x1p-34, 8)
+	if iv := clockTie.CheckpointInterval(dyadic); math.Abs(iv-((0x1p20+iv)-0x1p20)) != 0x1p-33 {
+		t.Fatalf("interval %v does not tie at 2^20 s", iv)
+	}
+	// 32 MB scaled by 1 + 2^-34 is 32 + 2^-29, whose rounding onto a sum
+	// in [2^24, 2^25) (spacing 2^-28) is a tie.
+	const sumTieScale = 1 + 0x1p-34
+	if x := 32 * sumTieScale; math.Abs(x-((0x1p24+x)-0x1p24)) != 0x1p-29 {
+		t.Fatalf("write %v does not tie at a sum of 2^24", x)
+	}
+	cases := []struct {
+		name       string
+		spec       Spec
+		p          Params
+		start      sim.Time
+		acc, scale float64
+	}{
+		{"tau=1", hostedVM, params(1, 0), 0, 0, 1},
+		{"tau=3", hostedVM, params(3, 0), 0, 0, 1},
+		{"tau=39", hostedVM, params(39, 0), 0, 0, 1},
+		{"tau=3/clock-2^20", hostedVM, params(3, 0), 0x1p20 - sim.Day, 0, 3},
+		{"tau=1/clock-2^21", hostedVM, params(1, 0), 0x1p21 - sim.Day, 0, 0.37},
+		{"tau=39/clock-2^21", hostedVM, params(39, 0), 0x1p21 - sim.Day, 0, 2.5},
+		{"tau=3/sum-2^24", hostedVM, params(3, 0), 0, 0x1p24 - 5e4, 1},
+		{"clock-tie", dyadic, clockTie, 0x1p20 - sim.Day, 0, 1},
+		{"sum-tie", dyadic, params(4, 8), 0, 0x1p24 - 1000, sumTieScale},
+		{"clamp", Spec{MemoryGB: 2, DirtyRateMBps: 64, Units: 1}, params(3, 0), 1234.5, 0, 0.37},
+	}
+	rng := rand.New(rand.NewPCG(29, 3))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			end := c.start + month
+			stepped := NewDaemon(c.spec, c.p, c.start)
+			want := stepSum(stepped, end, c.acc, c.scale)
+
+			whole := NewDaemon(c.spec, c.p, c.start)
+			if got := whole.Fold(end, c.acc, c.scale, nil); math.Float64bits(got) != math.Float64bits(want) || !sameClocks(whole, stepped) {
+				t.Fatalf("fold summed %v and left %+v, stepping %v and %+v", got, *whole, want, *stepped)
+			}
+
+			cut := c.start + rng.Float64()*month
+			split := NewDaemon(c.spec, c.p, c.start)
+			got := split.Fold(end, split.Fold(cut, c.acc, c.scale, nil), c.scale, nil)
+			if math.Float64bits(got) != math.Float64bits(want) || !sameClocks(split, stepped) {
+				t.Fatalf("fold split at %v summed %v and left %+v, stepping %v and %+v", cut, got, *split, want, *stepped)
+			}
+		})
+	}
+}
+
 // foldSink keeps BenchmarkDaemonFold's folds live.
 var foldSink float64
 
 // BenchmarkDaemonFold folds one 30-day daemon epoch of the default hosted
-// VM at tau = 3 s.
+// VM without an observer at tau = 1, 3 and 39 s, started at 0 and a day
+// before 2^21 s, and reports how many writes the epoch completes.
 func BenchmarkDaemonFold(b *testing.B) {
-	p := DefaultParams()
-	writes := 0
-	NewDaemon(hostedVM, p, 0).Fold(30*sim.Day, 0, 1, func(float64) { writes++ })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		foldSink = NewDaemon(hostedVM, p, 0).Fold(30*sim.Day, 0, 1, nil)
+	for _, tau := range []sim.Duration{1, 3, 39} {
+		for _, start := range []struct {
+			name string
+			at   sim.Time
+		}{{"0", 0}, {"2^21-1d", 0x1p21 - sim.Day}} {
+			b.Run(fmt.Sprintf("tau=%g/start=%s", tau, start.name), func(b *testing.B) {
+				p := DefaultParams()
+				p.CheckpointBound = tau
+				end := start.at + 30*sim.Day
+				writes := 0
+				NewDaemon(hostedVM, p, start.at).Fold(end, 0, 1, func(float64) { writes++ })
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					foldSink = NewDaemon(hostedVM, p, start.at).Fold(end, 0, 1, nil)
+				}
+				b.ReportMetric(float64(writes), "writes/op")
+			})
+		}
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(writes), "writes/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(writes), "ns/write")
 }
