@@ -264,6 +264,7 @@ func (tr *Trace) Min() float64 {
 // on-demand price catalog they were generated against.
 type Set struct {
 	traces   map[ID]*Trace
+	ids      []ID // the keys of traces, sorted by region, then type
 	onDemand map[ID]float64
 	types    map[InstanceType]TypeSpec // typed view; nil for untyped sets
 	end      sim.Time
@@ -365,10 +366,20 @@ func NewSetTyped(traces []*Trace, onDemand map[ID]float64, types []TypeSpec) (*S
 	if len(s.traces) == 0 {
 		return nil, fmt.Errorf("market: empty set")
 	}
+	s.ids = make([]ID, 0, len(s.traces))
+	for id := range s.traces {
+		s.ids = append(s.ids, id)
+	}
+	sort.Slice(s.ids, func(i, j int) bool {
+		if s.ids[i].Region != s.ids[j].Region {
+			return s.ids[i].Region < s.ids[j].Region
+		}
+		return s.ids[i].Type < s.ids[j].Type
+	})
 	// Repack into the arena in deterministic (sorted-ID) order.
 	arenaT := make([]sim.Time, 0, total)
 	arenaP := make([]float64, 0, total)
-	for _, id := range s.IDs() {
+	for _, id := range s.ids {
 		tr := s.traces[id]
 		lo := len(arenaT)
 		arenaT = append(arenaT, tr.times...)
@@ -402,20 +413,9 @@ func (s *Set) ClampHorizon(h sim.Duration) sim.Duration {
 	return h
 }
 
-// IDs returns all market identifiers, sorted for determinism.
-func (s *Set) IDs() []ID {
-	ids := make([]ID, 0, len(s.traces))
-	for id := range s.traces {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Region != ids[j].Region {
-			return ids[i].Region < ids[j].Region
-		}
-		return ids[i].Type < ids[j].Type
-	})
-	return ids
-}
+// IDs returns all market identifiers, sorted by region, then type. The
+// slice is the set's own, shared by every caller: do not modify it.
+func (s *Set) IDs() []ID { return s.ids[:len(s.ids):len(s.ids)] }
 
 // Regions returns the distinct regions present, sorted.
 func (s *Set) Regions() []Region {
