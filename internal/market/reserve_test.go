@@ -7,6 +7,15 @@ import (
 	"spothost/internal/sim"
 )
 
+// reserveConfig is the banded regime at seed over horizon, with spikes
+// demand spikes a day layered on top.
+func reserveConfig(seed int64, spikes float64, horizon sim.Duration) ReserveConfig {
+	cfg := DefaultReserveConfig(seed)
+	cfg.SpikesPerDay = spikes
+	cfg.Horizon = horizon
+	return cfg
+}
+
 func TestReserveConfigValidation(t *testing.T) {
 	good := DefaultReserveConfig(1)
 	if err := good.Validate(); err != nil {

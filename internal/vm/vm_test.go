@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"spothost/internal/market"
 )
 
 // paperVM is the 2 GB VM the paper's micro-benchmarks use, nearly idle
@@ -12,6 +14,25 @@ var paperVM = Spec{MemoryGB: 2, DirtyRateMBps: 2, DiskGB: 2, Units: 1}
 
 // hostedVM is a busier service VM.
 var hostedVM = Spec{MemoryGB: 2, DirtyRateMBps: 8, DiskGB: 4, Units: 1}
+
+// wanLink is the link a migration between regions a and b crosses, or nil
+// when both lie in one region class.
+func wanLink(p Params, a, b market.Region) *WANLink {
+	if market.SameRegionClass(a, b) {
+		return nil
+	}
+	l := p.Link(a, b)
+	return &l
+}
+
+// liveBandwidth is the pre-copy bandwidth over link, or the intra-region
+// bandwidth when link is nil.
+func liveBandwidth(p Params, link *WANLink) float64 {
+	if link == nil {
+		return p.LiveBandwidthMBps
+	}
+	return link.LiveBandwidthMBps
+}
 
 func TestSpecValidate(t *testing.T) {
 	if err := hostedVM.Validate(); err != nil {
