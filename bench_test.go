@@ -565,7 +565,7 @@ func BenchmarkLiveMigrationModel(b *testing.B) {
 	p := vm.DefaultParams()
 	spec := vm.Spec{MemoryGB: 15, DirtyRateMBps: 12, DiskGB: 8, Units: 8}
 	for i := 0; i < b.N; i++ {
-		tl := vm.LiveMigrationTimeline(spec, p.LiveBandwidthMBps, p)
+		tl := vm.LiveMigrationTimeline(spec, vm.LiveBandwidthMBps, p)
 		if tl.Duration <= 0 {
 			b.Fatal("degenerate timeline")
 		}

@@ -317,7 +317,7 @@ func (p *Provider) refundPartialHour(in *Instance) {
 	in.charged -= in.lastHourCost
 	p.billed -= in.lastHourCost
 	if o := p.eng.Obs(); o != nil {
-		o.Charge(float64(now), in.market.String(), string(in.market.Type), -in.lastHourCost)
+		o.Charge(float64(now), in.ms.label, string(in.market.Type), -in.lastHourCost)
 	}
 }
 

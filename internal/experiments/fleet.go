@@ -47,7 +47,7 @@ var fleetPlanner = sync.OnceValues(func() (*fleet.TPCWPlanner, error) {
 // the generator's shared regional/global shocks.
 func fleetMarkets(opts Options) []market.ID {
 	var ids []market.ID
-	for _, r := range opts.Market.Regions {
+	for _, r := range market.DefaultRegions() {
 		ids = append(ids, market.ID{Region: r.Name, Type: "small"})
 	}
 	return ids

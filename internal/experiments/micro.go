@@ -147,7 +147,7 @@ func Table2(opts Options) (Table2Result, error) {
 		CkptPerGB:    p.FullCheckpointTime(vm.Spec{MemoryGB: 1, Units: 1}),
 	}
 	for _, r := range res.IntraRegions {
-		res.LiveIntra[r] = vm.LiveMigrationTimeline(spec, p.LiveBandwidthMBps, p).Duration
+		res.LiveIntra[r] = vm.LiveMigrationTimeline(spec, vm.LiveBandwidthMBps, p).Duration
 	}
 	res.Pairs = [][2]market.Region{
 		{"us-east-1a", "us-west-1a"},
@@ -155,7 +155,7 @@ func Table2(opts Options) (Table2Result, error) {
 		{"us-west-1a", "eu-west-1a"},
 	}
 	for _, pr := range res.Pairs {
-		link := p.Link(pr[0], pr[1])
+		link := vm.Link(pr[0], pr[1])
 		key := vm.WANKey(pr[0], pr[1])
 		res.LiveCross[key] = vm.LiveMigrationTimeline(spec, link.LiveBandwidthMBps, p).Duration
 		res.DiskPerGB[key] = 1024 / link.DiskCopyMBps

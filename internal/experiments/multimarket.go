@@ -74,7 +74,7 @@ func Figure8(opts Options) (Figure8Result, error) {
 	var res Figure8Result
 	var cfgs []sched.Config
 	perRegion := 0
-	for _, rs := range opts.Market.Regions {
+	for _, rs := range market.DefaultRegions() {
 		home := market.ID{Region: rs.Name, Type: "small"}
 		all := marketsIn(opts, rs.Name)
 		perRegion = len(all) + 1
@@ -95,7 +95,7 @@ func Figure8(opts Options) (Figure8Result, error) {
 	if err != nil {
 		return res, err
 	}
-	for i, rs := range opts.Market.Regions {
+	for i, rs := range market.DefaultRegions() {
 		group := reports[i*perRegion : (i+1)*perRegion]
 		corr, err := regionCorrelation(opts, rs.Name)
 		if err != nil {
@@ -180,7 +180,7 @@ type Figure9Result struct {
 // fleet.
 func Figure9(opts Options) (Figure9Result, error) {
 	opts = opts.normalize()
-	regions := opts.Market.Regions
+	regions := market.DefaultRegions()
 	var res Figure9Result
 	type pair struct{ a, b market.RegionSpec }
 	var pairs []pair

@@ -96,7 +96,7 @@ func (o Options) normalize() Options {
 	if o.Horizon <= 0 {
 		o.Horizon = d.Horizon
 	}
-	if len(o.Market.Regions) == 0 {
+	if len(o.Market.Types) == 0 {
 		o.Market = d.Market
 		o.Market.Horizon = o.Horizon
 	}

@@ -46,8 +46,9 @@ func Robustness(opts Options) (RobustnessResult, error) {
 		if regime == 2 {
 			return cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
 		}
-		rcfg := market.DefaultReserveConfig(seed)
+		rcfg := market.DefaultConfig(seed)
 		rcfg.Horizon = opts.Horizon
+		rcfg.SpikesPerDay = 0 // the pure banded regime
 		if regime == 1 {
 			rcfg.SpikesPerDay = 3
 		}

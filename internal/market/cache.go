@@ -43,18 +43,19 @@ func (c *Cache) Generate(cfg Config) (*Set, error) {
 	})
 }
 
-// GenerateReserve returns the memoized Set for the banded-reserve regime
-// cfg, generating it on first use.
-func (c *Cache) GenerateReserve(cfg ReserveConfig) (*Set, error) {
+// GenerateReserve returns the memoized banded-reserve Set for cfg,
+// generating it on first use.
+func (c *Cache) GenerateReserve(cfg Config) (*Set, error) {
 	return c.lookup(cacheKey("reserve", cfg), func() (*Set, error) {
 		return GenerateReserve(cfg)
 	})
 }
 
-// cacheKey renders a config to a canonical string key. Both config types
-// are plain value structs (slices of value structs, numbers, strings), so
-// %#v is deterministic and injective over distinct configurations.
-func cacheKey(kind string, cfg any) string {
+// cacheKey renders a generator kind and its config to a canonical string
+// key. Config is a plain value struct (a slice of value structs, numbers),
+// so %#v is deterministic and injective over distinct configurations; the
+// kind tells the two generators' universes apart.
+func cacheKey(kind string, cfg Config) string {
 	return kind + ":" + fmt.Sprintf("%#v", cfg)
 }
 

@@ -71,8 +71,7 @@ func TestCacheKeyedBySeedAndConfig(t *testing.T) {
 // its own key space.
 func TestCacheReserve(t *testing.T) {
 	c := NewCache()
-	rcfg := DefaultReserveConfig(3)
-	rcfg.Horizon = 2 * sim.Day
+	rcfg := reserveConfig(3, 0, 2*sim.Day)
 	a, err := c.GenerateReserve(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +92,14 @@ func TestCacheReserve(t *testing.T) {
 	if sp == a {
 		t.Fatal("spiky reserve config collided with the banded one")
 	}
+	// Both generators take one Config; the kind keeps them apart.
+	g, err := c.Generate(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g == a {
+		t.Fatal("Generate and GenerateReserve of one config collided")
+	}
 }
 
 // TestCacheError checks invalid configs propagate their error (memoized,
@@ -100,7 +107,7 @@ func TestCacheReserve(t *testing.T) {
 func TestCacheError(t *testing.T) {
 	c := NewCache()
 	bad := smallConfig(1)
-	bad.Regions = nil
+	bad.Types = nil
 	if _, err := c.Generate(bad); err == nil {
 		t.Fatal("want validation error")
 	}

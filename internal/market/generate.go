@@ -10,121 +10,119 @@ import (
 	"spothost/internal/sim"
 )
 
-// Config parameterizes the synthetic price generator. DefaultConfig returns
-// the calibration used throughout the experiments; tests tweak individual
-// fields.
+// Config selects a synthetic universe: its instance types over the
+// default regions, its length, its seed and its spike rate. Generate and
+// GenerateReserve both take it, so a cache tells their universes apart by
+// generator kind alone. DefaultConfig returns the configuration used
+// throughout the experiments.
+//
+// The rest of the price process is calibration that no experiment
+// varies, fixed as package constants:
+//
+//   - StepMean, BaseCV and BaseAR: the base level, a slow AR(1) wobble in
+//     log space around each region's BaseRatio x on-demand;
+//   - SpikeMeanDur, SpikeMin, SpikeAlpha and SpikeMax: spike duration and
+//     bounded-Pareto magnitude;
+//   - RegionShareProb and GlobalShareProb: how often a market adopts a
+//     regional or global shock, the spikes' cross-market correlation;
+//   - GlobalBaseWeight and RegionBaseWeight: the base wobble's loadings on
+//     shared factors, its cross-market correlation.
+//
+// GenerateReserve's banded regime has its own constants: FloorRatio,
+// CeilRatio, ChangeMean and Persistence.
 type Config struct {
-	Regions []RegionSpec
 	Types   []TypeSpec
 	Horizon sim.Duration // trace length, seconds
 	Seed    int64
 
-	// Base-level process: a slow AR(1) wobble in log space around
-	// BaseRatio x on-demand, re-sampled every ~StepMean seconds.
-	StepMean sim.Duration
-	BaseCV   float64 // log-space stddev of the wobble
-	BaseAR   float64 // AR(1) coefficient per step, in (0,1)
-
-	// Spike process: Poisson arrivals at SpikesPerDay x region volatility;
-	// each spike lifts the price to ratio x on-demand for an Exp(SpikeMeanDur)
-	// interval, ratio drawn from BoundedPareto(SpikeMin, SpikeAlpha, SpikeMax).
+	// SpikesPerDay is the daily demand-spike arrival rate, scaled by each
+	// region's volatility. Each spike lifts the price to ratio x on-demand
+	// for an Exp(SpikeMeanDur) interval, ratio drawn from
+	// BoundedPareto(SpikeMin, SpikeAlpha, SpikeMax). 0 disables spikes.
 	SpikesPerDay float64
-	SpikeMeanDur sim.Duration
-	SpikeMin     float64
-	SpikeAlpha   float64
-	SpikeMax     float64
-
-	// Shared-shock structure controlling cross-market correlation.
-	// A fraction of each market's spikes come from a per-region shock
-	// process (shared by markets in the region with RegionShareProb) and a
-	// global process (shared across regions with GlobalShareProb).
-	RegionShareProb float64
-	GlobalShareProb float64
-
-	// Factor loadings of the base-level wobble on shared components:
-	// each market's log-price wobble is a weighted mix of a global factor,
-	// a per-region factor and an idiosyncratic term. These produce the
-	// weak-but-nonzero Pearson correlations of Fig. 8(b) and Fig. 9(b);
-	// squares must sum to at most 1 (the remainder is idiosyncratic).
-	GlobalBaseWeight float64
-	RegionBaseWeight float64
 }
 
-// DefaultConfig returns the calibrated generator configuration for a
-// 30-day universe over the default regions and types.
+// Calibration of Generate's price process (see Config).
+const (
+	// StepMean is the mean interval between re-samples of the base level.
+	StepMean sim.Duration = 10 * sim.Minute
+	// BaseCV is the log-space stddev of the base-level wobble.
+	BaseCV float64 = 0.22
+	// BaseAR is the wobble's AR(1) coefficient per step, in (0,1).
+	BaseAR float64 = 0.97
+
+	// SpikeMeanDur is the mean spike duration.
+	SpikeMeanDur sim.Duration = 28 * sim.Minute
+	// SpikeMin, SpikeAlpha and SpikeMax parameterize the bounded-Pareto
+	// spike ratio to on-demand: its floor, tail index and cap.
+	SpikeMin   float64 = 0.35
+	SpikeAlpha float64 = 1.35
+	SpikeMax   float64 = 15
+
+	// RegionShareProb is the chance a market adopts each shock of its
+	// region's shared shock process; GlobalShareProb is the chance it
+	// adopts each shock of the global one.
+	RegionShareProb float64 = 0.5
+	GlobalShareProb float64 = 0.25
+
+	// GlobalBaseWeight and RegionBaseWeight are the factor loadings of the
+	// base-level wobble on a global and a per-region factor; the rest is
+	// idiosyncratic. They produce the weak-but-nonzero Pearson
+	// correlations of Fig. 8(b) and Fig. 9(b). Their squares sum to at
+	// most 1.
+	GlobalBaseWeight float64 = 0.28
+	RegionBaseWeight float64 = 0.45
+)
+
+// DefaultConfig returns the generator configuration for a 30-day universe
+// over the default types.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Regions:         DefaultRegions(),
-		Types:           DefaultTypes(),
-		Horizon:         30 * sim.Day,
-		Seed:            seed,
-		StepMean:        10 * sim.Minute,
-		BaseCV:          0.22,
-		BaseAR:          0.97,
-		SpikesPerDay:    2.2,
-		SpikeMeanDur:    28 * sim.Minute,
-		SpikeMin:        0.35,
-		SpikeAlpha:      1.35,
-		SpikeMax:        15,
-		RegionShareProb: 0.5,
-		GlobalShareProb: 0.25,
-
-		GlobalBaseWeight: 0.28,
-		RegionBaseWeight: 0.45,
+		Types:        DefaultTypes(),
+		Horizon:      30 * sim.Day,
+		Seed:         seed,
+		SpikesPerDay: 2.2,
 	}
 }
 
 // Validate reports configuration errors early with actionable messages.
 func (c Config) Validate() error {
 	switch {
-	case len(c.Regions) == 0:
-		return fmt.Errorf("market: config has no regions")
 	case len(c.Types) == 0:
 		return fmt.Errorf("market: config has no types")
 	case c.Horizon <= sim.Hour:
 		return fmt.Errorf("market: horizon %v too short", c.Horizon)
-	case c.StepMean <= 0:
-		return fmt.Errorf("market: StepMean must be positive")
-	case c.BaseAR <= 0 || c.BaseAR >= 1:
-		return fmt.Errorf("market: BaseAR must be in (0,1)")
-	case c.SpikeMin <= 0 || c.SpikeMax < c.SpikeMin:
-		return fmt.Errorf("market: invalid spike ratio bounds [%v,%v]", c.SpikeMin, c.SpikeMax)
-	case c.SpikeAlpha <= 0:
-		return fmt.Errorf("market: SpikeAlpha must be positive")
-	case c.GlobalBaseWeight < 0 || c.RegionBaseWeight < 0 ||
-		c.GlobalBaseWeight*c.GlobalBaseWeight+c.RegionBaseWeight*c.RegionBaseWeight > 1:
-		return fmt.Errorf("market: base factor weights invalid (squares must sum to <= 1)")
+	case c.SpikesPerDay < 0:
+		return fmt.Errorf("market: negative spike rate %v", c.SpikesPerDay)
 	}
 	return nil
 }
 
-// factorSeries is a shared AR(1) wobble sampled on a fixed grid; Value
+// factorSeries is a shared AR(1) wobble sampled every StepMean; Value
 // interpolates piecewise-constantly so every market sees the same factor
 // path regardless of its own step times.
-type factorSeries struct {
-	step sim.Duration
-	vals []float64
-}
+type factorSeries []float64
 
-func newFactorSeries(rng *randx.Stream, horizon sim.Duration, step sim.Duration, ar float64) *factorSeries {
-	n := int(horizon/step) + 2
-	vals := make([]float64, n)
+func newFactorSeries(rng *randx.Stream, horizon sim.Duration) factorSeries {
+	n := int(horizon/StepMean) + 2
+	ar := BaseAR
+	vals := make(factorSeries, n)
 	vals[0] = rng.NormFloat64()
 	for i := 1; i < n; i++ {
 		vals[i] = ar*vals[i-1] + math.Sqrt(1-ar*ar)*rng.NormFloat64()
 	}
-	return &factorSeries{step: step, vals: vals}
+	return vals
 }
 
-func (f *factorSeries) Value(t sim.Time) float64 {
-	i := int(t / f.step)
+func (f factorSeries) Value(t sim.Time) float64 {
+	i := int(t / StepMean)
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(f.vals) {
-		i = len(f.vals) - 1
+	if i >= len(f) {
+		i = len(f) - 1
 	}
-	return f.vals[i]
+	return f[i]
 }
 
 // shock is one external demand event: while active it lifts the market
@@ -137,28 +135,28 @@ type shock struct {
 
 // poissonShocks draws shock arrivals, in start order, over [0, horizon) at
 // the given daily rate. Ratios come from the bounded-Pareto magnitude
-// distribution scaled by severity.
-func poissonShocks(rng *randx.Stream, cfg Config, ratePerDay, severity float64) []shock {
+// distribution.
+func poissonShocks(rng *randx.Stream, horizon sim.Duration, ratePerDay float64) []shock {
 	if ratePerDay <= 0 {
 		return nil
 	}
 	var out []shock
 	meanGap := sim.Day / ratePerDay
 	t := rng.Exp(meanGap)
-	for t < cfg.Horizon {
-		dur := rng.Exp(cfg.SpikeMeanDur)
+	for t < horizon {
+		dur := rng.Exp(SpikeMeanDur)
 		if dur < sim.Minute {
 			dur = sim.Minute
 		}
-		ratio := rng.BoundedPareto(cfg.SpikeMin, cfg.SpikeAlpha, cfg.SpikeMax) * severity
-		out = append(out, shock{start: t, end: math.Min(t+dur, cfg.Horizon), ratio: ratio})
+		ratio := rng.BoundedPareto(SpikeMin, SpikeAlpha, SpikeMax)
+		out = append(out, shock{start: t, end: math.Min(t+dur, horizon), ratio: ratio})
 		t += rng.Exp(meanGap)
 	}
 	return out
 }
 
-// Generate produces a Set of synthetic traces for every (region, type)
-// pair in the config. Generation is deterministic in cfg.Seed.
+// Generate produces a Set of synthetic traces for every default region and
+// every type in the config. Generation is deterministic in cfg.Seed.
 func Generate(cfg Config) (*Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -166,18 +164,17 @@ func Generate(cfg Config) (*Set, error) {
 
 	// Global shocks, visible to every market with GlobalShareProb.
 	globalRng := randx.Derive(cfg.Seed, "shock/global")
-	global := poissonShocks(globalRng, cfg, cfg.SpikesPerDay*0.6, 1)
-	globalFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/global"),
-		cfg.Horizon, cfg.StepMean, cfg.BaseAR)
+	global := poissonShocks(globalRng, cfg.Horizon, cfg.SpikesPerDay*0.6)
+	globalFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/global"), cfg.Horizon)
+	localShare := 1 - RegionShareProb
 
 	onDemand := map[ID]float64{}
 	var traces []*Trace
-	for _, rs := range cfg.Regions {
+	for _, rs := range DefaultRegions() {
 		// Region-level shocks shared by markets in the region.
 		regionRng := randx.Derive(cfg.Seed, "shock/region/"+string(rs.Name))
-		regional := poissonShocks(regionRng, cfg, cfg.SpikesPerDay*rs.Volatility, 1)
-		regionFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/region/"+string(rs.Name)),
-			cfg.Horizon, cfg.StepMean, cfg.BaseAR)
+		regional := poissonShocks(regionRng, cfg.Horizon, cfg.SpikesPerDay*rs.Volatility)
+		regionFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/region/"+string(rs.Name)), cfg.Horizon)
 
 		for _, ts := range cfg.Types {
 			id := ID{Region: rs.Name, Type: ts.Name}
@@ -191,26 +188,26 @@ func Generate(cfg Config) (*Set, error) {
 			// arrivals topping the rate up to SpikesPerDay*Volatility.
 			var shocks []shock
 			for _, sh := range regional {
-				if rng.Bernoulli(cfg.RegionShareProb) {
+				if rng.Bernoulli(RegionShareProb) {
 					sh.ratio *= rng.LognormalMeanCV(1, 0.25)
 					shocks = append(shocks, sh)
 				}
 			}
 			for _, sh := range global {
-				if rng.Bernoulli(cfg.GlobalShareProb) {
+				if rng.Bernoulli(GlobalShareProb) {
 					sh.ratio *= rng.LognormalMeanCV(1, 0.25)
 					shocks = append(shocks, sh)
 				}
 			}
-			localRate := cfg.SpikesPerDay * rs.Volatility * (1 - cfg.RegionShareProb)
-			shocks = append(shocks, poissonShocks(rng.Derive("local"), cfg, localRate, 1)...)
+			localRate := cfg.SpikesPerDay * rs.Volatility * localShare
+			shocks = append(shocks, poissonShocks(rng.Derive("local"), cfg.Horizon, localRate)...)
 			// Three start-sorted runs, put in start order for the shock
 			// sweep. The order of equal starts cannot show: the sweep takes
 			// a max over active ratios, and two equal starts inside the
 			// horizon are a tied boundary that NewTrace rejects.
 			slices.SortFunc(shocks, func(a, b shock) int { return cmp.Compare(a.start, b.start) })
 
-			points := synthesize(rng.Derive("base"), cfg, rs, od, shocks, globalFactor, regionFactor)
+			points := synthesize(rng.Derive("base"), cfg.Horizon, rs, od, shocks, globalFactor, regionFactor)
 			tr, err := NewTrace(id, points, cfg.Horizon)
 			if err != nil {
 				return nil, fmt.Errorf("market: generating %s: %w", id, err)
@@ -224,18 +221,18 @@ func Generate(cfg Config) (*Set, error) {
 // synthesize builds the piecewise-constant price series for one market
 // from its base-level factor-model wobble and its shock list, which must
 // be sorted by start.
-func synthesize(rng *randx.Stream, cfg Config, rs RegionSpec, od float64, shocks []shock,
-	globalFactor, regionFactor *factorSeries) []Point {
+func synthesize(rng *randx.Stream, horizon sim.Duration, rs RegionSpec, od float64, shocks []shock,
+	globalFactor, regionFactor factorSeries) []Point {
 	// Base-level wobble in log space, region-scaled; a factor model mixes
 	// the shared global/region components with an idiosyncratic AR(1).
-	sigma := cfg.BaseCV * math.Sqrt(rs.Volatility)
-	gw, rw := cfg.GlobalBaseWeight, cfg.RegionBaseWeight
+	sigma := BaseCV * math.Sqrt(rs.Volatility)
+	gw, rw, ar := GlobalBaseWeight, RegionBaseWeight, BaseAR
 	lw := math.Sqrt(1 - gw*gw - rw*rw)
 	wLocal := rng.NormFloat64()
-	return piecewise(rng, cfg.StepMean, shocks, cfg.Horizon, func(t sim.Time, resample bool, shockRatio float64) float64 {
+	return piecewise(rng, StepMean, shocks, horizon, func(t sim.Time, resample bool, shockRatio float64) float64 {
 		if resample {
 			// Advance the idiosyncratic AR(1) wobble.
-			wLocal = cfg.BaseAR*wLocal + math.Sqrt(1-cfg.BaseAR*cfg.BaseAR)*rng.NormFloat64()
+			wLocal = ar*wLocal + math.Sqrt(1-ar*ar)*rng.NormFloat64()
 		}
 		w := sigma * (gw*globalFactor.Value(t) + rw*regionFactor.Value(t) + lw*wLocal)
 		b := rs.BaseRatio * od * math.Exp(w-sigma*sigma/2)

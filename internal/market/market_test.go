@@ -206,14 +206,9 @@ func TestGenerateUniverseShape(t *testing.T) {
 
 func TestGenerateValidatesConfig(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.Regions = nil },
 		func(c *Config) { c.Types = nil },
 		func(c *Config) { c.Horizon = 10 },
-		func(c *Config) { c.StepMean = 0 },
-		func(c *Config) { c.BaseAR = 1.5 },
-		func(c *Config) { c.SpikeMin = 0 },
-		func(c *Config) { c.SpikeMax = 0.1 },
-		func(c *Config) { c.SpikeAlpha = 0 },
+		func(c *Config) { c.SpikesPerDay = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(1)

@@ -24,17 +24,16 @@ func generateRef(cfg Config) (*Set, error) {
 		return nil, err
 	}
 	globalRng := randx.Derive(cfg.Seed, "shock/global")
-	global := poissonShocks(globalRng, cfg, cfg.SpikesPerDay*0.6, 1)
-	globalFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/global"),
-		cfg.Horizon, cfg.StepMean, cfg.BaseAR)
+	global := poissonShocks(globalRng, cfg.Horizon, cfg.SpikesPerDay*0.6)
+	globalFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/global"), cfg.Horizon)
+	localShare := 1 - RegionShareProb
 
 	onDemand := map[ID]float64{}
 	var traces []*Trace
-	for _, rs := range cfg.Regions {
+	for _, rs := range DefaultRegions() {
 		regionRng := randx.Derive(cfg.Seed, "shock/region/"+string(rs.Name))
-		regional := poissonShocks(regionRng, cfg, cfg.SpikesPerDay*rs.Volatility, 1)
-		regionFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/region/"+string(rs.Name)),
-			cfg.Horizon, cfg.StepMean, cfg.BaseAR)
+		regional := poissonShocks(regionRng, cfg.Horizon, cfg.SpikesPerDay*rs.Volatility)
+		regionFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/region/"+string(rs.Name)), cfg.Horizon)
 
 		for _, ts := range cfg.Types {
 			id := ID{Region: rs.Name, Type: ts.Name}
@@ -44,22 +43,22 @@ func generateRef(cfg Config) (*Set, error) {
 
 			var shocks []shock
 			for _, sh := range regional {
-				if rng.Bernoulli(cfg.RegionShareProb) {
+				if rng.Bernoulli(RegionShareProb) {
 					sh.ratio *= rng.LognormalMeanCV(1, 0.25)
 					shocks = append(shocks, sh)
 				}
 			}
 			for _, sh := range global {
-				if rng.Bernoulli(cfg.GlobalShareProb) {
+				if rng.Bernoulli(GlobalShareProb) {
 					sh.ratio *= rng.LognormalMeanCV(1, 0.25)
 					shocks = append(shocks, sh)
 				}
 			}
-			localRate := cfg.SpikesPerDay * rs.Volatility * (1 - cfg.RegionShareProb)
-			shocks = append(shocks, poissonShocks(rng.Derive("local"), cfg, localRate, 1)...)
+			localRate := cfg.SpikesPerDay * rs.Volatility * localShare
+			shocks = append(shocks, poissonShocks(rng.Derive("local"), cfg.Horizon, localRate)...)
 			sort.Slice(shocks, func(i, j int) bool { return shocks[i].start < shocks[j].start })
 
-			points := synthesizeRef(rng.Derive("base"), cfg, rs, od, shocks, globalFactor, regionFactor)
+			points := synthesizeRef(rng.Derive("base"), cfg.Horizon, rs, od, shocks, globalFactor, regionFactor)
 			tr, err := NewTrace(id, points, cfg.Horizon)
 			if err != nil {
 				return nil, fmt.Errorf("market: generating %s: %w", id, err)
@@ -72,10 +71,10 @@ func generateRef(cfg Config) (*Set, error) {
 
 // synthesizeRef sorts all boundaries of one market and rescans the shocks
 // at each.
-func synthesizeRef(rng *randx.Stream, cfg Config, rs RegionSpec, od float64, shocks []shock,
-	globalFactor, regionFactor *factorSeries) []Point {
-	sigma := cfg.BaseCV * math.Sqrt(rs.Volatility)
-	gw, rw := cfg.GlobalBaseWeight, cfg.RegionBaseWeight
+func synthesizeRef(rng *randx.Stream, horizon sim.Duration, rs RegionSpec, od float64, shocks []shock,
+	globalFactor, regionFactor factorSeries) []Point {
+	sigma := BaseCV * math.Sqrt(rs.Volatility)
+	gw, rw, ar := GlobalBaseWeight, RegionBaseWeight, BaseAR
 	lw := math.Sqrt(1 - gw*gw - rw*rw)
 	wLocal := rng.NormFloat64()
 	now := sim.Time(0)
@@ -93,7 +92,7 @@ func synthesizeRef(rng *randx.Stream, cfg Config, rs RegionSpec, od float64, sho
 		isBase bool
 	}
 	var bounds []boundary
-	for t := rng.Exp(cfg.StepMean); t < cfg.Horizon; t += rng.Exp(cfg.StepMean) {
+	for t := rng.Exp(StepMean); t < horizon; t += rng.Exp(StepMean) {
 		bounds = append(bounds, boundary{t: t, isBase: true})
 	}
 	for _, sh := range shocks {
@@ -129,11 +128,11 @@ func synthesizeRef(rng *randx.Stream, cfg Config, rs RegionSpec, od float64, sho
 
 	points := []Point{{T: 0, Price: priceAt(0)}}
 	for _, bd := range bounds {
-		if bd.t <= 0 || bd.t >= cfg.Horizon {
+		if bd.t <= 0 || bd.t >= horizon {
 			continue
 		}
 		if bd.isBase {
-			wLocal = cfg.BaseAR*wLocal + math.Sqrt(1-cfg.BaseAR*cfg.BaseAR)*rng.NormFloat64()
+			wLocal = ar*wLocal + math.Sqrt(1-ar*ar)*rng.NormFloat64()
 		}
 		points = append(points, Point{T: bd.t, Price: priceAt(bd.t)})
 	}
@@ -141,20 +140,13 @@ func synthesizeRef(rng *randx.Stream, cfg Config, rs RegionSpec, od float64, sho
 }
 
 // generateReserveRef is GenerateReserve over synthesizeReserveRef.
-func generateReserveRef(cfg ReserveConfig) (*Set, error) {
+func generateReserveRef(cfg Config) (*Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var shockCfg Config
-	if cfg.SpikesPerDay > 0 {
-		shockCfg = DefaultConfig(cfg.Seed)
-		shockCfg.Horizon = cfg.Horizon
-		shockCfg.SpikesPerDay = cfg.SpikesPerDay
-	}
-
 	onDemand := map[ID]float64{}
 	var traces []*Trace
-	for _, rs := range cfg.Regions {
+	for _, rs := range DefaultRegions() {
 		for _, ts := range cfg.Types {
 			id := ID{Region: rs.Name, Type: ts.Name}
 			od := OnDemandPrice(rs, ts)
@@ -163,11 +155,10 @@ func generateReserveRef(cfg ReserveConfig) (*Set, error) {
 
 			var shocks []shock
 			if cfg.SpikesPerDay > 0 {
-				shocks = poissonShocks(rng.Derive("shocks"), shockCfg,
-					cfg.SpikesPerDay*rs.Volatility, 1)
+				shocks = poissonShocks(rng.Derive("shocks"), cfg.Horizon, cfg.SpikesPerDay*rs.Volatility)
 			}
 
-			points := synthesizeReserveRef(rng, cfg, od, shocks)
+			points := synthesizeReserveRef(rng, cfg.Horizon, od, shocks)
 			tr, err := NewTrace(id, points, cfg.Horizon)
 			if err != nil {
 				return nil, fmt.Errorf("market: reserve %s: %w", id, err)
@@ -180,12 +171,13 @@ func generateReserveRef(cfg ReserveConfig) (*Set, error) {
 
 // synthesizeReserveRef sorts all boundaries of one reserve market and
 // scans every shock at each.
-func synthesizeReserveRef(rng *randx.Stream, cfg ReserveConfig, od float64, shocks []shock) []Point {
-	lo, hi := cfg.FloorRatio*od, cfg.CeilRatio*od
+func synthesizeReserveRef(rng *randx.Stream, horizon sim.Duration, od float64, shocks []shock) []Point {
+	lo, hi := FloorRatio*od, CeilRatio*od
 	mid := (lo + hi) / 2
 	halfBand := (hi - lo) / 2
 
 	x := rng.Uniform(-1, 1)
+	ps := Persistence
 	priceOf := func(t sim.Time) float64 {
 		p := mid + halfBand*x
 		if p < lo {
@@ -209,7 +201,7 @@ func synthesizeReserveRef(rng *randx.Stream, cfg ReserveConfig, od float64, shoc
 		isDraw bool
 	}
 	var bounds []boundary
-	for t := rng.Exp(cfg.ChangeMean); t < cfg.Horizon; t += rng.Exp(cfg.ChangeMean) {
+	for t := rng.Exp(ChangeMean); t < horizon; t += rng.Exp(ChangeMean) {
 		bounds = append(bounds, boundary{t: t, isDraw: true})
 	}
 	for _, sh := range shocks {
@@ -219,11 +211,11 @@ func synthesizeReserveRef(rng *randx.Stream, cfg ReserveConfig, od float64, shoc
 
 	points := []Point{{T: 0, Price: priceOf(0)}}
 	for _, bd := range bounds {
-		if bd.t <= 0 || bd.t >= cfg.Horizon {
+		if bd.t <= 0 || bd.t >= horizon {
 			continue
 		}
 		if bd.isDraw {
-			x = cfg.Persistence*x + math.Sqrt(1-cfg.Persistence*cfg.Persistence)*rng.Uniform(-1, 1)
+			x = ps*x + math.Sqrt(1-ps*ps)*rng.Uniform(-1, 1)
 		}
 		points = append(points, Point{T: bd.t, Price: priceOf(bd.t)})
 	}
@@ -348,35 +340,24 @@ func oracleSeeds() int64 {
 }
 
 func TestGenerateMatchesOracle(t *testing.T) {
-	// Stormy overlaps many long shocks, so the sweep's active set holds
-	// several at once and sheds them out of start order.
-	stormy := func(seed int64) Config {
-		cfg := DefaultConfig(seed)
-		cfg.SpikesPerDay = 12
-		cfg.SpikeMeanDur = 6 * sim.Hour
-		cfg.Horizon = 10 * sim.Day
-		return cfg
-	}
 	for seed := int64(0); seed < oracleSeeds(); seed++ {
-		for name, cfg := range map[string]Config{"default": DefaultConfig(seed), "stormy": stormy(seed)} {
-			got, err := Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := generateRef(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameSet(t, fmt.Sprintf("%s seed %d", name, seed), got, want)
+		cfg := DefaultConfig(seed)
+		got, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, err := generateRef(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameSet(t, fmt.Sprintf("seed %d", seed), got, want)
 	}
 }
 
 func TestGenerateReserveMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < oracleSeeds(); seed++ {
 		for _, spikes := range []float64{0, 3} {
-			cfg := DefaultReserveConfig(seed)
-			cfg.SpikesPerDay = spikes
+			cfg := reserveConfig(seed, spikes, 30*sim.Day)
 			got, err := GenerateReserve(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -386,6 +367,67 @@ func TestGenerateReserveMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameSet(t, fmt.Sprintf("reserve seed %d spikes %v", seed, spikes), got, want)
+		}
+	}
+}
+
+// stormyShocks draws a start-sorted storm over [0, horizon): a shock every
+// 2 h on average, each lasting 6 h on average, so the sweep's active set
+// holds several at once and sheds them out of start order.
+func stormyShocks(rng *randx.Stream, horizon sim.Duration) []shock {
+	var out []shock
+	for t := rng.Exp(2 * sim.Hour); t < horizon; t += rng.Exp(2 * sim.Hour) {
+		end := math.Min(t+sim.Minute+rng.Exp(6*sim.Hour), horizon)
+		out = append(out, shock{start: t, end: end, ratio: rng.Uniform(0.1, 3)})
+	}
+	return out
+}
+
+// TestSynthesizeStormMatchesOracle feeds both generators' market builders
+// long, overlapping shock lists that the calibrated spike process rarely
+// draws, and checks them against the sort-based oracles bit for bit.
+func TestSynthesizeStormMatchesOracle(t *testing.T) {
+	horizon := 10 * sim.Day
+	rs := DefaultRegions()[0]
+	od := OnDemandPrice(rs, DefaultTypes()[0])
+	globalFactor := newFactorSeries(randx.NewStream(1), horizon)
+	regionFactor := newFactorSeries(randx.NewStream(2), horizon)
+	maxActive := 0
+	for seed := int64(0); seed < oracleSeeds(); seed++ {
+		shocks := stormyShocks(randx.NewStream(seed), horizon)
+		for _, sh := range shocks {
+			active := 0
+			for _, o := range shocks {
+				if o.start <= sh.start && sh.start < o.end {
+					active++
+				}
+			}
+			maxActive = max(maxActive, active)
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		requireSamePoints(t, label,
+			synthesize(randx.NewStream(seed), horizon, rs, od, shocks, globalFactor, regionFactor),
+			synthesizeRef(randx.NewStream(seed), horizon, rs, od, shocks, globalFactor, regionFactor))
+		requireSamePoints(t, "reserve "+label,
+			synthesizeReserve(randx.NewStream(seed), horizon, od, shocks),
+			synthesizeReserveRef(randx.NewStream(seed), horizon, od, shocks))
+	}
+	if maxActive < 5 {
+		t.Fatalf("storm holds at most %d shocks at once, want several", maxActive)
+	}
+}
+
+// requireSamePoints fails unless got and want hold the same points, bit
+// for bit.
+func requireSamePoints(t *testing.T, label string, got, want []Point) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, oracle %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i].T) != math.Float64bits(want[i].T) ||
+			math.Float64bits(got[i].Price) != math.Float64bits(want[i].Price) {
+			t.Fatalf("%s: point %d is %+v, oracle %+v", label, i, got[i], want[i])
 		}
 	}
 }
@@ -421,16 +463,16 @@ func TestBuildEnvelopeMatchesOracle(t *testing.T) {
 // sort could choose.
 func TestTiedBoundaryRejected(t *testing.T) {
 	cfg := DefaultConfig(3)
-	rs := cfg.Regions[0]
+	rs := DefaultRegions()[0]
 	od := OnDemandPrice(rs, cfg.Types[0])
-	globalFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/global"), cfg.Horizon, cfg.StepMean, cfg.BaseAR)
-	regionFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/region"), cfg.Horizon, cfg.StepMean, cfg.BaseAR)
+	globalFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/global"), cfg.Horizon)
+	regionFactor := newFactorSeries(randx.Derive(cfg.Seed, "factor/region"), cfg.Horizon)
 
 	// The first base re-sample time of stream 7: the wobble draw comes
 	// first, then the gap.
 	probe := randx.NewStream(7)
 	probe.NormFloat64()
-	firstStep := probe.Exp(cfg.StepMean)
+	firstStep := probe.Exp(StepMean)
 
 	for name, shocks := range map[string][]shock{
 		"shock ends as the next starts": {
@@ -442,10 +484,10 @@ func TestTiedBoundaryRejected(t *testing.T) {
 		},
 	} {
 		var msgs []string
-		for _, synth := range []func(*randx.Stream, Config, RegionSpec, float64, []shock, *factorSeries, *factorSeries) []Point{
+		for _, synth := range []func(*randx.Stream, sim.Duration, RegionSpec, float64, []shock, factorSeries, factorSeries) []Point{
 			synthesize, synthesizeRef,
 		} {
-			points := synth(randx.NewStream(7), cfg, rs, od, shocks, globalFactor, regionFactor)
+			points := synth(randx.NewStream(7), cfg.Horizon, rs, od, shocks, globalFactor, regionFactor)
 			_, err := NewTrace(testID, points, cfg.Horizon)
 			if err == nil || !strings.Contains(err.Error(), "non-increasing time") {
 				t.Fatalf("%s: NewTrace error %v, want non-increasing time", name, err)

@@ -9,30 +9,25 @@ import (
 
 // reserveConfig is the banded regime at seed over horizon, with spikes
 // demand spikes a day layered on top.
-func reserveConfig(seed int64, spikes float64, horizon sim.Duration) ReserveConfig {
-	cfg := DefaultReserveConfig(seed)
+func reserveConfig(seed int64, spikes float64, horizon sim.Duration) Config {
+	cfg := DefaultConfig(seed)
 	cfg.SpikesPerDay = spikes
 	cfg.Horizon = horizon
 	return cfg
 }
 
 func TestReserveConfigValidation(t *testing.T) {
-	good := DefaultReserveConfig(1)
+	good := reserveConfig(1, 0, 30*sim.Day)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []func(*ReserveConfig){
-		func(c *ReserveConfig) { c.Regions = nil },
-		func(c *ReserveConfig) { c.Types = nil },
-		func(c *ReserveConfig) { c.Horizon = 10 },
-		func(c *ReserveConfig) { c.FloorRatio = 0 },
-		func(c *ReserveConfig) { c.CeilRatio = c.FloorRatio },
-		func(c *ReserveConfig) { c.ChangeMean = 0 },
-		func(c *ReserveConfig) { c.Persistence = 1 },
-		func(c *ReserveConfig) { c.SpikesPerDay = -1 },
+	bad := []func(*Config){
+		func(c *Config) { c.Types = nil },
+		func(c *Config) { c.Horizon = 10 },
+		func(c *Config) { c.SpikesPerDay = -1 },
 	}
 	for i, mutate := range bad {
-		cfg := DefaultReserveConfig(1)
+		cfg := good
 		mutate(&cfg)
 		if _, err := GenerateReserve(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
@@ -44,9 +39,7 @@ func TestReserveConfigValidation(t *testing.T) {
 // inside the [floor, ceiling] x on-demand band — below the on-demand price,
 // so bid = on-demand can never be revoked.
 func TestReserveBandedRegime(t *testing.T) {
-	cfg := DefaultReserveConfig(5)
-	cfg.Horizon = 10 * sim.Day
-	set, err := GenerateReserve(cfg)
+	set, err := GenerateReserve(reserveConfig(5, 0, 10*sim.Day))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +49,7 @@ func TestReserveBandedRegime(t *testing.T) {
 	for _, id := range set.IDs() {
 		tr := set.Trace(id)
 		od := set.OnDemand(id)
-		lo, hi := cfg.FloorRatio*od, cfg.CeilRatio*od
+		lo, hi := FloorRatio*od, CeilRatio*od
 		if tr.Min() < lo-1e-12 || tr.Max() > hi+1e-12 {
 			t.Errorf("%s: prices [%v, %v] escape band [%v, %v]",
 				id, tr.Min(), tr.Max(), lo, hi)
@@ -73,10 +66,7 @@ func TestReserveBandedRegime(t *testing.T) {
 // TestReserveWithSpikesEscapesBand: the spike overlay restores excursions
 // above on-demand.
 func TestReserveWithSpikesEscapesBand(t *testing.T) {
-	cfg := DefaultReserveConfig(7)
-	cfg.Horizon = 15 * sim.Day
-	cfg.SpikesPerDay = 3
-	set, err := GenerateReserve(cfg)
+	set, err := GenerateReserve(reserveConfig(7, 3, 15*sim.Day))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +83,7 @@ func TestReserveWithSpikesEscapesBand(t *testing.T) {
 }
 
 func TestReserveDeterminism(t *testing.T) {
-	cfg := DefaultReserveConfig(3)
-	cfg.Horizon = 3 * sim.Day
+	cfg := reserveConfig(3, 0, 3*sim.Day)
 	a, err := GenerateReserve(cfg)
 	if err != nil {
 		t.Fatal(err)

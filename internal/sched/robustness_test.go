@@ -15,8 +15,9 @@ import (
 // migrate and even pure spot holds perfect availability — the paper's
 // machinery only matters in spiky markets, and costs nothing in calm ones.
 func TestBandedRegimeRobustness(t *testing.T) {
-	rcfg := market.DefaultReserveConfig(21)
+	rcfg := market.DefaultConfig(21)
 	rcfg.Horizon = 15 * sim.Day
+	rcfg.SpikesPerDay = 0 // the pure banded regime
 	set, err := market.GenerateReserve(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func TestBandedRegimeRobustness(t *testing.T) {
 // TestBandedWithSpikesRestoresSeparation: re-adding demand spikes to the
 // banded model brings back the paper's proactive-vs-pure-spot split.
 func TestBandedWithSpikesRestoresSeparation(t *testing.T) {
-	rcfg := market.DefaultReserveConfig(23)
+	rcfg := market.DefaultConfig(23)
 	rcfg.Horizon = 15 * sim.Day
 	rcfg.SpikesPerDay = 3
 	set, err := market.GenerateReserve(rcfg)

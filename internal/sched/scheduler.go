@@ -440,7 +440,7 @@ func (s *Scheduler) decisionLead(cur market.Region) sim.Duration {
 	for _, m := range s.cfg.Markets {
 		var link *vm.WANLink
 		if !market.SameRegionClass(cur, m.Region) {
-			l := s.cfg.VMParams.Link(cur, m.Region)
+			l := vm.Link(cur, m.Region)
 			link = &l
 		}
 		tl := vm.PlannedTimeline(s.cfg.Service.VM, s.cfg.Mechanism, s.cfg.VMParams, link)
@@ -573,7 +573,7 @@ func (s *Scheduler) plannedTargetReady(g *serverGroup) {
 	var link *vm.WANLink
 	cross := !market.SameRegionClass(s.group.market.Region, g.market.Region)
 	if cross {
-		l := s.cfg.VMParams.Link(s.group.market.Region, g.market.Region)
+		l := vm.Link(s.group.market.Region, g.market.Region)
 		link = &l
 	}
 	tl := vm.PlannedTimeline(s.cfg.Service.VM, s.cfg.Mechanism, s.cfg.VMParams, link)
@@ -846,9 +846,9 @@ func (s *Scheduler) restoreTimes(memLost bool) (downtime, degraded sim.Duration)
 	p := s.cfg.VMParams
 	switch {
 	case memLost:
-		return p.BootTime, 0
+		return vm.BootTime, 0
 	case s.cfg.Mechanism.LazyRestore():
-		return p.LazyRestoreDowntime, p.FullRestoreTime(s.cfg.Service.VM)
+		return vm.LazyRestoreDowntime, p.FullRestoreTime(s.cfg.Service.VM)
 	default:
 		return p.FullRestoreTime(s.cfg.Service.VM), 0
 	}

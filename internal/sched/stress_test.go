@@ -10,20 +10,25 @@ import (
 	"spothost/internal/vm"
 )
 
-// hostileMarketConfig cranks the generator's volatility far past
-// calibration: constant spikes, heavy tails, fast churn — a torture
-// universe for the scheduler's state machine.
+// hostileDays is the length of a torture universe, and of the runs over it.
+const hostileDays = 12
+
+// hostileMarketConfig cranks the spike rate far past calibration, to
+// nearly constant spikes over a 12-day universe: a torture universe for
+// the scheduler's state machine.
 func hostileMarketConfig(seed int64) market.Config {
 	cfg := market.DefaultConfig(seed)
-	cfg.Horizon = 6 * sim.Day
-	cfg.SpikesPerDay = 18
-	cfg.SpikeMeanDur = 10 * sim.Minute
-	cfg.SpikeMin = 0.5
-	cfg.SpikeAlpha = 0.9 // very heavy tail: frequent over-bid spikes
-	cfg.StepMean = 2 * sim.Minute
-	cfg.BaseCV = 0.5
+	cfg.Horizon = hostileDays * sim.Day
+	cfg.SpikesPerDay = 60
 	return cfg
 }
+
+// hostileForcedFloor is, per seed, how many forced migrations the 15
+// policy x mechanism runs of TestSchedulerSurvivesHostileMarkets made in
+// the earlier torture regime (6 days of 18 spikes a day, 10-minute spikes
+// with a tail index of 0.9, 2-minute re-samples with a CV of 0.5). The
+// current regime must revoke at least as often.
+var hostileForcedFloor = map[int64]int{1: 967, 2: 985, 3: 948}
 
 // checkInvariants asserts the accounting laws every run must satisfy.
 func checkInvariants(t *testing.T, label string, r interface {
@@ -56,6 +61,7 @@ func TestSchedulerSurvivesHostileMarkets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		forced := 0
 		for _, b := range policies {
 			for _, m := range mechanisms {
 				label := fmt.Sprintf("seed%d/%v/%v", seed, b, m)
@@ -69,10 +75,11 @@ func TestSchedulerSurvivesHostileMarkets(t *testing.T) {
 				cfg.Bidding = b
 				cfg.Mechanism = m
 
-				r, err := Run(set, cloud.DefaultParams(seed), cfg, 6*sim.Day)
+				r, err := Run(set, cloud.DefaultParams(seed), cfg, hostileDays*sim.Day)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+				forced += r.Migrations.Forced
 				checkInvariants(t, label, r)
 				if r.DowntimeSeconds < 0 || r.DowntimeSeconds > float64(r.Horizon) {
 					t.Errorf("%s: downtime %v vs horizon %v", label, r.DowntimeSeconds, r.Horizon)
@@ -98,6 +105,9 @@ func TestSchedulerSurvivesHostileMarkets(t *testing.T) {
 				}
 			}
 		}
+		if floor := hostileForcedFloor[seed]; forced < floor {
+			t.Errorf("seed %d: %d forced migrations, want at least %d", seed, forced, floor)
+		}
 	}
 }
 
@@ -120,7 +130,7 @@ func TestSchedulerStabilityUnderHostileMarkets(t *testing.T) {
 		Count: 4,
 	}
 	cfg.StabilityPenalty = 1.5
-	r, err := Run(set, cloud.DefaultParams(11), cfg, 6*sim.Day)
+	r, err := Run(set, cloud.DefaultParams(11), cfg, hostileDays*sim.Day)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestDeterministicReplays(t *testing.T) {
 		cfg := mustConfig(t)
 		cfg.Home = market.ID{Region: "us-west-1a", Type: "small"}
 		cfg.Markets = []market.ID{cfg.Home}
-		r, err := Run(set, cloud.DefaultParams(5), cfg, 6*sim.Day)
+		r, err := Run(set, cloud.DefaultParams(5), cfg, hostileDays*sim.Day)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 func ExampleLiveMigrationTimeline() {
 	spec := vm.Spec{MemoryGB: 2, DirtyRateMBps: 2, DiskGB: 1, Units: 1}
 	p := vm.DefaultParams()
-	tl := vm.LiveMigrationTimeline(spec, p.LiveBandwidthMBps, p)
+	tl := vm.LiveMigrationTimeline(spec, vm.LiveBandwidthMBps, p)
 	fmt.Printf("duration~60s=%v sub-second-downtime=%v rounds>1=%v\n",
 		tl.Duration > 55 && tl.Duration < 66, tl.Downtime < 1, tl.Rounds > 1)
 	// Output:

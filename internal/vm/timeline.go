@@ -38,7 +38,7 @@ func LiveMigrationTimeline(s Spec, bwMBps float64, p Params) Timeline {
 	remaining := mem
 	var elapsed sim.Duration
 	rounds := 0
-	for remaining > budget && rounds < p.LiveMaxRounds {
+	for remaining > budget && rounds < LiveMaxRounds {
 		t := remaining / bwMBps
 		elapsed += t
 		rounds++
@@ -66,7 +66,7 @@ func restore(s Spec, m Mechanism, p Params) (sim.Duration, sim.Duration) {
 	if m.LazyRestore() {
 		// Resume after a constant-size read; the rest faults in while the
 		// VM runs (degraded).
-		return p.LazyRestoreDowntime, p.FullRestoreTime(s)
+		return LazyRestoreDowntime, p.FullRestoreTime(s)
 	}
 	return p.FullRestoreTime(s), 0
 }
@@ -89,12 +89,12 @@ func PlannedTimeline(s Spec, m Mechanism, p Params, link *WANLink) Timeline {
 	case m == Naive:
 		// Shut down, reboot from disk on the destination.
 		tl = Timeline{
-			Duration:   p.BootTime,
-			Downtime:   p.BootTime,
+			Duration:   BootTime,
+			Downtime:   BootTime,
 			MemoryLost: true,
 		}
 	case m.UsesLive():
-		bw := p.LiveBandwidthMBps
+		bw := LiveBandwidthMBps
 		if link != nil {
 			bw = link.LiveBandwidthMBps
 		}

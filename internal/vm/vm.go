@@ -131,19 +131,50 @@ type WANLink struct {
 	DiskCopyMBps      float64
 }
 
-// Params holds the mechanism constants. DefaultParams is calibrated to the
-// paper's micro-benchmarks (Table 2 and Section 4.1); PessimisticParams is
-// the worst-case set used for the pessimistic bars of Fig. 7.
-type Params struct {
+// Mechanism constants that are the same under every preset, calibrated to
+// Table 2 and Section 4.1:
+//
+//	live migrate 2 GB intra-region  ~58 s
+//	live migrate 2 GB east<->west   ~74 s, west<->eu ~140 s
+//	disk copy east->west            ~122 s/GB, west->eu ~172 s/GB
+//	lazy restore                    20 s regardless of memory size
+const (
 	// LiveBandwidthMBps is intra-region pre-copy bandwidth: 2 GB in
 	// ~58 s => ~35.3 MB/s.
-	LiveBandwidthMBps float64
+	LiveBandwidthMBps float64 = 35.3
+	// LiveMaxRounds bounds pre-copy iterations for non-converging dirty
+	// rates.
+	LiveMaxRounds = 30
+	// LazyRestoreDowntime is the memory-size-independent resume latency
+	// of lazy restore from a cold checkpoint image (20 s, from the
+	// post-copy literature the paper cites). It applies to forced
+	// migrations and pure-spot re-acquisitions, where the destination
+	// first sees the image at restore time.
+	LazyRestoreDowntime sim.Duration = 20
+	// BootTime is a cold boot from the network disk — the only option
+	// when memory state was lost (naive restarts, missed checkpoints).
+	BootTime sim.Duration = 45
+)
+
+// wan holds the per-region-class-pair link constants, keyed by
+// WANKey(a, b); defaultWAN applies to unknown pairs.
+var (
+	wan = map[string]WANLink{
+		WANKey("us-east-1a", "us-west-1a"): {LiveBandwidthMBps: 27.8, DiskCopyMBps: 8.4},
+		WANKey("us-east-1a", "eu-west-1a"): {LiveBandwidthMBps: 27.5, DiskCopyMBps: 7.3},
+		WANKey("us-west-1a", "eu-west-1a"): {LiveBandwidthMBps: 14.6, DiskCopyMBps: 6.0},
+	}
+	defaultWAN = WANLink{LiveBandwidthMBps: 27.7, DiskCopyMBps: 7.5}
+)
+
+// Params holds the mechanism constants that differ between presets or get
+// swept. DefaultParams is calibrated to the paper's micro-benchmarks
+// (Table 2 and Section 4.1); PessimisticParams is the worst-case set used
+// for the pessimistic bars of Fig. 7.
+type Params struct {
 	// LiveStopCopy is the fixed switch-over cost added to the final
 	// stop-and-copy round of a live migration.
 	LiveStopCopy sim.Duration
-	// LiveMaxRounds bounds pre-copy iterations for non-converging dirty
-	// rates.
-	LiveMaxRounds int
 
 	// CheckpointWriteMBps is the sequential write rate of memory
 	// checkpoints to a network volume: 1 GB in 28 s => ~36.6 MB/s.
@@ -161,12 +192,6 @@ type Params struct {
 	// paces itself so the final incremental save always completes within
 	// tau seconds.
 	CheckpointBound sim.Duration
-	// LazyRestoreDowntime is the memory-size-independent resume latency
-	// of lazy restore from a cold checkpoint image (20 s, from the
-	// post-copy literature the paper cites). It applies to forced
-	// migrations and pure-spot re-acquisitions, where the destination
-	// first sees the image at restore time.
-	LazyRestoreDowntime sim.Duration
 	// PreStagedLazyResume is the lazy-restore resume latency when the
 	// destination had time to pre-load the base checkpoint image while
 	// the source was still running (voluntary migrations): only the final
@@ -175,46 +200,23 @@ type Params struct {
 	// checkpoint hand-offs become nearly free.
 	PreStagedLazyResume sim.Duration
 
-	// BootTime is a cold boot from the network disk — the only option
-	// when memory state was lost (naive restarts, missed checkpoints).
-	BootTime sim.Duration
-
 	// AcquireOverlap: whether a forced migration may overlap destination
 	// acquisition with the revocation grace window. True in the typical
 	// model; the pessimistic model serializes them.
 	AcquireOverlap bool
-
-	// WAN holds per-region-class-pair link constants, keyed by
-	// WANKey(a, b); DefaultWAN applies to unknown pairs.
-	WAN        map[string]WANLink
-	DefaultWAN WANLink
 }
 
-// DefaultParams returns constants calibrated to Table 2:
-//
-//	live migrate 2 GB intra-region  ~58 s
-//	live migrate 2 GB east<->west   ~74 s, west<->eu ~140 s
-//	checkpoint write                ~28 s/GB
-//	disk copy east->west            ~122 s/GB, west->eu ~172 s/GB
-//	lazy restore                    20 s regardless of memory size
+// DefaultParams returns the typical constants: a sub-second live
+// switch-over, checkpoint writes at ~28 s/GB and eager restores at
+// disk-file-copy speed.
 func DefaultParams() Params {
 	return Params{
-		LiveBandwidthMBps:   35.3,
 		LiveStopCopy:        0.3,
-		LiveMaxRounds:       30,
 		CheckpointWriteMBps: 36.6,
 		RestoreReadMBps:     17.1,
 		CheckpointBound:     3,
-		LazyRestoreDowntime: 20,
 		PreStagedLazyResume: 2,
-		BootTime:            45,
 		AcquireOverlap:      true,
-		WAN: map[string]WANLink{
-			WANKey("us-east-1a", "us-west-1a"): {LiveBandwidthMBps: 27.8, DiskCopyMBps: 8.4},
-			WANKey("us-east-1a", "eu-west-1a"): {LiveBandwidthMBps: 27.5, DiskCopyMBps: 7.3},
-			WANKey("us-west-1a", "eu-west-1a"): {LiveBandwidthMBps: 14.6, DiskCopyMBps: 6.0},
-		},
-		DefaultWAN: WANLink{LiveBandwidthMBps: 27.7, DiskCopyMBps: 7.5},
 	}
 }
 
@@ -244,11 +246,11 @@ func WANKey(a, b market.Region) string {
 }
 
 // Link returns the WAN link constants between two regions.
-func (p Params) Link(a, b market.Region) WANLink {
-	if l, ok := p.WAN[WANKey(a, b)]; ok {
+func Link(a, b market.Region) WANLink {
+	if l, ok := wan[WANKey(a, b)]; ok {
 		return l
 	}
-	return p.DefaultWAN
+	return defaultWAN
 }
 
 // Validate reports a checkpoint bound the background checkpointer cannot

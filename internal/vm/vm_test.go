@@ -21,7 +21,7 @@ func wanLink(p Params, a, b market.Region) *WANLink {
 	if market.SameRegionClass(a, b) {
 		return nil
 	}
-	l := p.Link(a, b)
+	l := Link(a, b)
 	return &l
 }
 
@@ -29,7 +29,7 @@ func wanLink(p Params, a, b market.Region) *WANLink {
 // bandwidth when link is nil.
 func liveBandwidth(p Params, link *WANLink) float64 {
 	if link == nil {
-		return p.LiveBandwidthMBps
+		return LiveBandwidthMBps
 	}
 	return link.LiveBandwidthMBps
 }
@@ -77,7 +77,7 @@ func TestMechanismProperties(t *testing.T) {
 // live-migrates intra-region in ~58 s (Table 2, "Inside US East": 58.5 s).
 func TestLiveMigrationMatchesTable2(t *testing.T) {
 	p := DefaultParams()
-	tl := LiveMigrationTimeline(paperVM, p.LiveBandwidthMBps, p)
+	tl := LiveMigrationTimeline(paperVM, LiveBandwidthMBps, p)
 	if tl.Duration < 55 || tl.Duration > 66 {
 		t.Fatalf("intra-region live migration of 2 GB = %.1f s, want ~58-62 s", tl.Duration)
 	}
@@ -88,13 +88,13 @@ func TestLiveMigrationMatchesTable2(t *testing.T) {
 		t.Fatalf("rounds = %d, expected iterative pre-copy", tl.Rounds)
 	}
 	// Cross-region (us-east <-> us-west): ~74 s.
-	link := p.Link("us-east-1a", "us-west-1a")
+	link := Link("us-east-1a", "us-west-1a")
 	tl = LiveMigrationTimeline(paperVM, link.LiveBandwidthMBps, p)
 	if tl.Duration < 70 || tl.Duration > 85 {
 		t.Fatalf("east-west live migration = %.1f s, want ~74-80 s", tl.Duration)
 	}
 	// us-west <-> eu-west is the slow pair: ~140 s.
-	link = p.Link("us-west-1a", "eu-west-1a")
+	link = Link("us-west-1a", "eu-west-1a")
 	tl = LiveMigrationTimeline(paperVM, link.LiveBandwidthMBps, p)
 	if tl.Duration < 135 || tl.Duration > 170 {
 		t.Fatalf("west-eu live migration = %.1f s, want ~140-165 s", tl.Duration)
@@ -118,7 +118,7 @@ func TestCheckpointMatchesTable2(t *testing.T) {
 func TestLiveMigrationNonConvergent(t *testing.T) {
 	p := DefaultParams()
 	hot := Spec{MemoryGB: 2, DirtyRateMBps: 100, Units: 1} // dirties faster than bw
-	tl := LiveMigrationTimeline(hot, p.LiveBandwidthMBps, p)
+	tl := LiveMigrationTimeline(hot, LiveBandwidthMBps, p)
 	if tl.Downtime < 30 {
 		t.Fatalf("non-convergent migration should have large downtime, got %.1f", tl.Downtime)
 	}
@@ -137,8 +137,8 @@ func TestLiveMigrationMonotoneInMemory(t *testing.T) {
 	f := func(g uint8) bool {
 		small := Spec{MemoryGB: 1 + float64(g%16), DirtyRateMBps: 5, Units: 1}
 		big := Spec{MemoryGB: small.MemoryGB + 1, DirtyRateMBps: 5, Units: 1}
-		a := LiveMigrationTimeline(small, p.LiveBandwidthMBps, p)
-		b := LiveMigrationTimeline(big, p.LiveBandwidthMBps, p)
+		a := LiveMigrationTimeline(small, LiveBandwidthMBps, p)
+		b := LiveMigrationTimeline(big, LiveBandwidthMBps, p)
 		return b.Duration >= a.Duration
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -182,14 +182,14 @@ func TestPlannedTimelineOrdering(t *testing.T) {
 func TestPlannedTimelineNaive(t *testing.T) {
 	p := DefaultParams()
 	tl := PlannedTimeline(hostedVM, Naive, p, nil)
-	if !tl.MemoryLost || tl.Downtime != float64(p.BootTime) {
+	if !tl.MemoryLost || tl.Downtime != float64(BootTime) {
 		t.Fatalf("naive planned: %+v", tl)
 	}
 }
 
 func TestPlannedCrossRegionAddsDiskCopy(t *testing.T) {
 	p := DefaultParams()
-	link := p.Link("us-east-1a", "eu-west-1a")
+	link := Link("us-east-1a", "eu-west-1a")
 	lan := PlannedTimeline(hostedVM, CKPTLazyLive, p, nil)
 	wan := PlannedTimeline(hostedVM, CKPTLazyLive, p, &link)
 	if wan.Duration <= lan.Duration {
@@ -209,7 +209,7 @@ func TestPlannedCrossRegionAddsDiskCopy(t *testing.T) {
 
 func TestPlannedCrossRegionCheckpointShipsImage(t *testing.T) {
 	p := DefaultParams()
-	link := p.Link("us-east-1a", "us-west-1a")
+	link := Link("us-east-1a", "us-west-1a")
 	lan := PlannedTimeline(hostedVM, CKPTLazy, p, nil)
 	wan := PlannedTimeline(hostedVM, CKPTLazy, p, &link)
 	if wan.Downtime <= lan.Downtime {
@@ -236,9 +236,8 @@ func TestWANKeySymmetric(t *testing.T) {
 	if WANKey("us-east-1a", "us-west-1a") != WANKey("us-west-1b", "us-east-1b") {
 		t.Fatal("WANKey should be order- and zone-insensitive")
 	}
-	p := DefaultParams()
-	if p.Link("made-up-1a", "other-2b") != p.DefaultWAN {
-		t.Fatal("unknown pair should fall back to DefaultWAN")
+	if Link("made-up-1a", "other-2b") != defaultWAN {
+		t.Fatal("unknown pair should fall back to the default link")
 	}
 }
 
@@ -285,7 +284,7 @@ func TestTimelineInvariants(t *testing.T) {
 		}
 		for _, p := range params {
 			for _, m := range []Mechanism{CKPT, CKPTLazy, CKPTLive, CKPTLazyLive, Naive} {
-				link := p.Link("us-east-1a", "eu-west-1a")
+				link := Link("us-east-1a", "eu-west-1a")
 				for _, tl := range []Timeline{
 					PlannedTimeline(s, m, p, nil),
 					PlannedTimeline(s, m, p, &link),
