@@ -86,14 +86,15 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Validate reports configuration errors early with actionable messages.
+// The negated comparisons reject NaN too.
 func (c Config) Validate() error {
 	switch {
 	case len(c.Types) == 0:
 		return fmt.Errorf("market: config has no types")
-	case c.Horizon <= sim.Hour:
-		return fmt.Errorf("market: horizon %v too short", c.Horizon)
-	case c.SpikesPerDay < 0:
-		return fmt.Errorf("market: negative spike rate %v", c.SpikesPerDay)
+	case !(c.Horizon > sim.Hour) || math.IsInf(c.Horizon, 1):
+		return fmt.Errorf("market: horizon %v must be a finite span longer than an hour", c.Horizon)
+	case !(c.SpikesPerDay >= 0):
+		return fmt.Errorf("market: spike rate %v is not a non-negative number", c.SpikesPerDay)
 	}
 	return nil
 }

@@ -208,7 +208,10 @@ func TestGenerateValidatesConfig(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Types = nil },
 		func(c *Config) { c.Horizon = 10 },
+		func(c *Config) { c.Horizon = math.NaN() },
+		func(c *Config) { c.Horizon = math.Inf(1) },
 		func(c *Config) { c.SpikesPerDay = -1 },
+		func(c *Config) { c.SpikesPerDay = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(1)

@@ -15,9 +15,10 @@ var paperVM = Spec{MemoryGB: 2, DirtyRateMBps: 2, DiskGB: 2, Units: 1}
 // hostedVM is a busier service VM.
 var hostedVM = Spec{MemoryGB: 2, DirtyRateMBps: 8, DiskGB: 4, Units: 1}
 
-// wanLink is the link a migration between regions a and b crosses, or nil
-// when both lie in one region class.
-func wanLink(p Params, a, b market.Region) *WANLink {
+// wanLink is the link a migration between regions a and b crosses under
+// any preset (they share the link table), or nil when both lie in one
+// region class.
+func wanLink(_ Params, a, b market.Region) *WANLink {
 	if market.SameRegionClass(a, b) {
 		return nil
 	}
@@ -26,8 +27,8 @@ func wanLink(p Params, a, b market.Region) *WANLink {
 }
 
 // liveBandwidth is the pre-copy bandwidth over link, or the intra-region
-// bandwidth when link is nil.
-func liveBandwidth(p Params, link *WANLink) float64 {
+// bandwidth every preset shares when link is nil.
+func liveBandwidth(_ Params, link *WANLink) float64 {
 	if link == nil {
 		return LiveBandwidthMBps
 	}
