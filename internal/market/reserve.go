@@ -13,8 +13,8 @@ import (
 // (2013): in the 2010-2012 era, spot prices were found to be drawn from a
 // banded dynamic reserve price — an AR(1)-persistent draw inside
 // [FloorRatio, CeilRatio] x on-demand, updated at random intervals —
-// rather than from a real supply/demand market. These constants are the
-// band the 2013 study measured.
+// rather than from a real supply/demand market. These constants calibrate
+// it to the 2013 study.
 const (
 	// FloorRatio and CeilRatio bound the reserve band as fractions of the
 	// on-demand price.
