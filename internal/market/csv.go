@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -115,15 +116,22 @@ func ReadCSV(r io.Reader) (*Set, error) {
 		}
 		return ids[i].Type < ids[j].Type
 	})
-	var traces []*Trace
+	// Without an #end row every trace ends at one common horizon, an hour
+	// past the latest point in any market, so the set writes back as the
+	// #end it was read with.
+	if !haveEnd {
+		end = math.Inf(-1)
+	}
 	for _, id := range ids {
 		ps := pts[id]
 		sort.Slice(ps, func(i, j int) bool { return ps[i].T < ps[j].T })
-		e := end
 		if !haveEnd {
-			e = ps[len(ps)-1].T + sim.Hour
+			end = max(end, ps[len(ps)-1].T+sim.Hour)
 		}
-		tr, err := NewTrace(id, ps, e)
+	}
+	var traces []*Trace
+	for _, id := range ids {
+		tr, err := NewTrace(id, pts[id], end)
 		if err != nil {
 			return nil, err
 		}

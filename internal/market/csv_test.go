@@ -2,6 +2,7 @@ package market
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,17 +55,18 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+var handwrittenCSV = strings.Join([]string{
+	csvHeader,
+	"0,us-east-1a,small,0.02",
+	"100,us-east-1a,small,0.05",
+	"0,us-east-1a,large,0.08",
+	"#ondemand,us-east-1a,small,0.06",
+	"#ondemand,us-east-1a,large,0.24",
+	"#end,,,200",
+}, "\n") + "\n"
+
 func TestReadCSVHandwritten(t *testing.T) {
-	in := strings.Join([]string{
-		csvHeader,
-		"0,us-east-1a,small,0.02",
-		"100,us-east-1a,small,0.05",
-		"0,us-east-1a,large,0.08",
-		"#ondemand,us-east-1a,small,0.06",
-		"#ondemand,us-east-1a,large,0.24",
-		"#end,,,200",
-	}, "\n") + "\n"
-	s, err := ReadCSV(strings.NewReader(in))
+	s, err := ReadCSV(strings.NewReader(handwrittenCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +79,14 @@ func TestReadCSVHandwritten(t *testing.T) {
 	}
 }
 
+var noCatalogCSV = strings.Join([]string{
+	csvHeader,
+	"0,us-east-1a,small,0.02",
+	"0,us-east-1a,exotic,0.50",
+}, "\n") + "\n"
+
 func TestReadCSVMissingCatalogFallsBack(t *testing.T) {
-	in := strings.Join([]string{
-		csvHeader,
-		"0,us-east-1a,small,0.02",
-		"0,us-east-1a,exotic,0.50",
-	}, "\n") + "\n"
-	s, err := ReadCSV(strings.NewReader(in))
+	s, err := ReadCSV(strings.NewReader(noCatalogCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +104,64 @@ func TestReadCSVMissingCatalogFallsBack(t *testing.T) {
 	}
 }
 
+// badCSVs are inputs ReadCSV must reject.
+var badCSVs = []string{
+	"",
+	csvHeader + "\n",
+	csvHeader + "\nnotanumber,us-east-1a,small,0.02\n",
+	csvHeader + "\n0,us-east-1a,small,bad\n",
+	csvHeader + "\n0,us-east-1a,small,0.02\n#ondemand,us-east-1a,small,bad\n",
+	csvHeader + "\n0,us-east-1a,small,0.02\n#end,,,bad\n",
+	csvHeader + "\n0,us-east-1a,small,0.02\n100,us-east-1a,small,NaN\n",
+	csvHeader + "\n0,us-east-1a,small,0.02\n100,us-east-1a,small,+Inf\n",
+	csvHeader + "\n0,us-east-1a,small,0.02\nNaN,us-east-1a,small,0.05\n",
+	csvHeader + "\n0,us-east-1a,small,0.02\n#end,,,NaN\n",
+	csvHeader + "\n0,us-east-1a,small,0.02\n#ondemand,us-east-1a,small,NaN\n",
+}
+
 func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		csvHeader + "\n",
-		csvHeader + "\nnotanumber,us-east-1a,small,0.02\n",
-		csvHeader + "\n0,us-east-1a,small,bad\n",
-		csvHeader + "\n0,us-east-1a,small,0.02\n#ondemand,us-east-1a,small,bad\n",
-		csvHeader + "\n0,us-east-1a,small,0.02\n#end,,,bad\n",
-	}
-	for i, in := range cases {
+	for i, in := range badCSVs {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: bad csv accepted", i)
 		}
 	}
+}
+
+// FuzzReadCSV feeds arbitrary text to ReadCSV. It must never panic, and
+// any set it accepts must survive WriteCSV and a second ReadCSV unchanged:
+// the same markets, steps, ends, on-demand prices and horizon.
+func FuzzReadCSV(f *testing.F) {
+	for _, in := range append([]string{
+		handwrittenCSV,
+		noCatalogCSV,
+		// No #end row, markets ending at different times.
+		csvHeader + "\n0,us-east-1a,small,0.02\n7200,us-east-1a,small,0.03\n0,us-west-1a,small,0.04\n",
+	}, badCSVs...) {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		a, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, a); err != nil {
+			t.Fatalf("WriteCSV: %v", err)
+		}
+		written := buf.String()
+		b, err := ReadCSV(strings.NewReader(written))
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", written, err)
+		}
+		if !slices.Equal(a.IDs(), b.IDs()) || a.Horizon() != b.Horizon() {
+			t.Fatalf("markets or horizon changed: %v %v -> %v %v", a.IDs(), a.Horizon(), b.IDs(), b.Horizon())
+		}
+		for _, id := range a.IDs() {
+			ta, tb := a.Trace(id), b.Trace(id)
+			if !slices.Equal(ta.Times(), tb.Times()) || !slices.Equal(ta.Prices(), tb.Prices()) ||
+				ta.End() != tb.End() || a.OnDemand(id) != b.OnDemand(id) {
+				t.Fatalf("%s changed in the round trip", id)
+			}
+		}
+	})
 }

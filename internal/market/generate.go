@@ -85,14 +85,22 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
+// MaxHorizon is the longest universe either generator builds. The
+// generators' work and memory grow with the horizon (a factor series
+// sampled every StepMean, a shock stream drawn to the end), so an
+// unbounded one lets a single flag or scenario field exhaust memory. A
+// year is three times the longest horizon any experiment, example or test
+// uses (120 days) and four times the HTTP API's 90-day request cap.
+const MaxHorizon sim.Duration = 365 * sim.Day
+
 // Validate reports configuration errors early with actionable messages.
 // The negated comparisons reject NaN too.
 func (c Config) Validate() error {
 	switch {
 	case len(c.Types) == 0:
 		return fmt.Errorf("market: config has no types")
-	case !(c.Horizon > sim.Hour) || math.IsInf(c.Horizon, 1):
-		return fmt.Errorf("market: horizon %v must be a finite span longer than an hour", c.Horizon)
+	case !(c.Horizon > sim.Hour && c.Horizon <= MaxHorizon):
+		return fmt.Errorf("market: horizon %v must be longer than an hour and at most %v", c.Horizon, MaxHorizon)
 	case !(c.SpikesPerDay >= 0):
 		return fmt.Errorf("market: spike rate %v is not a non-negative number", c.SpikesPerDay)
 	}

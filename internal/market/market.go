@@ -20,6 +20,7 @@ package market
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,9 +97,10 @@ type Trace struct {
 	end    sim.Time
 }
 
-// NewTrace builds a trace from points, which must be non-empty, sorted by
-// time, and all have positive prices; end must be after the last point.
-// Consecutive points with equal prices are coalesced.
+// NewTrace builds a trace from points, which must be non-empty, at finite
+// times sorted strictly increasing, and all have finite positive prices;
+// end must be finite and after the last point. Consecutive points with
+// equal prices are coalesced. The negated comparisons reject NaN too.
 func NewTrace(id ID, points []Point, end sim.Time) (*Trace, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("market: trace %s has no points", id)
@@ -106,8 +108,11 @@ func NewTrace(id ID, points []Point, end sim.Time) (*Trace, error) {
 	times := make([]sim.Time, 0, len(points))
 	prices := make([]float64, 0, len(points))
 	for i, p := range points {
-		if p.Price <= 0 {
-			return nil, fmt.Errorf("market: trace %s has non-positive price %v at t=%v", id, p.Price, p.T)
+		if !(p.Price > 0) || math.IsInf(p.Price, 1) {
+			return nil, fmt.Errorf("market: trace %s has price %v at t=%v, want finite and positive", id, p.Price, p.T)
+		}
+		if math.IsNaN(p.T) || math.IsInf(p.T, 0) {
+			return nil, fmt.Errorf("market: trace %s has non-finite time %v at index %d", id, p.T, i)
 		}
 		if i > 0 && p.T <= points[i-1].T {
 			return nil, fmt.Errorf("market: trace %s has non-increasing time at index %d", id, i)
@@ -118,8 +123,8 @@ func NewTrace(id ID, points []Point, end sim.Time) (*Trace, error) {
 		times = append(times, p.T)
 		prices = append(prices, p.Price)
 	}
-	if end <= times[len(times)-1] {
-		return nil, fmt.Errorf("market: trace %s end %v not after last point %v", id, end, times[len(times)-1])
+	if !(end > times[len(times)-1]) || math.IsInf(end, 1) {
+		return nil, fmt.Errorf("market: trace %s end %v not a finite time after last point %v", id, end, times[len(times)-1])
 	}
 	return &Trace{id: id, times: times, prices: prices, end: end}, nil
 }
@@ -317,7 +322,7 @@ func (s *Set) Envelope(ids []ID, weights []float64) *Envelope {
 }
 
 // NewSet assembles a Set from traces and an on-demand price catalog. Every
-// trace must have a catalog entry.
+// trace must have a catalog entry, a finite positive price.
 //
 // The set repacks every trace's columns into one shared arena (one times
 // slab, one prices slab for the whole universe): a Set is immutable and
@@ -348,7 +353,7 @@ func NewSetTyped(traces []*Trace, onDemand map[ID]float64, types []TypeSpec) (*S
 			return nil, fmt.Errorf("market: duplicate trace %s", tr.id)
 		}
 		od, ok := onDemand[tr.id]
-		if !ok || od <= 0 {
+		if !ok || !(od > 0) || math.IsInf(od, 1) {
 			return nil, fmt.Errorf("market: missing/invalid on-demand price for %s", tr.id)
 		}
 		if s.types != nil {

@@ -33,6 +33,24 @@ func TestNewTraceValidation(t *testing.T) {
 	if _, err := NewTrace(testID, []Point{{0, 0.1}, {5, 0.2}}, 5); err == nil {
 		t.Error("end not after last point accepted")
 	}
+	if _, err := NewTrace(testID, []Point{{0, 0.1}, {5, math.NaN()}}, 10); err == nil {
+		t.Error("NaN price accepted")
+	}
+	if _, err := NewTrace(testID, []Point{{0, 0.1}, {5, math.Inf(1)}}, 10); err == nil {
+		t.Error("+Inf price accepted")
+	}
+	if _, err := NewTrace(testID, []Point{{0, 0.1}, {math.NaN(), 0.2}}, 10); err == nil {
+		t.Error("NaN time accepted")
+	}
+	if _, err := NewTrace(testID, []Point{{math.Inf(-1), 0.1}, {5, 0.2}}, 10); err == nil {
+		t.Error("-Inf time accepted")
+	}
+	if _, err := NewTrace(testID, []Point{{0, 0.1}}, math.NaN()); err == nil {
+		t.Error("NaN end accepted")
+	}
+	if _, err := NewTrace(testID, []Point{{0, 0.1}}, math.Inf(1)); err == nil {
+		t.Error("+Inf end accepted")
+	}
 }
 
 func TestTraceCoalesce(t *testing.T) {
@@ -134,6 +152,12 @@ func TestSetValidation(t *testing.T) {
 	if _, err := NewSet(nil, nil); err == nil {
 		t.Error("empty set accepted")
 	}
+	if _, err := NewSet([]*Trace{tr}, map[ID]float64{testID: math.NaN()}); err == nil {
+		t.Error("NaN on-demand accepted")
+	}
+	if _, err := NewSet([]*Trace{tr}, map[ID]float64{testID: math.Inf(1)}); err == nil {
+		t.Error("+Inf on-demand accepted")
+	}
 	s, err := NewSet([]*Trace{tr}, map[ID]float64{testID: 0.06})
 	if err != nil {
 		t.Fatal(err)
@@ -219,6 +243,20 @@ func TestGenerateValidatesConfig(t *testing.T) {
 		if _, err := Generate(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestValidateHorizonCap pins MaxHorizon through Validate alone, so no
+// test generates a universe near the cap.
+func TestValidateHorizonCap(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Horizon = MaxHorizon - 1
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("horizon just under MaxHorizon rejected: %v", err)
+	}
+	cfg.Horizon = MaxHorizon + 1
+	if err := cfg.Validate(); err == nil {
+		t.Error("horizon just over MaxHorizon accepted")
 	}
 }
 

@@ -45,11 +45,12 @@ func TestParseJSONEnvelope(t *testing.T) {
 	}
 }
 
+const bareJSON = `[{"AvailabilityZone":"us-east-1a","InstanceType":"m1.small",
+  "ProductDescription":"Linux/UNIX","SpotPrice":"0.01",
+  "Timestamp":"2015-02-01T00:00:00Z"}]`
+
 func TestParseJSONBareArray(t *testing.T) {
-	bare := `[{"AvailabilityZone":"us-east-1a","InstanceType":"m1.small",
-	  "ProductDescription":"Linux/UNIX","SpotPrice":"0.01",
-	  "Timestamp":"2015-02-01T00:00:00Z"}]`
-	recs, err := ParseJSON(strings.NewReader(bare))
+	recs, err := ParseJSON(strings.NewReader(bareJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,27 +59,30 @@ func TestParseJSONBareArray(t *testing.T) {
 	}
 }
 
+// badJSON are inputs ParseJSON must reject.
+var badJSON = []string{
+	`not json`,
+	`{"SpotPriceHistory":[{"SpotPrice":"x","Timestamp":"2015-02-01T00:00:00Z"}]}`,
+	`{"SpotPriceHistory":[{"SpotPrice":"0.01","Timestamp":"yesterday"}]}`,
+}
+
 func TestParseJSONErrors(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"SpotPriceHistory":[{"SpotPrice":"x","Timestamp":"2015-02-01T00:00:00Z"}]}`,
-		`{"SpotPriceHistory":[{"SpotPrice":"0.01","Timestamp":"yesterday"}]}`,
-	}
-	for i, in := range cases {
+	for i, in := range badJSON {
 		if _, err := ParseJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 }
 
+var legacySample = strings.Join([]string{
+	"SPOTINSTANCEPRICE\t0.0071\t2015-02-01T00:00:00Z\tm1.small\tLinux/UNIX\tus-east-1a",
+	"", // blank line skipped
+	"SOMETHINGELSE\tignored",
+	"SPOTINSTANCEPRICE\t0.0123\t2015-02-01T06:00:00Z\tm1.small\tLinux/UNIX\tus-east-1a",
+}, "\n")
+
 func TestParseLegacy(t *testing.T) {
-	in := strings.Join([]string{
-		"SPOTINSTANCEPRICE\t0.0071\t2015-02-01T00:00:00Z\tm1.small\tLinux/UNIX\tus-east-1a",
-		"", // blank line skipped
-		"SOMETHINGELSE\tignored",
-		"SPOTINSTANCEPRICE\t0.0123\t2015-02-01T06:00:00Z\tm1.small\tLinux/UNIX\tus-east-1a",
-	}, "\n")
-	recs, err := ParseLegacy(strings.NewReader(in))
+	recs, err := ParseLegacy(strings.NewReader(legacySample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +94,45 @@ func TestParseLegacy(t *testing.T) {
 	}
 }
 
+// badLegacy are inputs ParseLegacy must reject.
+var badLegacy = []string{
+	"SPOTINSTANCEPRICE\t0.01\t2015-02-01T00:00:00Z\tm1.small", // short row
+	"SPOTINSTANCEPRICE\tabc\t2015-02-01T00:00:00Z\tm1.small\tLinux/UNIX\tz",
+	"SPOTINSTANCEPRICE\t0.01\twhenever\tm1.small\tLinux/UNIX\tz",
+}
+
 func TestParseLegacyErrors(t *testing.T) {
-	bad := []string{
-		"SPOTINSTANCEPRICE\t0.01\t2015-02-01T00:00:00Z\tm1.small", // short row
-		"SPOTINSTANCEPRICE\tabc\t2015-02-01T00:00:00Z\tm1.small\tLinux/UNIX\tz",
-		"SPOTINSTANCEPRICE\t0.01\twhenever\tm1.small\tLinux/UNIX\tz",
-	}
-	for i, in := range bad {
+	for i, in := range badLegacy {
 		if _, err := ParseLegacy(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
+}
+
+// FuzzParseJSON feeds arbitrary bytes to ParseJSON and any records it
+// accepts to Build. Neither may panic.
+func FuzzParseJSON(f *testing.F) {
+	for _, in := range append([]string{sampleJSON, bareJSON}, badJSON...) {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		if recs, err := ParseJSON(strings.NewReader(in)); err == nil {
+			Build(recs, Options{})
+		}
+	})
+}
+
+// FuzzParseLegacy feeds arbitrary text to ParseLegacy and any records it
+// accepts to Build. Neither may panic.
+func FuzzParseLegacy(f *testing.F) {
+	for _, in := range append([]string{legacySample}, badLegacy...) {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		if recs, err := ParseLegacy(strings.NewReader(in)); err == nil {
+			Build(recs, Options{})
+		}
+	})
 }
 
 func TestBuildFiltersAndRebases(t *testing.T) {

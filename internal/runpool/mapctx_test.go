@@ -9,15 +9,17 @@ import (
 	"time"
 )
 
+// TestMapCtxMatchesMap checks MapCtx under a background context returns
+// exactly what a serial loop over the items does.
 func TestMapCtxMatchesMap(t *testing.T) {
 	items := make([]int, 64)
 	for i := range items {
 		items[i] = i
 	}
-	sq := func(i, v int) (int, error) { return v * v, nil }
-	want, err := Map(4, items, sq)
-	if err != nil {
-		t.Fatal(err)
+	sq := func(i, v int) (int, error) { return v*v + i, nil }
+	want := make([]int, len(items))
+	for i, v := range items {
+		want[i], _ = sq(i, v)
 	}
 	got, err := MapCtx(context.Background(), 4, items,
 		func(_ context.Context, i, v int) (int, error) { return sq(i, v) })
@@ -26,7 +28,7 @@ func TestMapCtxMatchesMap(t *testing.T) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("result %d: Map=%d MapCtx=%d", i, want[i], got[i])
+			t.Fatalf("result %d: serial=%d MapCtx=%d", i, want[i], got[i])
 		}
 	}
 }

@@ -1,18 +1,18 @@
 package runpool
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestMapOrdering checks results come back in submission order even when
-// tasks finish out of order.
+// TestMapOrdering checks results come back in item order even when items
+// finish out of order.
 func TestMapOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16, 100} {
 		items := make([]int, 64)
@@ -24,7 +24,7 @@ func TestMapOrdering(t *testing.T) {
 		for i := range delays {
 			delays[i] = time.Duration(rng.Intn(3)) * time.Millisecond
 		}
-		got, err := Map(workers, items, func(i, v int) (int, error) {
+		got, err := MapCtx(context.Background(), workers, items, func(_ context.Context, i, v int) (int, error) {
 			time.Sleep(delays[i])
 			return v * v, nil
 		})
@@ -40,16 +40,20 @@ func TestMapOrdering(t *testing.T) {
 }
 
 // TestMapFirstError checks the reported error is the lowest-indexed
-// failure, not whichever failed first on the wall clock.
+// failure, not whichever failed first on the wall clock: item 5 fails only
+// once item 2 is running, and item 2 fails only after item 5 has.
 func TestMapFirstError(t *testing.T) {
+	twoRunning, fiveDone := make(chan struct{}), make(chan struct{})
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	_, err := Map(4, items, func(i, v int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, items, func(_ context.Context, i, v int) (int, error) {
 		switch i {
 		case 2:
-			// The higher-indexed failure finishes first.
+			close(twoRunning)
+			<-fiveDone
 			return 0, errors.New("fail-2")
 		case 5:
-			time.Sleep(20 * time.Millisecond)
+			<-twoRunning
+			defer close(fiveDone)
 			return 0, errors.New("fail-5")
 		}
 		return v, nil
@@ -59,10 +63,10 @@ func TestMapFirstError(t *testing.T) {
 	}
 }
 
-// TestMapPanicSafety checks a panicking task surfaces as *PanicError
+// TestMapPanicSafety checks a panicking item surfaces as *PanicError
 // instead of crashing the process.
 func TestMapPanicSafety(t *testing.T) {
-	_, err := Map(2, []int{0, 1, 2}, func(i, v int) (int, error) {
+	_, err := MapCtx(context.Background(), 2, []int{0, 1, 2}, func(_ context.Context, i, v int) (int, error) {
 		if i == 1 {
 			panic("boom")
 		}
@@ -80,12 +84,12 @@ func TestMapPanicSafety(t *testing.T) {
 	}
 }
 
-// TestBoundedConcurrency checks the pool never runs more than `workers`
-// tasks at once, including the workers=1 edge case.
+// TestBoundedConcurrency checks MapCtx never runs more than `workers`
+// items at once, including the workers=1 edge case.
 func TestBoundedConcurrency(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		var inFlight, peak int32
-		_, err := Map(workers, make([]struct{}, 32), func(i int, _ struct{}) (int, error) {
+		_, err := MapCtx(context.Background(), workers, make([]struct{}, 32), func(_ context.Context, i int, _ struct{}) (int, error) {
 			n := atomic.AddInt32(&inFlight, 1)
 			for {
 				p := atomic.LoadInt32(&peak)
@@ -112,7 +116,7 @@ func TestDefaultWorkers(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
 	}
-	got, err := Map(0, []int{1, 2, 3}, func(_, v int) (int, error) { return v + 1, nil })
+	got, err := MapCtx(context.Background(), 0, []int{1, 2, 3}, func(_ context.Context, _, v int) (int, error) { return v + 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,25 +127,10 @@ func TestDefaultWorkers(t *testing.T) {
 
 // TestMapEmpty checks an empty item list returns immediately.
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(4, nil, func(_ int, _ string) (string, error) { return "", nil })
+	got, err := MapCtx(context.Background(), 4, nil, func(_ context.Context, _ int, _ string) (string, error) { return "", nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
-}
-
-// TestPoolSubmitAfterWaitPanics checks pools are single-use.
-func TestPoolSubmitAfterWaitPanics(t *testing.T) {
-	p := New[int](2)
-	p.Submit(func() (int, error) { return 1, nil })
-	if _, err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Submit after Wait did not panic")
-		}
-	}()
-	p.Submit(func() (int, error) { return 2, nil })
 }
 
 // TestMapDeterministicAcrossWorkerCounts checks the full result set is
@@ -153,7 +142,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		for i := range items {
 			items[i] = i
 		}
-		got, err := Map(workers, items, func(i, v int) (int, error) {
+		got, err := MapCtx(context.Background(), workers, items, func(_ context.Context, i, v int) (int, error) {
 			return v*31 + i, nil
 		})
 		if err != nil {
@@ -166,29 +155,5 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		if fmt.Sprint(run(workers)) != fmt.Sprint(serial) {
 			t.Fatalf("workers=%d diverged from serial", workers)
 		}
-	}
-}
-
-// TestPoolConcurrentSubmit checks Submit is safe to call from multiple
-// goroutines (each submitter sees a consistent index).
-func TestPoolConcurrentSubmit(t *testing.T) {
-	p := New[int](4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				p.Submit(func() (int, error) { return 1, nil })
-			}
-		}()
-	}
-	wg.Wait()
-	got, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 80 {
-		t.Fatalf("got %d results, want 80", len(got))
 	}
 }

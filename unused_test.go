@@ -40,7 +40,6 @@ var keptUnused = map[string]string{
 	"market.Envelope.End":              "bounds the query times of the envelope oracle tests",
 	"market.Trace.NextChangeAfter":     "drives the per-market event chains the cloud price clock is checked against",
 	"obs.Recorder.Label":               "lets collector tests check scoped run labels",
-	"runpool.Map":                      "uncancellable reference for MapCtx's ordering and errors",
 	"sched.Portfolio.Provider":         "lets tests inspect the shared provider",
 	"sched.Portfolio.Reports":          "lets tests check per-member reports",
 	"sched.Scheduler.Phase":            "lets fork tests check the migration state machine",
