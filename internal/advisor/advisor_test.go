@@ -1,6 +1,8 @@
 package advisor
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -130,5 +132,47 @@ func TestAdviseNarrowedMatrix(t *testing.T) {
 	// No target and free revenue: the single candidate wins on savings.
 	if rec.Best == nil || rec.Best.Mechanism != vm.CKPTLazyLive {
 		t.Fatalf("best = %+v", rec.Best)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite "+renderGolden+" from this run")
+
+const renderGolden = "testdata/render_seed42_10d.txt"
+
+// TestRenderGolden pins the ranked matrix for the advise command's default
+// universe (seed 42) over 10 days, with the four-nines target and a revenue
+// model, byte for byte.
+func TestRenderGolden(t *testing.T) {
+	cfg := market.DefaultConfig(42)
+	cfg.Horizon = 10 * sim.Day
+	set, err := market.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Advise(set, cloud.DefaultParams(42), Request{
+		Home:   home,
+		Target: slo.FourNines,
+		Revenue: econ.RevenueModel{
+			RequestsPerSecond:  20,
+			RevenuePerRequest:  0.001,
+			DegradedLossFactor: 0.3,
+		},
+		Horizon: 10 * sim.Day,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rec.Render()
+	if *update {
+		if err := os.WriteFile(renderGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(renderGolden)
+	if err != nil {
+		t.Fatalf("missing golden (run `go test ./internal/advisor -update`): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("render differs from %s:\ngot:\n%s\nwant:\n%s", renderGolden, got, want)
 	}
 }
