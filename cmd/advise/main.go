@@ -19,7 +19,6 @@ import (
 	"spothost/internal/econ"
 	"spothost/internal/market"
 	"spothost/internal/sim"
-	"spothost/internal/slo"
 )
 
 func main() {
@@ -41,7 +40,7 @@ func main() {
 	}
 	rec, err := advisor.Advise(set, cloud.DefaultParams(*seed), advisor.Request{
 		Home:   market.ID{Region: market.Region(*region), Type: market.InstanceType(*typeF)},
-		Target: slo.Target(*target),
+		Target: *target,
 		Revenue: econ.RevenueModel{
 			RequestsPerSecond:  *rps,
 			RevenuePerRequest:  *perReq,

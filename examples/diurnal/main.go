@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func main() {
 	}
 
 	// Base: 2 unit VMs around the clock.
-	if err := p.Add("base", fleet(2)); err != nil {
+	if err := p.AddAt(0, "base", fleet(2)); err != nil {
 		log.Fatal(err)
 	}
 	// Surge: 4 more unit VMs during the 10:00-18:00 peak, every day.
@@ -59,7 +60,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := p.Run(days * sim.Day); err != nil {
+	if err := p.RunCtx(context.Background(), days*sim.Day); err != nil {
 		log.Fatal(err)
 	}
 

@@ -16,7 +16,6 @@ import (
 	"spothost/internal/metrics"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
-	"spothost/internal/slo"
 	"spothost/internal/vm"
 )
 
@@ -24,9 +23,9 @@ import (
 type Request struct {
 	// Home names the service's market.
 	Home market.ID
-	// Target is the availability objective candidates must meet
-	// (0 disables the filter).
-	Target slo.Target
+	// Target is the availability objective candidates must meet, as a
+	// fraction in [0,1] (0.9999 = four nines; 0 disables the filter).
+	Target float64
 	// Revenue prices downtime; the zero value makes ranking pure savings.
 	Revenue econ.RevenueModel
 	// Horizon bounds each evaluation run (0 = the price set's extent).
@@ -60,6 +59,9 @@ type Recommendation struct {
 func Advise(set *market.Set, params cloud.Params, req Request) (Recommendation, error) {
 	if set.Trace(req.Home) == nil {
 		return Recommendation{}, fmt.Errorf("advisor: unknown home market %s", req.Home)
+	}
+	if !(req.Target >= 0 && req.Target <= 1) {
+		return Recommendation{}, fmt.Errorf("advisor: target %v outside [0,1]", req.Target)
 	}
 	if err := req.Revenue.Validate(); err != nil {
 		return Recommendation{}, err
@@ -95,7 +97,7 @@ func Advise(set *market.Set, params cloud.Params, req Request) (Recommendation, 
 				Mechanism:   m,
 				Report:      rep,
 				Analysis:    a,
-				MeetsTarget: req.Target == 0 || 1-rep.Unavailability() >= float64(req.Target),
+				MeetsTarget: req.Target == 0 || 1-rep.Unavailability() >= req.Target,
 			}
 			rec.Candidates = append(rec.Candidates, c)
 		}

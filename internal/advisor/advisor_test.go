@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"flag"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"spothost/internal/market"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
-	"spothost/internal/slo"
 	"spothost/internal/vm"
 )
 
@@ -41,6 +41,11 @@ func TestAdviseValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("bad revenue model accepted")
 	}
+	for _, target := range []float64{-1, 1.5, math.NaN(), math.Inf(1)} {
+		if _, err := Advise(set, cloud.DefaultParams(1), Request{Home: home, Target: target}); err == nil {
+			t.Errorf("target %v accepted", target)
+		}
+	}
 }
 
 // TestAdviseRecommendsProactiveForFourNines: with the paper's four-nines
@@ -49,7 +54,7 @@ func TestAdviseValidation(t *testing.T) {
 func TestAdviseRecommendsProactiveForFourNines(t *testing.T) {
 	rec, err := Advise(universe(t), cloud.DefaultParams(404), Request{
 		Home:   home,
-		Target: slo.FourNines,
+		Target: 0.9999,
 		Revenue: econ.RevenueModel{
 			RequestsPerSecond:  20,
 			RevenuePerRequest:  0.001,
@@ -98,7 +103,7 @@ func TestAdviseRecommendsProactiveForFourNines(t *testing.T) {
 func TestAdviseHighRevenueSaysStayOnDemand(t *testing.T) {
 	rec, err := Advise(universe(t), cloud.DefaultParams(404), Request{
 		Home:   home,
-		Target: slo.FourNines,
+		Target: 0.9999,
 		Revenue: econ.RevenueModel{
 			RequestsPerSecond: 100000,
 			RevenuePerRequest: 0.01, // $1000/s of revenue
@@ -151,7 +156,7 @@ func TestRenderGolden(t *testing.T) {
 	}
 	rec, err := Advise(set, cloud.DefaultParams(42), Request{
 		Home:   home,
-		Target: slo.FourNines,
+		Target: 0.9999,
 		Revenue: econ.RevenueModel{
 			RequestsPerSecond:  20,
 			RevenuePerRequest:  0.001,

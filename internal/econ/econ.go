@@ -8,6 +8,7 @@ package econ
 
 import (
 	"fmt"
+	"math"
 
 	"spothost/internal/metrics"
 	"spothost/internal/sim"
@@ -27,15 +28,19 @@ type RevenueModel struct {
 	DegradedLossFactor float64
 }
 
-// Validate reports an unusable model.
+// Validate reports an unusable model: a negative or NaN field, or a
+// revenue rate that is not finite (an infinite field, or a product that
+// overflows), which would turn every priced outcome into ±Inf or NaN.
 func (m RevenueModel) Validate() error {
-	switch {
-	case m.RequestsPerSecond < 0:
-		return fmt.Errorf("econ: negative request rate")
-	case m.RevenuePerRequest < 0:
-		return fmt.Errorf("econ: negative revenue per request")
-	case m.DegradedLossFactor < 0 || m.DegradedLossFactor > 1:
+	switch rate := m.RevenuePerSecond(); {
+	case !(m.RequestsPerSecond >= 0):
+		return fmt.Errorf("econ: request rate %v is not a non-negative number", m.RequestsPerSecond)
+	case !(m.RevenuePerRequest >= 0):
+		return fmt.Errorf("econ: revenue per request %v is not a non-negative number", m.RevenuePerRequest)
+	case !(m.DegradedLossFactor >= 0 && m.DegradedLossFactor <= 1):
 		return fmt.Errorf("econ: DegradedLossFactor %v outside [0,1]", m.DegradedLossFactor)
+	case math.IsInf(rate, 0) || math.IsNaN(rate):
+		return fmt.Errorf("econ: revenue rate %v x %v is not finite", m.RequestsPerSecond, m.RevenuePerRequest)
 	}
 	return nil
 }

@@ -24,6 +24,13 @@ func TestModelValidation(t *testing.T) {
 		{RevenuePerRequest: -1},
 		{DegradedLossFactor: 2},
 		{DegradedLossFactor: -0.1},
+		{RequestsPerSecond: math.NaN()},
+		{RevenuePerRequest: math.NaN()},
+		{DegradedLossFactor: math.NaN()},
+		{RequestsPerSecond: math.Inf(1)},
+		{RevenuePerRequest: math.Inf(1)},
+		{RequestsPerSecond: math.Inf(1), RevenuePerRequest: 0.001},
+		{RequestsPerSecond: 1e200, RevenuePerRequest: 1e200}, // product overflows
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {

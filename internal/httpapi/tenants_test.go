@@ -346,3 +346,18 @@ func TestScenarioEndpointRejectsBadCatalog(t *testing.T) {
 		t.Errorf("error %q does not mention the anchor type", body)
 	}
 }
+
+// TestScenarioEndpointRejectsOverflowingRevenue: a revenue model whose rate
+// overflows float64 would price every outcome as ±Inf or NaN, which JSON
+// cannot encode; the document is rejected before anything runs.
+func TestScenarioEndpointRejectsOverflowingRevenue(t *testing.T) {
+	_, srv := newTenantServer(t, Config{})
+	resp, body := post(t, srv.URL+"/v1/scenario", `{"days": 1, "services": [{"name": "shop", "region": "us-east-1a", "type": "small",
+	  "revenue": {"requests_per_second": 1e200, "revenue_per_request": 1e200}}]}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(body, "not finite") {
+		t.Errorf("error %q does not say the revenue rate is not finite", body)
+	}
+}

@@ -17,9 +17,6 @@ type Interval struct {
 	End   sim.Time
 }
 
-// Duration returns the episode length.
-func (iv Interval) Duration() sim.Duration { return iv.End - iv.Start }
-
 // DowntimeTracker accumulates service downtime as mark-down/mark-up
 // intervals. It also accumulates degraded-mode time (lazy-restore fault-in
 // periods) separately, and keeps the episode log for SLO analysis.
@@ -132,9 +129,9 @@ type Report struct {
 	// by the Yank-style daemon over the run (all VMs).
 	CheckpointGB float64
 
-	// DowntimeLog holds the closed downtime episodes of a single run for
-	// SLO analysis (see package slo). Average leaves it nil: episode logs
-	// from different seeds are not comparable.
+	// DowntimeLog holds the closed downtime episodes of a single run, in
+	// order, for SLO analysis (see examples/sloaudit). Average leaves it
+	// nil: episode logs from different seeds are not comparable.
 	DowntimeLog []Interval
 }
 

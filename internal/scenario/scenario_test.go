@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"spothost/internal/econ"
 	"spothost/internal/market"
 )
 
@@ -40,27 +42,30 @@ func TestLoadGood(t *testing.T) {
 	}
 }
 
+// badDocs maps a label to a document Load must reject.
+var badDocs = map[string]string{
+	"not json":         `{`,
+	"unknown field":    `{"days": 5, "bogus": 1, "services": [{"name":"a","region":"r","type":"small"}]}`,
+	"no services":      `{"days": 5, "services": []}`,
+	"no days":          `{"services": [{"name":"a","region":"r","type":"small"}]}`,
+	"unnamed service":  `{"days": 5, "services": [{"region":"r","type":"small"}]}`,
+	"duplicate names":  `{"days": 5, "services": [{"name":"a","region":"r","type":"small"},{"name":"a","region":"r","type":"small"}]}`,
+	"missing region":   `{"days": 5, "services": [{"name":"a","type":"small"}]}`,
+	"bad policy":       `{"days": 5, "services": [{"name":"a","region":"r","type":"small","policy":"wishful"}]}`,
+	"bad mechanism":    `{"days": 5, "services": [{"name":"a","region":"r","type":"small","mechanism":"magic"}]}`,
+	"stop<start":       `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":10,"stop_hour":5}]}`,
+	"bad revenue":      `{"days": 5, "services": [{"name":"a","region":"r","type":"small","revenue":{"requests_per_second":-1}}]}`,
+	"unnamed fleet":    `{"days": 5, "fleets": [{"strategy": "diversified"}]}`,
+	"dup fleet name":   `{"days": 5, "services": [{"name":"a","region":"r","type":"small"}], "fleets": [{"name":"a"}]}`,
+	"bad strategy":     `{"days": 5, "fleets": [{"name":"f","strategy":"vibes"}]}`,
+	"bad fleet mkt":    `{"days": 5, "fleets": [{"name":"f","markets":["us-east-1a"]}]}`,
+	"peak<base":        `{"days": 5, "fleets": [{"name":"f","base_load":100,"peak_load":50}]}`,
+	"negative param":   `{"days": 5, "fleets": [{"name":"f","target_ms":-1}]}`,
+	"revenue overflow": `{"days": 5, "services": [{"name":"a","region":"r","type":"small","revenue":{"requests_per_second":1e200,"revenue_per_request":1e200}}]}`,
+}
+
 func TestLoadRejectsBadDocuments(t *testing.T) {
-	cases := map[string]string{
-		"not json":        `{`,
-		"unknown field":   `{"days": 5, "bogus": 1, "services": [{"name":"a","region":"r","type":"small"}]}`,
-		"no services":     `{"days": 5, "services": []}`,
-		"no days":         `{"services": [{"name":"a","region":"r","type":"small"}]}`,
-		"unnamed service": `{"days": 5, "services": [{"region":"r","type":"small"}]}`,
-		"duplicate names": `{"days": 5, "services": [{"name":"a","region":"r","type":"small"},{"name":"a","region":"r","type":"small"}]}`,
-		"missing region":  `{"days": 5, "services": [{"name":"a","type":"small"}]}`,
-		"bad policy":      `{"days": 5, "services": [{"name":"a","region":"r","type":"small","policy":"wishful"}]}`,
-		"bad mechanism":   `{"days": 5, "services": [{"name":"a","region":"r","type":"small","mechanism":"magic"}]}`,
-		"stop<start":      `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":10,"stop_hour":5}]}`,
-		"bad revenue":     `{"days": 5, "services": [{"name":"a","region":"r","type":"small","revenue":{"requests_per_second":-1}}]}`,
-		"unnamed fleet":   `{"days": 5, "fleets": [{"strategy": "diversified"}]}`,
-		"dup fleet name":  `{"days": 5, "services": [{"name":"a","region":"r","type":"small"}], "fleets": [{"name":"a"}]}`,
-		"bad strategy":    `{"days": 5, "fleets": [{"name":"f","strategy":"vibes"}]}`,
-		"bad fleet mkt":   `{"days": 5, "fleets": [{"name":"f","markets":["us-east-1a"]}]}`,
-		"peak<base":       `{"days": 5, "fleets": [{"name":"f","base_load":100,"peak_load":50}]}`,
-		"negative param":  `{"days": 5, "fleets": [{"name":"f","target_ms":-1}]}`,
-	}
-	for label, doc := range cases {
+	for label, doc := range badDocs {
 		if _, err := Load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", label)
 		}
@@ -319,4 +324,35 @@ func TestScenarioCatalogFleetRuns(t *testing.T) {
 	if len(types) < 2 {
 		t.Errorf("catalog fleet billed %d instance types, want >= 2", len(types))
 	}
+}
+
+// FuzzScenarioLoad: /v1/scenario hands a stranger's document to Load, which
+// must never panic, and every service revenue model it accepts must have a
+// finite revenue rate. Nothing is simulated.
+func FuzzScenarioLoad(f *testing.F) {
+	for _, doc := range []string{goodDoc, fleetDoc, catalogFleetDoc} {
+		f.Add(doc)
+	}
+	for _, doc := range badDocs {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		sc, err := Load(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		for _, s := range sc.Services {
+			if s.Revenue == nil {
+				continue
+			}
+			m := econ.RevenueModel{
+				RequestsPerSecond:  s.Revenue.RequestsPerSecond,
+				RevenuePerRequest:  s.Revenue.RevenuePerRequest,
+				DegradedLossFactor: s.Revenue.DegradedLossFactor,
+			}
+			if r := m.RevenuePerSecond(); math.IsInf(r, 0) || math.IsNaN(r) {
+				t.Fatalf("accepted service %q with revenue rate %v", s.Name, r)
+			}
+		}
+	})
 }

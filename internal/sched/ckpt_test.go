@@ -90,11 +90,11 @@ func TestRecorderDoesNotChangeFold(t *testing.T) {
 		leaver := multiConfig(t, Reactive, 0)
 		leaver.Mechanism = vm.CKPTLive
 		for _, err := range []error{
-			p.Add("twin-a", twin),
-			p.Add("twin-b", twin),
+			p.AddAt(0, "twin-a", twin),
+			p.AddAt(0, "twin-b", twin),
 			p.AddAt(2*sim.Day+311.25, "leaver", leaver),
 			p.StopAt(11*sim.Day+4321.5, "leaver"),
-			p.Run(30 * sim.Day),
+			p.RunCtx(context.Background(), 30*sim.Day),
 		} {
 			if err != nil {
 				t.Fatal(err)

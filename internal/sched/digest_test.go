@@ -70,10 +70,10 @@ func hashPortfolio(t *testing.T, h hash.Hash) {
 	rec := col.Run("portfolio")
 	p.SetRecorder(rec)
 	twin := multiConfig(t, Proactive, 0)
-	if err := p.Add("twin-a", twin); err != nil {
+	if err := p.AddAt(0, "twin-a", twin); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add("twin-b", twin); err != nil {
+	if err := p.AddAt(0, "twin-b", twin); err != nil {
 		t.Fatal(err)
 	}
 	surge := mustConfig(t)
@@ -85,7 +85,7 @@ func hashPortfolio(t *testing.T, h hash.Hash) {
 	if err := p.StopAt(17*sim.Day+77, "surge"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(30 * sim.Day); err != nil {
+	if err := p.RunCtx(context.Background(), 30*sim.Day); err != nil {
 		t.Fatal(err)
 	}
 	col.Done(rec)
@@ -152,7 +152,7 @@ func TestPureSpotPortfolioDigest(t *testing.T) {
 				k++
 			}
 		}
-		if err := p.Run(30 * sim.Day); err != nil {
+		if err := p.RunCtx(context.Background(), 30*sim.Day); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range p.Services() {

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -71,11 +72,11 @@ func ExampleNewPortfolio() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := p.Add(svc.name, cfg); err != nil {
+		if err := p.AddAt(0, svc.name, cfg); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := p.Run(5 * sim.Day); err != nil {
+	if err := p.RunCtx(context.Background(), 5*sim.Day); err != nil {
 		log.Fatal(err)
 	}
 	tot := p.Totals()

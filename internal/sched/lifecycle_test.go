@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -92,7 +93,7 @@ func TestPortfolioElasticity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add("steady", base); err != nil {
+	if err := p.AddAt(0, "steady", base); err != nil {
 		t.Fatal(err)
 	}
 	surge := base
@@ -113,7 +114,7 @@ func TestPortfolioElasticity(t *testing.T) {
 		t.Fatal("unknown service accepted")
 	}
 
-	if err := p.Run(8 * sim.Day); err != nil {
+	if err := p.RunCtx(context.Background(), 8*sim.Day); err != nil {
 		t.Fatal(err)
 	}
 	steady, _ := p.Report("steady")

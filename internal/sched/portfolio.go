@@ -47,18 +47,12 @@ func (p *Portfolio) Provider() *cloud.Provider { return p.prov }
 // SetRecorder attaches a trace recorder to the portfolio's shared engine.
 // Each service records into its own track (named after the service), so a
 // multi-service run exports one process with one lane per service. Attach
-// before Run; a nil recorder is a no-op.
+// before RunCtx; a nil recorder is a no-op.
 func (p *Portfolio) SetRecorder(rec *trace.Recorder) { p.eng.SetRecorder(rec) }
-
-// Add registers a named service that starts at time 0. Services must be
-// added before Run.
-func (p *Portfolio) Add(name string, cfg Config) error {
-	return p.AddAt(0, name, cfg)
-}
 
 // AddAt registers a named service that launches at virtual time at —
 // elastic capacity that joins the fleet mid-run (a surge shard, a
-// regional expansion). Services must be registered before Run.
+// regional expansion). Services must be registered before RunCtx.
 func (p *Portfolio) AddAt(at sim.Time, name string, cfg Config) error {
 	if p.ran {
 		return fmt.Errorf("sched: portfolio already ran")
@@ -85,7 +79,7 @@ func (p *Portfolio) AddAt(at sim.Time, name string, cfg Config) error {
 }
 
 // StopAt schedules a registered service's voluntary shutdown at virtual
-// time at. Must be called before Run; stopping before the service's start
+// time at. Must be called before RunCtx; stopping before the service's start
 // time is rejected.
 func (p *Portfolio) StopAt(at sim.Time, name string) error {
 	if p.ran {
@@ -106,15 +100,10 @@ func (p *Portfolio) Services() []string {
 	return append([]string(nil), p.names...)
 }
 
-// Run starts every service and executes the simulation to the horizon
-// (clamped to the universe extent). It can only be called once.
-func (p *Portfolio) Run(horizon sim.Duration) error {
-	return p.RunCtx(context.Background(), horizon)
-}
-
-// RunCtx is Run under a context: the shared engine polls ctx while
-// executing, and a cancel aborts the whole portfolio within one
-// cancellation-poll batch, returning ctx's error.
+// RunCtx starts every service and executes the simulation to the horizon
+// (clamped to the universe extent). It can only be called once. The shared
+// engine polls ctx while executing, and a cancel aborts the whole portfolio
+// within one cancellation-poll batch, returning ctx's error.
 func (p *Portfolio) RunCtx(ctx context.Context, horizon sim.Duration) error {
 	if p.ran {
 		return fmt.Errorf("sched: portfolio already ran")

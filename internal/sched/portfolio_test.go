@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -42,36 +43,36 @@ func TestPortfolioLifecycle(t *testing.T) {
 	batch.Bidding = PureSpot
 	batch.Mechanism = vm.CKPTLazy
 
-	if err := p.Add("shop", shop); err != nil {
+	if err := p.AddAt(0, "shop", shop); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add("api", api); err != nil {
+	if err := p.AddAt(0, "api", api); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Add("batch", batch); err != nil {
+	if err := p.AddAt(0, "batch", batch); err != nil {
 		t.Fatal(err)
 	}
 	// Error cases before running.
-	if err := p.Add("shop", shop); err == nil {
+	if err := p.AddAt(0, "shop", shop); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if err := p.Add("", shop); err == nil {
+	if err := p.AddAt(0, "", shop); err == nil {
 		t.Fatal("empty name accepted")
 	}
 	bad := shop
 	bad.Home = market.ID{Region: "mars", Type: "small"}
 	bad.Markets = []market.ID{bad.Home}
-	if err := p.Add("bad", bad); err == nil {
+	if err := p.AddAt(0, "bad", bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 
-	if err := p.Run(8 * sim.Day); err != nil {
+	if err := p.RunCtx(context.Background(), 8*sim.Day); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(8 * sim.Day); err == nil {
+	if err := p.RunCtx(context.Background(), 8*sim.Day); err == nil {
 		t.Fatal("double run accepted")
 	}
-	if err := p.Add("late", shop); err == nil {
+	if err := p.AddAt(0, "late", shop); err == nil {
 		t.Fatal("add after run accepted")
 	}
 
@@ -137,7 +138,7 @@ func TestPortfolioLifecycle(t *testing.T) {
 
 func TestPortfolioEmptyRun(t *testing.T) {
 	p := NewPortfolio(portfolioUniverse(t), cloud.DefaultParams(1))
-	if err := p.Run(0); err == nil {
+	if err := p.RunCtx(context.Background(), 0); err == nil {
 		t.Fatal("empty portfolio ran")
 	}
 }
@@ -151,11 +152,11 @@ func TestPortfolioSharesOneLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Add([]string{"a", "b"}[i], cfg); err != nil {
+		if err := p.AddAt(0, []string{"a", "b"}[i], cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Run(8 * sim.Day); err != nil {
+	if err := p.RunCtx(context.Background(), 8*sim.Day); err != nil {
 		t.Fatal(err)
 	}
 	tot := p.Totals()

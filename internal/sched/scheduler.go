@@ -113,7 +113,7 @@ type Scheduler struct {
 
 	// Trace bookkeeping: open span handles into the engine's recorder (all
 	// zero — no-ops — when tracing is off). track labels this service's
-	// lane in multi-service exports (set by Portfolio.Add).
+	// lane in multi-service exports (set by Portfolio.AddAt).
 	track     string
 	bootSpan  trace.SpanID
 	migSpan   trace.SpanID
@@ -179,7 +179,7 @@ func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 // scan picks.
 var useEnvelope = true
 
-// SetTrack labels this service's lane in trace exports; Portfolio.Add sets
+// SetTrack labels this service's lane in trace exports; Portfolio.AddAt sets
 // it to the service name. Must be called before Start.
 func (s *Scheduler) SetTrack(name string) { s.track = name }
 

@@ -211,13 +211,13 @@ func TestStabilityDigest(t *testing.T) {
 	early := multiConfig(t, Proactive, 0.5)
 	late := multiConfig(t, Reactive, 2)
 	late.Home = market.ID{Region: home.Region, Type: "medium"}
-	if err := p.Add("early", early); err != nil {
+	if err := p.AddAt(0, "early", early); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.AddAt(30*sim.Hour+17, "late", late); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(4 * sim.Day); err != nil {
+	if err := p.RunCtx(context.Background(), 4*sim.Day); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range p.Services() {
