@@ -15,6 +15,7 @@ import (
 
 	"spothost/internal/cloud"
 	"spothost/internal/market"
+	"spothost/internal/metrics"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
 	"spothost/internal/vm"
@@ -54,7 +55,7 @@ func main() {
 	target := 0.9999
 	const month = 30 * sim.Day
 	fmt.Printf("Quarterly SLO audit against %g%% (budget %.1f min/month)\n\n",
-		target*100, (1-target)*month/sim.Minute)
+		target*100, budget(target, month)/sim.Minute)
 	for _, name := range p.Services() {
 		rep, err := p.Report(name)
 		if err != nil {
@@ -62,38 +63,17 @@ func main() {
 		}
 		fmt.Printf("%s  (policy %s, cost %.0f%% of on-demand)\n",
 			name, rep.Policy, 100*rep.NormalizedCost())
-		for w0 := 0.0; w0 < days*sim.Day; w0 += month {
-			w1 := min(w0+month, days*sim.Day)
-			down := 0.0 // the window's share of every episode
-			for _, iv := range rep.DowntimeLog {
-				if lo, hi := max(iv.Start, w0), min(iv.End, w1); hi > lo {
-					down += hi - lo
-				}
-			}
-			avail := 1 - down/(w1-w0)
+		for i, w := range windows(rep.DowntimeLog, target, month, days*sim.Day) {
 			status := "OK"
-			if avail < target {
+			if !w.ok {
 				status = "VIOLATED"
 			}
 			fmt.Printf("  month %d: availability %.4f%%  downtime %5.1f min  budget burn %5.1f%%  %s\n",
-				int(w0/month)+1, 100*avail, down/sim.Minute, 100*(down/((1-target)*(w1-w0))), status)
+				i+1, 100*w.avail, w.down/sim.Minute, 100*w.burn, status)
 		}
-		var lens []float64
-		total := 0.0
-		for _, iv := range rep.DowntimeLog {
-			// Down and up at one instant is no outage.
-			if d := iv.End - iv.Start; d > 0 {
-				lens = append(lens, d)
-				total += d
-			}
-		}
-		var mean, p95 float64
-		if n := len(lens); n > 0 {
-			sort.Float64s(lens)
-			mean, p95 = total/float64(n), lens[int(0.95*float64(n-1))]
-		}
+		n, mean, p95 := episodes(rep.DowntimeLog)
 		fmt.Printf("  episodes: %d (mean %.1fs, p95 %.1fs, max %.1fs)\n\n",
-			len(lens), mean, p95, rep.LongestDowntime)
+			n, mean, p95, rep.LongestDowntime)
 	}
 
 	tot := p.Totals()
@@ -103,4 +83,54 @@ func main() {
 	fmt.Println("\nTakeaway: the proactive+migration services hold four nines at ~20%")
 	fmt.Println("of the on-demand price; the pure-spot batch tier blows its budget in")
 	fmt.Println("every month it hits a price spike — exactly the paper's Table 3.")
+}
+
+// budget is the downtime a target allows over span seconds.
+func budget(target, span float64) float64 { return (1 - target) * span }
+
+// window is one audit window [start, end) graded against the target.
+type window struct {
+	start, end float64
+	down       float64 // the window's share of every downtime episode
+	avail      float64
+	burn       float64 // down as a fraction of the window's budget
+	ok         bool    // avail meets the target
+}
+
+// windows clips the downtime log to consecutive windows of length month
+// over [0, horizon); the last window is cut short at horizon.
+func windows(downtime []metrics.Interval, target, month, horizon float64) []window {
+	var out []window
+	for w0 := 0.0; w0 < horizon; w0 += month {
+		w := window{start: w0, end: min(w0+month, horizon)}
+		for _, iv := range downtime {
+			if lo, hi := max(iv.Start, w.start), min(iv.End, w.end); hi > lo {
+				w.down += hi - lo
+			}
+		}
+		w.avail = 1 - w.down/(w.end-w.start)
+		w.burn = w.down / budget(target, w.end-w.start)
+		w.ok = w.avail >= target
+		out = append(out, w)
+	}
+	return out
+}
+
+// episodes returns the count, mean and p95 of the log's episode lengths.
+// Down and up at one instant is no outage, so zero-length episodes are
+// skipped.
+func episodes(downtime []metrics.Interval) (n int, mean, p95 float64) {
+	var lens []float64
+	total := 0.0
+	for _, iv := range downtime {
+		if d := iv.End - iv.Start; d > 0 {
+			lens = append(lens, d)
+			total += d
+		}
+	}
+	if n = len(lens); n > 0 {
+		sort.Float64s(lens)
+		mean, p95 = total/float64(n), lens[int(0.95*float64(n-1))]
+	}
+	return n, mean, p95
 }
