@@ -336,13 +336,13 @@ func BenchmarkEnvelopeBuild(b *testing.B) {
 // end-to-end (price events, revocations, migrations, billing).
 func BenchmarkSchedulerMonth(b *testing.B) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		b.Fatal(err)
 	}
 	mcfg := market.DefaultConfig(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg,
+		if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg, []sched.Config{cfg}, nil,
 			30*sim.Day, []int64{int64(i + 1)}, 0, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -354,15 +354,14 @@ func BenchmarkSchedulerMonth(b *testing.B) {
 // the whole-run cost of span and histogram recording.
 func BenchmarkSchedulerMonthTraced(b *testing.B) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		b.Fatal(err)
 	}
 	mcfg := market.DefaultConfig(0)
 	col := trace.NewHistogramCollector()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg,
-			cloud.DefaultParams(0), cfg, 30*sim.Day, []int64{int64(i + 1)}, 0, col); err != nil {
+		if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg, []sched.Config{cfg}, nil, 30*sim.Day, []int64{int64(i + 1)}, 0, col); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -484,7 +483,7 @@ func BenchmarkFleetMonthObs(b *testing.B) {
 // per-seed simulations are independent and single-threaded.
 func BenchmarkRunSeedsParallel(b *testing.B) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -494,7 +493,7 @@ func BenchmarkRunSeedsParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg,
+				if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg, []sched.Config{cfg}, nil,
 					10*sim.Day, seeds, workers, nil); err != nil {
 					b.Fatal(err)
 				}

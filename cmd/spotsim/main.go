@@ -20,10 +20,10 @@ import (
 	"spothost/internal/market"
 	"spothost/internal/metrics"
 	"spothost/internal/replay"
+	"spothost/internal/scenario"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
 	"spothost/internal/trace"
-	"spothost/internal/vm"
 )
 
 var (
@@ -45,33 +45,19 @@ func main() {
 	run.Parse()
 	ph := trace.NewPhases()
 
-	policy, err := sched.ParseBidding(*policyF)
-	cli.Check(err)
-	mech, err := vm.ParseMechanism(*mechF)
-	cli.Check(err)
-	var extraMarkets []market.ID
+	svc := scenario.ServiceDef{
+		Region:      *regionF,
+		Type:        *typeF,
+		Policy:      *policyF,
+		Mechanism:   *mechF,
+		VMs:         *vmsF,
+		Pessimistic: *pessimistF,
+	}
 	if *marketsF != "" {
-		extraMarkets, err = market.ParseIDs(strings.Split(*marketsF, ","))
-		cli.Check(err)
+		svc.Markets = strings.Split(*marketsF, ",")
 	}
-
-	home := market.ID{Region: market.Region(*regionF), Type: market.InstanceType(*typeF)}
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := svc.Config()
 	cli.Check(err)
-	cfg.Bidding = policy
-	cfg.Mechanism = mech
-	if *pessimistF {
-		cfg.VMParams = vm.PessimisticParams()
-	}
-	if len(extraMarkets) > 0 {
-		cfg.Markets = extraMarkets
-	}
-	if *vmsF > 0 {
-		cfg.Service = sched.ServiceSpec{
-			VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-			Count: *vmsF,
-		}
-	}
 
 	horizon := run.Days() * sim.Day
 	var reports []metrics.Report
@@ -93,8 +79,10 @@ func main() {
 			mcfg.Horizon = horizon
 		}
 		ph.Mark("load")
-		reports, err = sched.RunSeedsTracedCtx(run.Context(), mcfg, cloud.DefaultParams(0), cfg, horizon, run.Seeds(), 0, run.Trace)
+		grid, err := sched.RunSeedsTracedCtx(run.Context(), mcfg, []sched.Config{cfg}, nil,
+			horizon, run.Seeds(), 0, run.Trace)
 		cli.Check(err)
+		reports = grid[0]
 	}
 	ph.Mark("sim")
 

@@ -36,11 +36,9 @@ import (
 	"time"
 
 	"spothost/internal/cli"
-	"spothost/internal/cloud"
 	"spothost/internal/experiments"
 	"spothost/internal/market"
 	"spothost/internal/metrics"
-	"spothost/internal/runpool"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
 	"spothost/internal/sweep"
@@ -124,23 +122,15 @@ func runKnob() error {
 	// One (value, seed) grid keeps every worker busy across the whole
 	// sweep; rows print in value order once all cells finish.
 	cfgs := make([]sched.Config, len(values))
+	prefixes := make([]string, len(values))
 	for i, v := range values {
 		if cfgs[i], err = sweep.BuildConfig(home, *fleet, []sweep.Setting{{Knob: *knob, Value: v}}); err != nil {
 			return cli.Usagef("%v", err)
 		}
+		prefixes[i] = fmt.Sprintf("%s=%g/", *knob, v)
 	}
-	reports, err := runpool.Grid(run.Context(), run.Parallel(), len(values), run.Seeds(), func(ctx context.Context, i int, seed int64) (metrics.Report, error) {
-		set, cp, err := cloud.Seeded(mcfg, cloud.DefaultParams(0), seed)
-		if err != nil {
-			return metrics.Report{}, err
-		}
-		rec := run.Trace.Run(fmt.Sprintf("%s=%g/seed%d", *knob, values[i], seed))
-		rep, err := sched.RunTracedCtx(ctx, set, cp, cfgs[i], days*sim.Day, rec)
-		if err == nil {
-			run.Trace.Done(rec)
-		}
-		return rep, err
-	})
+	reports, err := sched.RunSeedsTracedCtx(run.Context(), mcfg, cfgs, prefixes,
+		days*sim.Day, run.Seeds(), run.Parallel(), run.Trace)
 	if err != nil {
 		return err
 	}

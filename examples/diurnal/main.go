@@ -17,7 +17,6 @@ import (
 	"spothost/internal/market"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
-	"spothost/internal/vm"
 )
 
 const days = 14
@@ -33,14 +32,11 @@ func main() {
 
 	home := market.ID{Region: "us-east-1a", Type: "small"}
 	fleet := func(count int) sched.Config {
-		cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+		cfg, err := sched.DefaultConfig(home)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.Service = sched.ServiceSpec{
-			VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-			Count: count,
-		}
+		cfg.Service = sched.UnitFleet(count)
 		return cfg
 	}
 

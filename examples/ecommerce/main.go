@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"spothost/internal/cloud"
 	"spothost/internal/econ"
 	"spothost/internal/market"
 	"spothost/internal/metrics"
@@ -39,7 +38,7 @@ func main() {
 
 	for _, bidding := range []sched.Bidding{sched.Reactive, sched.Proactive} {
 		for _, mech := range vm.Mechanisms() {
-			cfg, err := sched.DefaultConfig(home, mcfg.Types)
+			cfg, err := sched.DefaultConfig(home)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -48,11 +47,11 @@ func main() {
 			// A busy shop dirties memory faster than the default.
 			cfg.Service.VM.DirtyRateMBps = 12
 
-			reports, err := sched.RunSeedsTracedCtx(ctx, mcfg, cloud.DefaultParams(0), cfg, 30*sim.Day, seeds, 0, nil)
+			reports, err := sched.RunSeedsTracedCtx(ctx, mcfg, []sched.Config{cfg}, nil, 30*sim.Day, seeds, 0, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
-			avg := metrics.Average(reports)
+			avg := metrics.Average(reports[0])
 			downPerMonth := avg.Unavailability() * 30 * 24 * 60 // minutes
 			verdict := "NO"
 			if avg.Unavailability() <= fourNines {
@@ -72,15 +71,15 @@ func main() {
 
 	// Price the best configuration in business terms: does the saving
 	// survive the revenue lost during migrations?
-	bestCfg, err := sched.DefaultConfig(home, mcfg.Types)
+	bestCfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		log.Fatal(err)
 	}
-	reports, err := sched.RunSeedsTracedCtx(ctx, mcfg, cloud.DefaultParams(0), bestCfg, 30*sim.Day, seeds, 0, nil)
+	reports, err := sched.RunSeedsTracedCtx(ctx, mcfg, []sched.Config{bestCfg}, nil, 30*sim.Day, seeds, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	best := metrics.Average(reports)
+	best := metrics.Average(reports[0])
 	shopTraffic := econ.RevenueModel{
 		RequestsPerSecond:  40,    // a mid-size shop
 		RevenuePerRequest:  0.001, // $144/hr of revenue

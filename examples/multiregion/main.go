@@ -12,30 +12,25 @@ import (
 	"fmt"
 	"log"
 
-	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/metrics"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
-	"spothost/internal/vm"
 )
 
 func run(name string, markets []market.ID, home market.ID, seeds []int64) metrics.Report {
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Service = sched.ServiceSpec{
-		VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-		Count: 4,
-	}
+	cfg.Service = sched.UnitFleet(4)
 	cfg.Markets = markets
 	reports, err := sched.RunSeedsTracedCtx(context.Background(), market.DefaultConfig(0),
-		cloud.DefaultParams(0), cfg, 30*sim.Day, seeds, 0, nil)
+		[]sched.Config{cfg}, nil, 30*sim.Day, seeds, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	avg := metrics.Average(reports)
+	avg := metrics.Average(reports[0])
 	fmt.Printf("%-28s cost=%5.1f%%  unavail=%.4f%%  migrations: %d planned, %d reverse, %d cross-region\n",
 		name, 100*avg.NormalizedCost(), 100*avg.Unavailability(),
 		avg.Migrations.Planned, avg.Migrations.Reverse, avg.Migrations.CrossRegion)

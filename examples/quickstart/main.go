@@ -28,7 +28,7 @@ func main() {
 	// 2. The hosting configuration: one VM sized to a small server in
 	//    us-east-1a, proactive bidding at 4x the on-demand price.
 	home := market.ID{Region: "us-east-1a", Type: "small"}
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func main() {
 
 	fmt.Printf("%-12s %9s %12s %9s %s\n", "policy", "cost", "unavail", "downtime", "migrations (F/P/R)")
 	for _, b := range []sched.Bidding{sched.OnDemandOnly, sched.Reactive, sched.Proactive, sched.PureSpot} {
-		cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+		cfg, err := sched.DefaultConfig(home)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func main() {
 	p := sched.NewPortfolio(prices, cloud.DefaultParams(2026))
 
 	add := func(name string, home market.ID, b sched.Bidding, mech vm.Mechanism) {
-		cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+		cfg, err := sched.DefaultConfig(home)
 		if err != nil {
 			log.Fatal(err)
 		}

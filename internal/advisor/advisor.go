@@ -78,7 +78,7 @@ func Advise(set *market.Set, params cloud.Params, req Request) (Recommendation, 
 	var rec Recommendation
 	for _, b := range policies {
 		for _, m := range mechanisms {
-			cfg, err := sched.DefaultConfig(req.Home, market.DefaultTypes())
+			cfg, err := sched.DefaultConfig(req.Home)
 			if err != nil {
 				return rec, err
 			}

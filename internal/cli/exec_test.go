@@ -73,6 +73,9 @@ func TestGolden(t *testing.T) {
 		{"sweep-grid-fork-prune", []string{"-grid", "bid=2,4;tau=3,30", "-days", "2", "-seeds", "1", "-warm-start", "-fork", "-prune"}},
 		{"sweep-experiment-fleet-trace-obs", []string{"-experiment", "fleet", "-seeds", "1", "-days", "2", "-trace", "t.json", "-obs", "-obs-out", "o"}},
 		{"spotsim-seeds2-trace", []string{"-days", "2", "-seeds", "2", "-trace", "t.json"}},
+		{"spotsim-reactive-ckpt-fleet-trace", []string{"-policy", "reactive", "-mechanism", "ckpt",
+			"-markets", "us-east-1a/small,us-east-1a/medium", "-vms", "4", "-pessimistic",
+			"-days", "2", "-seeds", "1", "-trace", "t.json"}},
 	} {
 		cmd := command(t, strings.Split(tc.name, "-")[0], tc.args...)
 		cmd.Dir = t.TempDir()
@@ -165,5 +168,30 @@ func TestSpotsimOneSeedAverage(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(out), "=== average over 1 run(s) ===\npolicy=proactive") {
 		t.Fatalf("no average block:\n%s", out)
+	}
+}
+
+// TestSpotsimConfigErrors pins the exit status and message of a flag the
+// scheduler config cannot take.
+func TestSpotsimConfigErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-policy", "bogus"}, `unknown policy "bogus" (on-demand|reactive|proactive|pure-spot)`},
+		{[]string{"-mechanism", "bogus"}, `unknown mechanism "bogus" (ckpt|ckpt-lr|ckpt-live|ckpt-lr-live|naive)`},
+		{[]string{"-markets", "us-east-1a/small,,x"}, `bad market "", want region/type`},
+		{[]string{"-type", "mega"}, `sched: unknown instance type "mega"`},
+	} {
+		cmd := command(t, "spotsim", append(tc.args, "-days", "1", "-seeds", "1")...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		var ee *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Errorf("%v: %v, want exit status 1", tc.args, err)
+		}
+		if got := strings.TrimSpace(stderr.String()); got != tc.want {
+			t.Errorf("%v: stderr %q, want %q", tc.args, got, tc.want)
+		}
 	}
 }

@@ -33,7 +33,7 @@ type AblationResult struct {
 func Ablations(opts Options) (AblationResult, error) {
 	opts = opts.normalize()
 	var res AblationResult
-	home := market.ID{Region: opts.Region, Type: "small"}
+	home := market.ID{Region: figureRegion, Type: "small"}
 
 	// 1) Proactive bid multiple: higher bids should suppress forced
 	// migrations at essentially unchanged cost (spot hours bill at the
@@ -49,11 +49,11 @@ func Ablations(opts Options) (AblationResult, error) {
 	taus := []float64{1, 3, 10, 30}
 	hysts := []float64{0, 0.05, 0.15, 0.4}
 	lambdas := []float64{0, 0.5, 1, 2}
-	both := append(marketsIn(opts, "us-east-1b"), marketsIn(opts, opts.Region)...)
+	both := append(marketsIn(opts, "us-east-1b"), marketsIn(opts, figureRegion)...)
 
 	var cfgs []sched.Config
 	for _, k := range bidMultiples {
-		cfg, err := singleMarketConfig(opts, home, sched.Proactive, vm.CKPTLazyLive)
+		cfg, err := singleMarketConfig(home, sched.Proactive, vm.CKPTLazyLive)
 		if err != nil {
 			return res, err
 		}
@@ -61,7 +61,7 @@ func Ablations(opts Options) (AblationResult, error) {
 		cfgs = append(cfgs, cfg)
 	}
 	for _, tau := range taus {
-		cfg, err := singleMarketConfig(opts, home, sched.Proactive, vm.CKPTLazyLive)
+		cfg, err := singleMarketConfig(home, sched.Proactive, vm.CKPTLazyLive)
 		if err != nil {
 			return res, err
 		}
@@ -69,7 +69,7 @@ func Ablations(opts Options) (AblationResult, error) {
 		cfgs = append(cfgs, cfg)
 	}
 	for _, h := range hysts {
-		cfg, err := fleetConfig(opts, home, marketsIn(opts, opts.Region), FleetVMs)
+		cfg, err := fleetConfig(home, marketsIn(opts, figureRegion), FleetVMs)
 		if err != nil {
 			return res, err
 		}
@@ -77,7 +77,7 @@ func Ablations(opts Options) (AblationResult, error) {
 		cfgs = append(cfgs, cfg)
 	}
 	for _, lambda := range lambdas {
-		cfg, err := fleetConfig(opts, home, both, FleetVMs)
+		cfg, err := fleetConfig(home, both, FleetVMs)
 		if err != nil {
 			return res, err
 		}

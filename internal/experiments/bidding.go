@@ -1,48 +1,25 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/metrics"
-	"spothost/internal/runpool"
 	"spothost/internal/sched"
 	"spothost/internal/vm"
 )
 
-// runPolicy executes one scheduler configuration across all option seeds
-// and returns the averaged report. Seeds run concurrently on the option
-// worker pool; universes come from the shared market cache. Canceling the
-// option context aborts every in-flight seed.
-func runPolicy(opts Options, cfg sched.Config) (metrics.Report, error) {
-	rs, err := sched.RunSeedsTracedCtx(opts.Context, opts.Market, cloud.DefaultParams(0), cfg,
-		opts.Horizon, opts.Seeds, opts.Parallel, opts.Trace)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	return metrics.Average(rs), nil
-}
-
 // runPolicies executes several scheduler configurations across all
-// option seeds as one runpool.Grid, so a single pool keeps every worker
-// busy across configs instead of draining one config's seeds at a time.
-// Reports are averaged per config in seed order, exactly as running the
-// configs serially through runPolicy would.
+// option seeds as one (config, seed) grid, so a single pool keeps every
+// worker busy across configs, and averages each config's reports in seed
+// order. Trace runs are labeled "cfg<NN>/seed<N>".
 func runPolicies(opts Options, cfgs []sched.Config) ([]metrics.Report, error) {
-	grid, err := runpool.Grid(opts.Context, opts.Parallel, len(cfgs), opts.Seeds, func(ctx context.Context, c int, seed int64) (metrics.Report, error) {
-		set, cp, err := cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
-		if err != nil {
-			return metrics.Report{}, err
-		}
-		rec := opts.Trace.Run(fmt.Sprintf("cfg%02d/seed%d", c, seed))
-		rep, err := sched.RunTracedCtx(ctx, set, cp, cfgs[c], opts.Horizon, rec)
-		if err == nil {
-			opts.Trace.Done(rec)
-		}
-		return rep, err
-	})
+	prefixes := make([]string, len(cfgs))
+	for c := range cfgs {
+		prefixes[c] = fmt.Sprintf("cfg%02d/", c)
+	}
+	grid, err := sched.RunSeedsTracedCtx(opts.Context, opts.Market, cfgs, prefixes,
+		opts.Horizon, opts.Seeds, opts.Parallel, opts.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -55,14 +32,13 @@ func runPolicies(opts Options, cfgs []sched.Config) ([]metrics.Report, error) {
 
 // singleMarketConfig builds the Sec. 4.2 configuration: one VM sized to
 // the market's server type, hosted in exactly that spot market.
-func singleMarketConfig(opts Options, home market.ID, b sched.Bidding, mech vm.Mechanism) (sched.Config, error) {
-	cfg, err := sched.DefaultConfig(home, opts.Market.Types)
+func singleMarketConfig(home market.ID, b sched.Bidding, mech vm.Mechanism) (sched.Config, error) {
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		return sched.Config{}, err
 	}
 	cfg.Bidding = b
 	cfg.Mechanism = mech
-	cfg.VMParams = opts.VM
 	return cfg, nil
 }
 
@@ -84,12 +60,12 @@ type Figure6Result struct {
 // (size, policy, seed) cells fan out over one worker pool.
 func Figure6(opts Options) (Figure6Result, error) {
 	opts = opts.normalize()
-	res := Figure6Result{Region: opts.Region}
+	res := Figure6Result{Region: figureRegion}
 	var cfgs []sched.Config
 	for _, ts := range opts.Market.Types {
-		home := market.ID{Region: opts.Region, Type: ts.Name}
+		home := market.ID{Region: figureRegion, Type: ts.Name}
 		for _, b := range []sched.Bidding{sched.Reactive, sched.Proactive} {
-			cfg, err := singleMarketConfig(opts, home, b, vm.CKPTLazy)
+			cfg, err := singleMarketConfig(home, b, vm.CKPTLazy)
 			if err != nil {
 				return res, err
 			}
@@ -152,18 +128,17 @@ type Figure7Result struct {
 // fans out over one worker pool.
 func Figure7(opts Options) (Figure7Result, error) {
 	opts = opts.normalize()
-	home := market.ID{Region: opts.Region, Type: "small"}
-	res := Figure7Result{Region: opts.Region}
+	home := market.ID{Region: figureRegion, Type: "small"}
+	res := Figure7Result{Region: figureRegion}
 	var cfgs []sched.Config
 	for _, mech := range vm.Mechanisms() {
 		for _, pess := range []bool{false, true} {
-			o := opts
-			if pess {
-				o.VM = vm.PessimisticParams()
-			}
-			cfg, err := singleMarketConfig(o, home, sched.Proactive, mech)
+			cfg, err := singleMarketConfig(home, sched.Proactive, mech)
 			if err != nil {
 				return res, err
+			}
+			if pess {
+				cfg.VMParams = vm.PessimisticParams()
 			}
 			cfgs = append(cfgs, cfg)
 		}
@@ -218,12 +193,12 @@ type Figure11Result struct {
 // (size, policy, seed) cell over one worker pool.
 func Figure11(opts Options) (Figure11Result, error) {
 	opts = opts.normalize()
-	res := Figure11Result{Region: opts.Region}
+	res := Figure11Result{Region: figureRegion}
 	var cfgs []sched.Config
 	for _, ts := range opts.Market.Types {
-		home := market.ID{Region: opts.Region, Type: ts.Name}
+		home := market.ID{Region: figureRegion, Type: ts.Name}
 		for _, b := range []sched.Bidding{sched.Proactive, sched.PureSpot} {
-			cfg, err := singleMarketConfig(opts, home, b, vm.CKPTLazyLive)
+			cfg, err := singleMarketConfig(home, b, vm.CKPTLazyLive)
 			if err != nil {
 				return res, err
 			}
@@ -277,11 +252,11 @@ type Table3Result struct {
 // Table3 derives the matrix from single-market runs on the small market.
 func Table3(opts Options) (Table3Result, error) {
 	opts = opts.normalize()
-	home := market.ID{Region: opts.Region, Type: "small"}
+	home := market.ID{Region: figureRegion, Type: "small"}
 
 	var cfgs []sched.Config
 	for _, b := range []sched.Bidding{sched.OnDemandOnly, sched.PureSpot, sched.Proactive} {
-		cfg, err := singleMarketConfig(opts, home, b, vm.CKPTLazyLive)
+		cfg, err := singleMarketConfig(home, b, vm.CKPTLazyLive)
 		if err != nil {
 			return Table3Result{}, err
 		}

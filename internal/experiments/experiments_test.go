@@ -371,7 +371,7 @@ func TestAllRegistryComplete(t *testing.T) {
 func TestOptionsNormalize(t *testing.T) {
 	var o Options
 	n := o.normalize()
-	if len(n.Seeds) == 0 || n.Horizon <= 0 || n.Region == "" {
+	if len(n.Seeds) == 0 || n.Horizon <= 0 {
 		t.Fatalf("normalize left zeros: %+v", n)
 	}
 	// Horizon clamps to the market horizon.

@@ -137,7 +137,7 @@ func Table2(opts Options) (Table2Result, error) {
 	opts = opts.normalize()
 	// The paper's measurement VM: 2 GB of RAM, near idle.
 	spec := vm.Spec{MemoryGB: 2, DirtyRateMBps: 2, DiskGB: 1, Units: 1}
-	p := opts.VM
+	p := vm.DefaultParams()
 
 	res := Table2Result{
 		IntraRegions: []market.Region{"us-east-1a", "us-west-1a", "eu-west-1a"},

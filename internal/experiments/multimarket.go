@@ -7,24 +7,17 @@ import (
 	"spothost/internal/market"
 	"spothost/internal/metrics"
 	"spothost/internal/sched"
-	"spothost/internal/vm"
 )
 
 // fleetConfig builds a fleet of unit nested VMs that can pack onto any of
 // the candidate markets (the Sec. 4.4 / 4.5 service model).
-func fleetConfig(opts Options, home market.ID, markets []market.ID, count int) (sched.Config, error) {
-	cfg, err := sched.DefaultConfig(home, opts.Market.Types)
+func fleetConfig(home market.ID, markets []market.ID, count int) (sched.Config, error) {
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		return sched.Config{}, err
 	}
-	cfg.Service = sched.ServiceSpec{
-		VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-		Count: count,
-	}
+	cfg.Service = sched.UnitFleet(count)
 	cfg.Markets = markets
-	cfg.Bidding = sched.Proactive
-	cfg.Mechanism = vm.CKPTLazyLive
-	cfg.VMParams = opts.VM
 	// Fleets see several near-equal markets; a higher hysteresis keeps
 	// them from churning between markets on base-price noise.
 	cfg.Hysteresis = 0.15
@@ -79,13 +72,13 @@ func Figure8(opts Options) (Figure8Result, error) {
 		all := marketsIn(opts, rs.Name)
 		perRegion = len(all) + 1
 		for _, m := range all {
-			cfg, err := fleetConfig(opts, home, []market.ID{m}, FleetVMs)
+			cfg, err := fleetConfig(home, []market.ID{m}, FleetVMs)
 			if err != nil {
 				return res, err
 			}
 			cfgs = append(cfgs, cfg)
 		}
-		cfg, err := fleetConfig(opts, home, all, FleetVMs)
+		cfg, err := fleetConfig(home, all, FleetVMs)
 		if err != nil {
 			return res, err
 		}
@@ -197,14 +190,14 @@ func Figure9(opts Options) (Figure9Result, error) {
 			home := market.ID{Region: homeRegion.Name, Type: "small"}
 
 			for _, reg := range []market.Region{a.Name, b.Name} {
-				cfg, err := fleetConfig(opts, home, marketsIn(opts, reg), FleetVMs)
+				cfg, err := fleetConfig(home, marketsIn(opts, reg), FleetVMs)
 				if err != nil {
 					return res, err
 				}
 				cfgs = append(cfgs, cfg)
 			}
 			both := append(marketsIn(opts, a.Name), marketsIn(opts, b.Name)...)
-			cfg, err := fleetConfig(opts, home, both, FleetVMs)
+			cfg, err := fleetConfig(home, both, FleetVMs)
 			if err != nil {
 				return res, err
 			}

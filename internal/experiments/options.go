@@ -15,7 +15,6 @@ import (
 	"spothost/internal/obs"
 	"spothost/internal/sim"
 	"spothost/internal/trace"
-	"spothost/internal/vm"
 )
 
 // Options configures an experiment run. Zero fields are filled with
@@ -30,10 +29,6 @@ type Options struct {
 	// Market is the synthetic-universe configuration (Seed overridden per
 	// run).
 	Market market.Config
-	// VM holds the migration-mechanism constants (Table 2).
-	VM vm.Params
-	// Region is the default region for single-region figures.
-	Region market.Region
 	// Parallel is the worker count for the run pool; every (config, seed)
 	// simulation cell is independent, so experiments fan out across
 	// workers. Zero means GOMAXPROCS. Rendered output is byte-identical
@@ -65,6 +60,9 @@ type Options struct {
 	Anchor market.InstanceType
 }
 
+// figureRegion is the home region of the single-region figures.
+const figureRegion market.Region = "us-east-1a"
+
 // Defaults returns the full-fidelity options used by cmd/paperbench:
 // five seeds over 30-day universes.
 func Defaults() Options {
@@ -72,8 +70,6 @@ func Defaults() Options {
 		Seeds:   []int64{11, 22, 33, 44, 55},
 		Horizon: 30 * sim.Day,
 		Market:  market.DefaultConfig(0),
-		VM:      vm.DefaultParams(),
-		Region:  "us-east-1a",
 	}
 }
 
@@ -102,12 +98,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Market.Horizon < o.Horizon {
 		o.Horizon = o.Market.Horizon
-	}
-	if o.VM.CheckpointWriteMBps == 0 {
-		o.VM = d.VM
-	}
-	if o.Region == "" {
-		o.Region = d.Region
 	}
 	if o.Context == nil {
 		o.Context = context.Background()

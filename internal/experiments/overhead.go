@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spothost/internal/market"
+	"spothost/internal/metrics"
 	"spothost/internal/sched"
 	"spothost/internal/tpcw"
 	"spothost/internal/vm"
@@ -128,15 +129,17 @@ type Section6Result struct {
 // overhead model.
 func Section6(opts Options) (Section6Result, error) {
 	opts = opts.normalize()
-	home := market.ID{Region: opts.Region, Type: "small"}
-	cfg, err := singleMarketConfig(opts, home, sched.Proactive, vm.CKPTLazyLive)
+	home := market.ID{Region: figureRegion, Type: "small"}
+	cfg, err := singleMarketConfig(home, sched.Proactive, vm.CKPTLazyLive)
 	if err != nil {
 		return Section6Result{}, err
 	}
-	r, err := runPolicy(opts, cfg)
+	reps, err := sched.RunSeedsTracedCtx(opts.Context, opts.Market, []sched.Config{cfg}, nil,
+		opts.Horizon, opts.Seeds, opts.Parallel, opts.Trace)
 	if err != nil {
 		return Section6Result{}, err
 	}
+	r := metrics.Average(reps[0])
 	f := vm.DefaultOverhead().EffectiveCapacityFactor(1)
 	return Section6Result{
 		NormalizedCost: r.NormalizedCost(),

@@ -9,7 +9,6 @@ import (
 	"spothost/internal/metrics"
 	"spothost/internal/runpool"
 	"spothost/internal/sched"
-	"spothost/internal/vm"
 )
 
 // RobustnessRow is one policy's outcome under one price regime.
@@ -35,7 +34,7 @@ type RobustnessResult struct {
 // regime's universe once per seed instead of once per policy.
 func Robustness(opts Options) (RobustnessResult, error) {
 	opts = opts.normalize()
-	home := market.ID{Region: opts.Region, Type: "small"}
+	home := market.ID{Region: figureRegion, Type: "small"}
 	policies := []sched.Bidding{sched.Reactive, sched.Proactive, sched.PureSpot}
 	const regimes = 3 // banded, spiky, baseline
 
@@ -62,13 +61,11 @@ func Robustness(opts Options) (RobustnessResult, error) {
 		if err != nil {
 			return metrics.Report{}, err
 		}
-		cfg, err := sched.DefaultConfig(home, opts.Market.Types)
+		cfg, err := sched.DefaultConfig(home)
 		if err != nil {
 			return metrics.Report{}, err
 		}
 		cfg.Bidding = policies[r/regimes]
-		cfg.Mechanism = vm.CKPTLazyLive
-		cfg.VMParams = opts.VM
 		return sched.RunCtx(ctx, set, cp, cfg, opts.Horizon)
 	})
 	var res RobustnessResult

@@ -34,7 +34,7 @@ func Figure1(opts Options) (Figure1Result, error) {
 	}
 	res := Figure1Result{Series: map[market.ID][]DailyPrice{}}
 	for _, ty := range []market.InstanceType{"small", "large"} {
-		id := market.ID{Region: opts.Region, Type: ty}
+		id := market.ID{Region: figureRegion, Type: ty}
 		if set.Trace(id) == nil {
 			return Figure1Result{}, fmt.Errorf("experiments: market %s missing", id)
 		}

@@ -12,18 +12,13 @@ import (
 )
 
 // Serving tracks the HTTP serving layer's run lifecycle: how many
-// simulation runs were started, finished (and how), rejected at admission,
-// and how many are in flight right now, plus total run wall time. It is
-// the counter set behind spotserve's GET /metrics endpoint. All methods
-// are safe for concurrent use.
+// simulation runs of each kind were started, finished (and how), and how
+// many are in flight right now, plus runs rejected at admission and total
+// run wall time. It is the counter set behind spotserve's GET /metrics
+// endpoint. All methods are safe for concurrent use.
 type Serving struct {
 	mu         sync.Mutex
-	started    uint64
-	completed  uint64
-	canceled   uint64
-	failed     uint64
 	rejected   uint64
-	inFlight   int64
 	runSeconds float64
 	runCount   uint64
 	runBuckets []uint64 // per-bound counts, aligned with runSecondsBounds
@@ -52,17 +47,12 @@ type KindStats struct {
 // cancellation or deadline expiry as canceled, anything else as failed; it
 // also adds the run's wall time to the duration total and decrements the
 // in-flight gauge. kind labels the run ("experiment", "scenario",
-// "fleet", ...): it is counted both in the aggregate counters and in a
-// per-kind breakdown. An empty kind counts only in the aggregate.
+// "fleet", ...); the aggregate counters are the sums over kinds.
 func (s *Serving) StartKind(kind string) (done func(err error)) {
 	s.mu.Lock()
-	s.started++
-	s.inFlight++
 	k := s.kind(kind)
-	if k != nil {
-		k.Started++
-		k.InFlight++
-	}
+	k.Started++
+	k.InFlight++
 	s.mu.Unlock()
 	begin := time.Now()
 	var once sync.Once
@@ -71,7 +61,6 @@ func (s *Serving) StartKind(kind string) (done func(err error)) {
 			d := time.Since(begin).Seconds()
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			s.inFlight--
 			s.runSeconds += d
 			s.runCount++
 			if s.runBuckets == nil {
@@ -83,37 +72,22 @@ func (s *Serving) StartKind(kind string) (done func(err error)) {
 					break
 				}
 			}
-			k := s.kind(kind)
-			if k != nil {
-				k.InFlight--
-			}
+			k.InFlight--
 			switch {
 			case err == nil:
-				s.completed++
-				if k != nil {
-					k.Completed++
-				}
+				k.Completed++
 			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				s.canceled++
-				if k != nil {
-					k.Canceled++
-				}
+				k.Canceled++
 			default:
-				s.failed++
-				if k != nil {
-					k.Failed++
-				}
+				k.Failed++
 			}
 		})
 	}
 }
 
 // kind returns the named kind's counters, creating them on first use.
-// Callers must hold s.mu; an empty kind returns nil.
+// Callers must hold s.mu.
 func (s *Serving) kind(name string) *KindStats {
-	if name == "" {
-		return nil
-	}
 	if s.kinds == nil {
 		s.kinds = map[string]*KindStats{}
 	}
@@ -157,12 +131,7 @@ func (s *Serving) Snapshot() ServingStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := ServingStats{
-		Started:         s.started,
-		Completed:       s.completed,
-		Canceled:        s.canceled,
-		Failed:          s.failed,
 		Rejected:        s.rejected,
-		InFlight:        s.inFlight,
 		RunSecondsTotal: s.runSeconds,
 		RunSecondsCount: s.runCount,
 	}
@@ -174,6 +143,11 @@ func (s *Serving) Snapshot() ServingStats {
 		st.Kinds = make(map[string]KindStats, len(s.kinds))
 		for name, k := range s.kinds {
 			st.Kinds[name] = *k
+			st.Started += k.Started
+			st.Completed += k.Completed
+			st.Canceled += k.Canceled
+			st.Failed += k.Failed
+			st.InFlight += k.InFlight
 		}
 	}
 	return st

@@ -9,15 +9,15 @@ import (
 
 func TestServingLifecycle(t *testing.T) {
 	var s Serving
-	done := s.StartKind("")
+	done := s.StartKind("experiment")
 	if st := s.Snapshot(); st.Started != 1 || st.InFlight != 1 {
 		t.Fatalf("after Start: %+v", st)
 	}
 	done(nil)
 	done(nil) // second call is a no-op
-	s.StartKind("")(context.Canceled)
-	s.StartKind("")(context.DeadlineExceeded)
-	s.StartKind("")(errors.New("boom"))
+	s.StartKind("experiment")(context.Canceled)
+	s.StartKind("experiment")(context.DeadlineExceeded)
+	s.StartKind("experiment")(errors.New("boom"))
 	s.Reject()
 	st := s.Snapshot()
 	if st.Started != 4 || st.Completed != 1 || st.Canceled != 2 || st.Failed != 1 ||
@@ -35,11 +35,11 @@ func TestServingKinds(t *testing.T) {
 	s.StartKind("fleet")(nil)
 	s.StartKind("fleet")(context.Canceled)
 	fdone := s.StartKind("fleet")
-	s.StartKind("")(errors.New("boom")) // unkinded: aggregate only
+	s.StartKind("scenario")(errors.New("boom"))
 
 	st := s.Snapshot()
-	if st.Started != 5 || st.InFlight != 1 {
-		t.Fatalf("aggregate: %+v", st)
+	if st.Started != 5 || st.Completed != 2 || st.Canceled != 1 || st.Failed != 1 || st.InFlight != 1 {
+		t.Fatalf("aggregate is not the sum over kinds: %+v", st)
 	}
 	fl := st.Kinds["fleet"]
 	if fl.Started != 3 || fl.Completed != 1 || fl.Canceled != 1 || fl.InFlight != 1 {
@@ -48,8 +48,8 @@ func TestServingKinds(t *testing.T) {
 	if ex := st.Kinds["experiment"]; ex.Started != 1 || ex.Completed != 1 {
 		t.Fatalf("experiment kind: %+v", ex)
 	}
-	if _, ok := st.Kinds[""]; ok {
-		t.Fatal("empty kind tracked")
+	if sc := st.Kinds["scenario"]; sc.Started != 1 || sc.Failed != 1 {
+		t.Fatalf("scenario kind: %+v", sc)
 	}
 
 	var b strings.Builder
@@ -78,7 +78,7 @@ func TestServingKinds(t *testing.T) {
 
 func TestServingRunSecondsHistogram(t *testing.T) {
 	var s Serving
-	s.StartKind("")(nil) // sub-millisecond run: lands in the first bucket
+	s.StartKind("experiment")(nil) // sub-millisecond run: lands in the first bucket
 	st := s.Snapshot()
 	if st.RunSecondsCount != 1 {
 		t.Fatalf("count: %+v", st)
@@ -111,7 +111,7 @@ func TestServingRunSecondsHistogram(t *testing.T) {
 
 func TestServingWritePrometheus(t *testing.T) {
 	var s Serving
-	s.StartKind("")(nil)
+	s.StartKind("experiment")(nil)
 	s.Reject()
 	var b strings.Builder
 	s.Snapshot().WritePrometheus(&b, "spotserve")

@@ -273,7 +273,7 @@ func TestReplayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := sched.DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,6 +124,16 @@ type Scenario struct {
 	Fleets   []FleetDef   `json:"fleets"`
 }
 
+// Bounds on one document, so that a request of a few dozen bytes cannot
+// hold a run slot for minutes.
+const (
+	// MaxServiceVMs caps a service's unit-VM fleet (the paper's fleets
+	// have four).
+	MaxServiceVMs = 64
+	// MaxEntries caps the number of services plus fleets.
+	MaxEntries = 32
+)
+
 // Load parses a scenario document.
 func Load(r io.Reader) (Scenario, error) {
 	var sc Scenario
@@ -146,6 +156,9 @@ func (sc Scenario) Validate() error {
 	if sc.Days <= 0 && sc.Traces == "" {
 		return fmt.Errorf("scenario: days must be positive for synthetic prices")
 	}
+	if n := len(sc.Services) + len(sc.Fleets); n > MaxEntries {
+		return fmt.Errorf("scenario: %d services and fleets, at most %d allowed", n, MaxEntries)
+	}
 	seen := map[string]bool{}
 	for i, s := range sc.Services {
 		if s.Name == "" {
@@ -164,8 +177,17 @@ func (sc Scenario) Validate() error {
 		if _, err := s.mechanism(); err != nil {
 			return fmt.Errorf("scenario: service %q: %w", s.Name, err)
 		}
+		if !(s.StartHour >= 0) {
+			return fmt.Errorf("scenario: service %q starts at negative hour %g", s.Name, s.StartHour)
+		}
+		if sc.Days > 0 && s.StartHour*sim.Hour >= sc.Days*sim.Day {
+			return fmt.Errorf("scenario: service %q starts at hour %g, at or after the end of the %g-day horizon", s.Name, s.StartHour, sc.Days)
+		}
 		if s.StopHour != 0 && s.StopHour <= s.StartHour {
 			return fmt.Errorf("scenario: service %q stops before it starts", s.Name)
+		}
+		if s.VMs < 0 || s.VMs > MaxServiceVMs {
+			return fmt.Errorf("scenario: service %q has %d vms, want 0 to %d", s.Name, s.VMs, MaxServiceVMs)
 		}
 		if s.Revenue != nil {
 			m := econ.RevenueModel{
@@ -348,15 +370,30 @@ func (sc Scenario) prices() (*market.Set, error) {
 	return set, nil
 }
 
-// config builds one service's scheduler config.
-func (s ServiceDef) config() (sched.Config, error) {
+// Config builds the service's scheduler config: the scenario file's
+// services and cmd/spotsim's flags both map onto the scheduler here. The
+// policy, mechanism and market list are parsed first, and their errors
+// come back unwrapped.
+func (s ServiceDef) Config() (sched.Config, error) {
+	bidding, err := s.bidding()
+	if err != nil {
+		return sched.Config{}, err
+	}
+	mech, err := s.mechanism()
+	if err != nil {
+		return sched.Config{}, err
+	}
+	markets, err := market.ParseIDs(s.Markets)
+	if err != nil {
+		return sched.Config{}, err
+	}
 	home := market.ID{Region: market.Region(s.Region), Type: market.InstanceType(s.Type)}
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Bidding, _ = s.bidding()
-	cfg.Mechanism, _ = s.mechanism()
+	cfg.Bidding = bidding
+	cfg.Mechanism = mech
 	if s.Pessimistic {
 		cfg.VMParams = vm.PessimisticParams()
 	}
@@ -367,18 +404,11 @@ func (s ServiceDef) config() (sched.Config, error) {
 		cfg.Hysteresis = s.Hysteresis
 	}
 	cfg.StabilityPenalty = s.StabilityPenalty
-	if len(s.Markets) > 0 {
-		ms, err := market.ParseIDs(s.Markets)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Markets = ms
+	if len(markets) > 0 {
+		cfg.Markets = markets
 	}
 	if s.VMs > 0 {
-		cfg.Service = sched.ServiceSpec{
-			VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-			Count: s.VMs,
-		}
+		cfg.Service = sched.UnitFleet(s.VMs)
 	}
 	return cfg, nil
 }
@@ -526,7 +556,15 @@ func (sc Scenario) RunCtx(ctx context.Context, col *trace.Collector) (Result, er
 		return Result{}, err
 	}
 	cp := cloud.DefaultParams(sc.Seed)
-	horizon := sc.Days * sim.Day
+	// Replayed traces may end before days does; a service starting at or
+	// after the end would report a run that never happened.
+	horizon := set.ClampHorizon(sc.Days * sim.Day)
+	for _, svc := range sc.Services {
+		if svc.StartHour*sim.Hour >= horizon {
+			return Result{}, fmt.Errorf("scenario: service %q starts at hour %g, at or after the end of the %gh of price data",
+				svc.Name, svc.StartHour, horizon/sim.Hour)
+		}
+	}
 
 	var out Result
 	if len(sc.Services) > 0 {
@@ -534,7 +572,7 @@ func (sc Scenario) RunCtx(ctx context.Context, col *trace.Collector) (Result, er
 		prec := col.Run("portfolio")
 		p.SetRecorder(prec)
 		for _, svc := range sc.Services {
-			cfg, err := svc.config()
+			cfg, err := svc.Config()
 			if err != nil {
 				return Result{}, fmt.Errorf("scenario: service %q: %w", svc.Name, err)
 			}
@@ -577,7 +615,6 @@ func (sc Scenario) RunCtx(ctx context.Context, col *trace.Collector) (Result, er
 	// Each fleet is its own simulation over the same price universe: the
 	// controller manages capacity, not individual long-lived VMs, so it
 	// shares traces with the portfolio but not a bill.
-	horizon = set.ClampHorizon(horizon)
 	for _, fd := range sc.Fleets {
 		cfg, err := fd.config(horizon, sc.Seed)
 		if err != nil {

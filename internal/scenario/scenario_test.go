@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -62,6 +63,39 @@ var badDocs = map[string]string{
 	"peak<base":        `{"days": 5, "fleets": [{"name":"f","base_load":100,"peak_load":50}]}`,
 	"negative param":   `{"days": 5, "fleets": [{"name":"f","target_ms":-1}]}`,
 	"revenue overflow": `{"days": 5, "services": [{"name":"a","region":"r","type":"small","revenue":{"requests_per_second":1e200,"revenue_per_request":1e200}}]}`,
+	"start after end":  `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":500}]}`,
+	"start at end":     `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":120}]}`,
+	"negative start":   `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":-5}]}`,
+	"negative vms":     `{"days": 5, "services": [{"name":"a","region":"r","type":"small","vms":-1}]}`,
+	"too many vms":     `{"days": 5, "services": [{"name":"a","region":"r","type":"small","vms":65}]}`,
+	"too many entries": manyEntries(MaxEntries+1, 1),
+}
+
+// manyEntries is a document of n uniquely named services (every other
+// one a fleet) with vms unit VMs each.
+func manyEntries(n, vms int) string {
+	var svcs, fleets []string
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			svcs = append(svcs, fmt.Sprintf(`{"name":"s%d","region":"us-east-1a","type":"small","vms":%d}`, i, vms))
+		} else {
+			fleets = append(fleets, fmt.Sprintf(`{"name":"f%d"}`, i))
+		}
+	}
+	return fmt.Sprintf(`{"days": 90, "services": [%s], "fleets": [%s]}`,
+		strings.Join(svcs, ","), strings.Join(fleets, ","))
+}
+
+// TestLoadAcceptsBounds: a document at every bound loads.
+func TestLoadAcceptsBounds(t *testing.T) {
+	for _, doc := range []string{
+		manyEntries(MaxEntries, MaxServiceVMs),
+		`{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":119.5}]}`,
+	} {
+		if _, err := Load(strings.NewReader(doc)); err != nil {
+			t.Errorf("%v\n%s", err, doc)
+		}
+	}
 }
 
 func TestLoadRejectsBadDocuments(t *testing.T) {
@@ -245,6 +279,11 @@ func TestScenarioReplaysCSV(t *testing.T) {
 	if r.Cost <= 0 || r.SpotFraction() < 0.9 {
 		t.Fatalf("replayed run: %+v", r)
 	}
+	// The traces end at hour 72: a service starting there never runs.
+	sc.Services[0].StartHour = 72
+	if _, err := sc.RunCtx(context.Background(), nil); err == nil || !strings.Contains(err.Error(), "starts at hour 72") {
+		t.Fatalf("service starting at the end of the traces: err = %v", err)
+	}
 }
 
 func TestScenarioBadTraces(t *testing.T) {
@@ -330,7 +369,7 @@ func TestScenarioCatalogFleetRuns(t *testing.T) {
 // must never panic, and every service revenue model it accepts must have a
 // finite revenue rate. Nothing is simulated.
 func FuzzScenarioLoad(f *testing.F) {
-	for _, doc := range []string{goodDoc, fleetDoc, catalogFleetDoc} {
+	for _, doc := range []string{goodDoc, fleetDoc, catalogFleetDoc, manyEntries(MaxEntries, MaxServiceVMs)} {
 		f.Add(doc)
 	}
 	for _, doc := range badDocs {

@@ -26,7 +26,7 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, mcfg.Types)
+	cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +79,13 @@ func (c *pollCancelCtx) Err() error {
 func TestRunSeedsParallelCtxPreCanceled(t *testing.T) {
 	mcfg := market.DefaultConfig(0)
 	mcfg.Horizon = 30 * sim.Day
-	cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, mcfg.Types)
+	cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunSeedsTracedCtx(ctx, mcfg, cloud.DefaultParams(0), cfg,
+	_, err = RunSeedsTracedCtx(ctx, mcfg, []Config{cfg}, nil,
 		30*sim.Day, []int64{1, 2, 3, 4}, 2, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -99,7 +99,7 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, mcfg.Types)
+	cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,16 +130,25 @@ type Config struct {
 	// slightly pricier stable one. Zero (the default) reproduces the
 	// paper's greedy cheapest-price rule.
 	StabilityPenalty float64
+}
 
-	// Types catalogs the instance sizes (units, memory). Defaults to
-	// market.DefaultTypes.
-	Types []market.TypeSpec
+// instanceTypes is the catalog every scheduler sizes servers from: the
+// paper's four instance types.
+var instanceTypes = market.DefaultTypes()
+
+// UnitFleet is the Sec. 4.4 service: count one-unit nested VMs, which
+// pack onto any instance type (4-up on a large, 8-up on an xlarge).
+func UnitFleet(count int) ServiceSpec {
+	return ServiceSpec{
+		VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
+		Count: count,
+	}
 }
 
 // DefaultConfig returns a single-market proactive configuration for one
 // VM sized to the given home market, using the paper's best mechanism.
-func DefaultConfig(home market.ID, types []market.TypeSpec) (Config, error) {
-	ts, ok := market.FindType(types, home.Type)
+func DefaultConfig(home market.ID) (Config, error) {
+	ts, ok := market.FindType(instanceTypes, home.Type)
 	if !ok {
 		return Config{}, fmt.Errorf("sched: unknown instance type %q", home.Type)
 	}
@@ -160,7 +169,6 @@ func DefaultConfig(home market.ID, types []market.TypeSpec) (Config, error) {
 		Mechanism:   vm.CKPTLazyLive,
 		VMParams:    vm.DefaultParams(),
 		Hysteresis:  0.05,
-		Types:       types,
 	}, nil
 }
 
@@ -178,11 +186,11 @@ func (c Config) Validate() error {
 	if len(c.Markets) == 0 {
 		return fmt.Errorf("sched: no candidate markets")
 	}
-	if _, ok := market.FindType(c.Types, c.Home.Type); !ok {
+	if _, ok := market.FindType(instanceTypes, c.Home.Type); !ok {
 		return fmt.Errorf("sched: home type %q not in catalog", c.Home.Type)
 	}
 	for _, m := range c.Markets {
-		ts, ok := market.FindType(c.Types, m.Type)
+		ts, ok := market.FindType(instanceTypes, m.Type)
 		if !ok {
 			return fmt.Errorf("sched: market type %q not in catalog", m.Type)
 		}
@@ -207,7 +215,7 @@ func (c Config) Validate() error {
 // typeOf returns the catalog entry for an instance type; the config must
 // have been validated.
 func (c *Config) typeOf(t market.InstanceType) market.TypeSpec {
-	ts, ok := market.FindType(c.Types, t)
+	ts, ok := market.FindType(instanceTypes, t)
 	if !ok {
 		panic(fmt.Sprintf("sched: unvalidated type %q", t))
 	}

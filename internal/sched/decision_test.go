@@ -11,7 +11,6 @@ import (
 	"spothost/internal/market"
 	"spothost/internal/sim"
 	"spothost/internal/trace"
-	"spothost/internal/vm"
 )
 
 // TestDecisionDigest pins the scheduler's hour-boundary decisions bit for
@@ -72,10 +71,7 @@ func TestDecisionDigest(t *testing.T) {
 func regionsConfig(t *testing.T, regions ...market.Region) Config {
 	t.Helper()
 	cfg := mustConfig(t)
-	cfg.Service = ServiceSpec{
-		VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-		Count: 4,
-	}
+	cfg.Service = UnitFleet(4)
 	cfg.Markets = nil
 	for _, r := range regions {
 		for _, ts := range market.DefaultTypes() {

@@ -129,16 +129,13 @@ func TestPureSpotPortfolioDigest(t *testing.T) {
 		for _, ts := range market.DefaultTypes() {
 			id := market.ID{Region: "us-east-1a", Type: ts.Name}
 			for _, bidding := range biddings {
-				cfg, err := DefaultConfig(id, market.DefaultTypes())
+				cfg, err := DefaultConfig(id)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg.Bidding = bidding
 				if k%2 == 1 {
-					cfg.Service = ServiceSpec{
-						VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-						Count: 4,
-					}
+					cfg.Service = UnitFleet(4)
 					for _, other := range market.DefaultTypes() {
 						if other.Name != ts.Name {
 							cfg.Markets = append(cfg.Markets, market.ID{Region: id.Region, Type: other.Name})

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
 )
@@ -16,7 +15,7 @@ import (
 // is exactly the pick of the linear market scan it replaces.
 func TestEnvelopeToggleEquivalence(t *testing.T) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
-	cfg, err := DefaultConfig(home, market.DefaultTypes())
+	cfg, err := DefaultConfig(home)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,19 +24,19 @@ func TestEnvelopeToggleEquivalence(t *testing.T) {
 
 	defer func() { useEnvelope = true }()
 	useEnvelope = true
-	fast, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds, 0, nil)
+	fast, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, nil, 15*sim.Day, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	useEnvelope = false
-	slow, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 15*sim.Day, seeds, 0, nil)
+	slow, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, nil, 15*sim.Day, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seeds {
-		if !reflect.DeepEqual(fast[i], slow[i]) {
+		if !reflect.DeepEqual(fast[0][i], slow[0][i]) {
 			t.Fatalf("seed %d: envelope on/off reports differ:\n on: %+v\noff: %+v",
-				seeds[i], fast[i], slow[i])
+				seeds[i], fast[0][i], slow[0][i])
 		}
 	}
 }

@@ -30,7 +30,7 @@ func ExampleRun() {
 		log.Fatal(err)
 	}
 
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func ExampleNewPortfolio() {
 		{"shop", market.ID{Region: "us-east-1a", Type: "medium"}},
 		{"api", market.ID{Region: "eu-west-1a", Type: "small"}},
 	} {
-		cfg, err := sched.DefaultConfig(svc.home, market.DefaultTypes())
+		cfg, err := sched.DefaultConfig(svc.home)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"spothost/internal/market"
 	"spothost/internal/metrics"
 	"spothost/internal/sim"
-	"spothost/internal/vm"
 )
 
 // forkUniverse generates a small multi-market universe for fork tests.
@@ -51,10 +50,7 @@ func multiConfig(t *testing.T, bidding Bidding, lambda float64) Config {
 	multi := mustConfig(t)
 	multi.Bidding = bidding
 	multi.StabilityPenalty = lambda
-	multi.Service = ServiceSpec{
-		VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-		Count: 4,
-	}
+	multi.Service = UnitFleet(4)
 	for _, ts := range market.DefaultTypes() {
 		id := market.ID{Region: home.Region, Type: ts.Name}
 		if id != home {
@@ -202,7 +198,7 @@ func TestForkSiblingIsolation(t *testing.T) {
 // run capturing a checkpoint every 6 hours. Its B/op is what the captures
 // cost on top of the run.
 func BenchmarkPilotCheckpoints(b *testing.B) {
-	cfg, err := DefaultConfig(home, market.DefaultTypes())
+	cfg, err := DefaultConfig(home)
 	if err != nil {
 		b.Fatal(err)
 	}

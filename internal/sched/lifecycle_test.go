@@ -89,7 +89,7 @@ func TestSchedulerStopDuringMigration(t *testing.T) {
 // middle of the run starts late, stops early, and bills only its window.
 func TestPortfolioElasticity(t *testing.T) {
 	p := NewPortfolio(portfolioUniverse(t), cloud.DefaultParams(9))
-	base, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, market.DefaultTypes())
+	base, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}

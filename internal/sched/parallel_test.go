@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
 )
@@ -15,7 +14,7 @@ import (
 // core guarantee of the concurrency layer.
 func TestRunSeedsParallelDeterminism(t *testing.T) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
-	cfg, err := DefaultConfig(home, market.DefaultTypes())
+	cfg, err := DefaultConfig(home)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,12 +22,12 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 	mcfg.Horizon = 4 * sim.Day
 	seeds := []int64{3, 5, 8, 13, 21}
 
-	serial, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, 1, nil)
+	serial, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, nil, 4*sim.Day, seeds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, len(seeds), 2 * len(seeds)} {
-		parallel, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, workers, nil)
+		parallel, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, nil, 4*sim.Day, seeds, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,11 +40,11 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 // TestRunSeedsEmpty keeps the no-seeds error behaviour.
 func TestRunSeedsEmpty(t *testing.T) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
-	cfg, err := DefaultConfig(home, market.DefaultTypes())
+	cfg, err := DefaultConfig(home)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSeedsTracedCtx(context.Background(), market.DefaultConfig(0), cloud.DefaultParams(0), cfg, 0, nil, 0, nil); err == nil {
+	if _, err := RunSeedsTracedCtx(context.Background(), market.DefaultConfig(0), []Config{cfg}, nil, 0, nil, 0, nil); err == nil {
 		t.Fatal("want error for empty seed list")
 	}
 }
@@ -54,7 +53,7 @@ func TestRunSeedsEmpty(t *testing.T) {
 // universe cache rather than regenerating.
 func TestRunSeedsUsesSharedCache(t *testing.T) {
 	home := market.ID{Region: "us-east-1a", Type: "small"}
-	cfg, err := DefaultConfig(home, market.DefaultTypes())
+	cfg, err := DefaultConfig(home)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +65,10 @@ func TestRunSeedsUsesSharedCache(t *testing.T) {
 
 	before := market.SharedCache().Stats()
 	seeds := []int64{101, 102}
-	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 2*sim.Day, seeds, 0, nil); err != nil {
+	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, nil, 2*sim.Day, seeds, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 2*sim.Day, seeds, 0, nil); err != nil {
+	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, nil, 2*sim.Day, seeds, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := market.SharedCache().Stats()

@@ -27,16 +27,16 @@ func TestPortfolioLifecycle(t *testing.T) {
 	rec := trace.NewRecorder("portfolio")
 	p.SetRecorder(rec)
 
-	shop, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "medium"}, market.DefaultTypes())
+	shop, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "medium"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	api, err := DefaultConfig(market.ID{Region: "us-west-1a", Type: "small"}, market.DefaultTypes())
+	api, err := DefaultConfig(market.ID{Region: "us-west-1a", Type: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	api.Bidding = Reactive
-	batch, err := DefaultConfig(market.ID{Region: "us-east-1b", Type: "large"}, market.DefaultTypes())
+	batch, err := DefaultConfig(market.ID{Region: "us-east-1b", Type: "large"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPortfolioEmptyRun(t *testing.T) {
 func TestPortfolioSharesOneLedger(t *testing.T) {
 	p := NewPortfolio(portfolioUniverse(t), cloud.DefaultParams(7))
 	for i, reg := range []market.Region{"us-east-1a", "eu-west-1a"} {
-		cfg, err := DefaultConfig(market.ID{Region: reg, Type: "small"}, market.DefaultTypes())
+		cfg, err := DefaultConfig(market.ID{Region: reg, Type: "small"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,35 +62,39 @@ func build(set *market.Set, cloudParams cloud.Params, cfg Config, horizon sim.Du
 	return eng, s, set.ClampHorizon(horizon), err
 }
 
-// RunSeedsTracedCtx runs the same configuration against synthetic
-// universes for each seed (the market config's and cloud parameters' Seed
-// fields are overridden per run, see cloud.Seeded) and returns the
-// per-seed reports in seed order. Seeds fan out over runpool.Grid with at
-// most workers in flight (workers <= 0 means one per CPU), so the reports
-// are byte-identical for any worker count, and canceling ctx (or any seed
-// failing) cancels every in-flight run. Each seed's run records into its
-// own recorder from col, labeled "seed<N>"; a nil collector traces
-// nothing.
-func RunSeedsTracedCtx(ctx context.Context, mcfg market.Config, cloudParams cloud.Params,
-	cfg Config, horizon sim.Duration, seeds []int64, workers int, col *trace.Collector) ([]metrics.Report, error) {
+// RunSeedsTracedCtx runs every configuration against synthetic universes
+// for each seed (the market config's and the default cloud parameters'
+// Seed fields are overridden per run, see cloud.Seeded) and returns the
+// reports indexed [config][seed], seeds in order. The (config, seed) cells
+// fan out over one runpool.Grid with at most workers in flight (workers
+// <= 0 means one per CPU), so the reports are byte-identical for any
+// worker count, and canceling ctx (or any cell failing) cancels every
+// in-flight run. Each cell records into its own recorder from col,
+// labeled prefixes[c] + "seed<N>" (no prefix when prefixes is nil); a nil
+// collector traces nothing.
+func RunSeedsTracedCtx(ctx context.Context, mcfg market.Config, cfgs []Config, prefixes []string,
+	horizon sim.Duration, seeds []int64, workers int, col *trace.Collector) ([][]metrics.Report, error) {
 
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sched: no seeds")
 	}
-	reps, err := runpool.Grid(ctx, workers, 1, seeds, func(ctx context.Context, _ int, seed int64) (metrics.Report, error) {
-		set, cp, err := cloud.Seeded(mcfg, cloudParams, seed)
+	if prefixes != nil && len(prefixes) != len(cfgs) {
+		return nil, fmt.Errorf("sched: %d label prefixes for %d configs", len(prefixes), len(cfgs))
+	}
+	return runpool.Grid(ctx, workers, len(cfgs), seeds, func(ctx context.Context, c int, seed int64) (metrics.Report, error) {
+		set, cp, err := cloud.Seeded(mcfg, cloud.DefaultParams(0), seed)
 		if err != nil {
 			return metrics.Report{}, err
 		}
-		rec := col.Run(fmt.Sprintf("seed%d", seed))
-		rep, err := RunTracedCtx(ctx, set, cp, cfg, horizon, rec)
+		label := fmt.Sprintf("seed%d", seed)
+		if prefixes != nil {
+			label = prefixes[c] + label
+		}
+		rec := col.Run(label)
+		rep, err := RunTracedCtx(ctx, set, cp, cfgs[c], horizon, rec)
 		if err == nil {
 			col.Done(rec)
 		}
 		return rep, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return reps[0], nil
 }

@@ -3,6 +3,9 @@ package sched
 import (
 	"context"
 	"math"
+	"reflect"
+	"spothost/internal/trace"
+	"strings"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -40,7 +43,7 @@ func singleMarketSet(t *testing.T, pts []market.Point, end sim.Time) *market.Set
 
 func mustConfig(t *testing.T) Config {
 	t.Helper()
-	cfg, err := DefaultConfig(home, market.DefaultTypes())
+	cfg, err := DefaultConfig(home)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +340,7 @@ func TestMultiMarketPacking(t *testing.T) {
 	}
 
 	cfg := mustConfig(t)
-	cfg.Service = ServiceSpec{
-		VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-		Count: 4,
-	}
+	cfg.Service = UnitFleet(4)
 	cfg.Markets = []market.ID{small, large}
 
 	eng := sim.NewEngine()
@@ -457,18 +457,57 @@ func TestRunSeedsAveraging(t *testing.T) {
 	mcfg := market.DefaultConfig(0)
 	mcfg.Horizon = 4 * sim.Day
 	cfg := mustConfig(t)
-	rs, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, []int64{1, 2, 3}, 0, nil)
+	grid, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, nil, 4*sim.Day, []int64{1, 2, 3}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 3 {
-		t.Fatalf("reports = %d", len(rs))
+	if len(grid) != 1 || len(grid[0]) != 3 {
+		t.Fatalf("reports = %d x %d", len(grid), len(grid[0]))
 	}
-	avg := metrics.Average(rs)
+	avg := metrics.Average(grid[0])
 	if avg.BaselineCost <= 0 || avg.Horizon <= 0 {
 		t.Fatalf("bad average: %+v", avg)
 	}
-	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 0, nil, 0, nil); err == nil {
+	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, nil, 0, nil, 0, nil); err == nil {
 		t.Fatal("empty seeds accepted")
+	}
+	if _, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg}, []string{"a/", "b/"}, 4*sim.Day, []int64{1}, 0, nil); err == nil {
+		t.Fatal("two label prefixes for one config accepted")
+	}
+}
+
+// TestRunSeedsGridLabels: a multi-config grid returns each config's
+// reports as its own single-config run would, and labels every cell's
+// trace run with its prefix.
+func TestRunSeedsGridLabels(t *testing.T) {
+	mcfg := market.DefaultConfig(0)
+	mcfg.Horizon = 2 * sim.Day
+	seeds := []int64{1, 2}
+	cfg := mustConfig(t)
+	reactive := cfg
+	reactive.Bidding = Reactive
+	col := trace.NewCollector()
+	grid, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{cfg, reactive}, []string{"p/", "r/"},
+		2*sim.Day, seeds, 0, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, one := range []Config{cfg, reactive} {
+		single, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{one}, nil, 2*sim.Day, seeds, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(grid[c], single[0]) {
+			t.Fatalf("config %d: grid reports differ from its own run", c)
+		}
+	}
+	var out strings.Builder
+	if err := col.Export(&out, "jsonl"); err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"p/seed1", "p/seed2", "r/seed1", "r/seed2"} {
+		if !strings.Contains(out.String(), `"`+label+`"`) {
+			t.Fatalf("no trace run labeled %q", label)
+		}
 	}
 }

@@ -126,9 +126,6 @@ type Scheduler struct {
 // New builds a scheduler over an existing provider. The configuration is
 // validated against the provider's market universe.
 func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
-	if cfg.Types == nil {
-		cfg.Types = market.DefaultTypes()
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,11 +9,9 @@ import (
 	"reflect"
 	"testing"
 
-	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
 	"spothost/internal/trace"
-	"spothost/internal/vm"
 )
 
 // stabilitySet builds two markets with equal long-run mean price but very
@@ -59,7 +57,7 @@ func stabilitySet(t *testing.T) *market.Set {
 // stabilityConfig hosts one unit VM over both markets.
 func stabilityConfig(t *testing.T, lambda float64) Config {
 	t.Helper()
-	cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, market.DefaultTypes())
+	cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +114,7 @@ func TestStabilityZeroMatchesGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Explicitly construct the greedy config without the stability field.
-	cfg2, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, market.DefaultTypes())
+	cfg2, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +137,11 @@ func TestStabilityAwareOnGeneratedUniverse(t *testing.T) {
 	mcfg.Horizon = 15 * sim.Day
 
 	mk := func(lambda float64) Config {
-		cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"}, mcfg.Types)
+		cfg, err := DefaultConfig(market.ID{Region: "us-east-1a", Type: "small"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Service = ServiceSpec{
-			VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-			Count: 4,
-		}
+		cfg.Service = UnitFleet(4)
 		for _, reg := range []market.Region{"us-east-1a", "us-east-1b", "eu-west-1a"} {
 			for _, ty := range []market.InstanceType{"small", "medium", "large", "xlarge"} {
 				cfg.Markets = append(cfg.Markets, market.ID{Region: reg, Type: ty})
@@ -159,14 +154,11 @@ func TestStabilityAwareOnGeneratedUniverse(t *testing.T) {
 	}
 
 	seeds := []int64{3, 9}
-	greedy, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), mk(0), 15*sim.Day, seeds, 0, nil)
+	grid, err := RunSeedsTracedCtx(context.Background(), mcfg, []Config{mk(0), mk(1.0)}, nil, 15*sim.Day, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), mk(1.0), 15*sim.Day, seeds, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	greedy, aware := grid[0], grid[1]
 	var gMig, aMig int
 	var gCost, aCost float64
 	for i := range greedy {

@@ -125,10 +125,7 @@ func TestSchedulerStabilityUnderHostileMarkets(t *testing.T) {
 	for _, ty := range []market.InstanceType{"small", "medium", "large", "xlarge"} {
 		cfg.Markets = append(cfg.Markets, market.ID{Region: "us-east-1a", Type: ty})
 	}
-	cfg.Service = ServiceSpec{
-		VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-		Count: 4,
-	}
+	cfg.Service = UnitFleet(4)
 	cfg.StabilityPenalty = 1.5
 	r, err := Run(set, cloud.DefaultParams(11), cfg, hostileDays*sim.Day)
 	if err != nil {

@@ -29,7 +29,6 @@ import (
 
 	"spothost/internal/market"
 	"spothost/internal/sched"
-	"spothost/internal/vm"
 )
 
 // Knob names accepted by an Axis. They match cmd/sweep's -knob flag.
@@ -124,7 +123,7 @@ type Setting struct {
 // (cmd/sweep's historical behavior): fleetSize one-unit VMs (default 4)
 // over every instance type in the home region.
 func BuildConfig(home market.ID, fleetSize int, settings []Setting) (sched.Config, error) {
-	cfg, err := sched.DefaultConfig(home, market.DefaultTypes())
+	cfg, err := sched.DefaultConfig(home)
 	if err != nil {
 		return cfg, err
 	}
@@ -138,10 +137,7 @@ func BuildConfig(home market.ID, fleetSize int, settings []Setting) (sched.Confi
 		if fleetSize <= 0 {
 			fleetSize = 4
 		}
-		cfg.Service = sched.ServiceSpec{
-			VM:    vm.Spec{MemoryGB: 1.4, DirtyRateMBps: 8, DiskGB: 4, Units: 1},
-			Count: fleetSize,
-		}
+		cfg.Service = sched.UnitFleet(fleetSize)
 		cfg.Markets = nil
 		for _, ts := range market.DefaultTypes() {
 			cfg.Markets = append(cfg.Markets, market.ID{Region: home.Region, Type: ts.Name})
