@@ -64,7 +64,7 @@ func main() {
 	if *tracesF != "" {
 		f, err := os.Open(*tracesF)
 		cli.Check(err)
-		set, err := replay.Load(*formatF, f, replay.Options{Product: *productF})
+		set, err := replay.Load(*formatF, f, *productF)
 		f.Close()
 		cli.Check(err)
 		ph.Mark("load")

@@ -61,8 +61,7 @@ func sampleHistory() string {
 }
 
 func main() {
-	prices, err := replay.Load("aws-json", strings.NewReader(sampleHistory()),
-		replay.Options{Product: "Linux/UNIX"})
+	prices, err := replay.Load("aws-json", strings.NewReader(sampleHistory()), "Linux/UNIX")
 	if err != nil {
 		log.Fatal(err)
 	}

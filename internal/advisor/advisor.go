@@ -30,10 +30,6 @@ type Request struct {
 	Revenue econ.RevenueModel
 	// Horizon bounds each evaluation run (0 = the price set's extent).
 	Horizon sim.Duration
-	// Policies and Mechanisms narrow the matrix; empty means all
-	// spot-using policies and all four mechanism combinations.
-	Policies   []sched.Bidding
-	Mechanisms []vm.Mechanism
 }
 
 // Candidate is one evaluated configuration.
@@ -66,18 +62,9 @@ func Advise(set *market.Set, params cloud.Params, req Request) (Recommendation, 
 	if err := req.Revenue.Validate(); err != nil {
 		return Recommendation{}, err
 	}
-	policies := req.Policies
-	if len(policies) == 0 {
-		policies = []sched.Bidding{sched.Reactive, sched.Proactive, sched.PureSpot}
-	}
-	mechanisms := req.Mechanisms
-	if len(mechanisms) == 0 {
-		mechanisms = vm.Mechanisms()
-	}
-
 	var rec Recommendation
-	for _, b := range policies {
-		for _, m := range mechanisms {
+	for _, b := range []sched.Bidding{sched.Reactive, sched.Proactive, sched.PureSpot} {
+		for _, m := range vm.Mechanisms() {
 			cfg, err := sched.DefaultConfig(req.Home)
 			if err != nil {
 				return rec, err

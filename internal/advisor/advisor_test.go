@@ -12,7 +12,6 @@ import (
 	"spothost/internal/market"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
-	"spothost/internal/vm"
 )
 
 func universe(t *testing.T) *market.Set {
@@ -117,26 +116,6 @@ func TestAdviseHighRevenueSaysStayOnDemand(t *testing.T) {
 	}
 	if !strings.Contains(rec.Render(), "stay on on-demand") {
 		t.Fatalf("render missing the stay-on-demand verdict:\n%s", rec.Render())
-	}
-}
-
-// TestAdviseNarrowedMatrix: explicit policy/mechanism lists narrow the
-// sweep.
-func TestAdviseNarrowedMatrix(t *testing.T) {
-	rec, err := Advise(universe(t), cloud.DefaultParams(404), Request{
-		Home:       home,
-		Policies:   []sched.Bidding{sched.Proactive},
-		Mechanisms: []vm.Mechanism{vm.CKPTLazyLive},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Candidates) != 1 {
-		t.Fatalf("candidates = %d", len(rec.Candidates))
-	}
-	// No target and free revenue: the single candidate wins on savings.
-	if rec.Best == nil || rec.Best.Mechanism != vm.CKPTLazyLive {
-		t.Fatalf("best = %+v", rec.Best)
 	}
 }
 

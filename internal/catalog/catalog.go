@@ -67,11 +67,11 @@ func New(entries []Entry) (*Catalog, error) {
 			return nil, fmt.Errorf("catalog: entry %d has no name", i)
 		case e.VCPU < 1:
 			return nil, fmt.Errorf("catalog: type %q has %d vCPU, want >= 1", e.Name, e.VCPU)
-		case e.MemoryGB <= 0:
+		case !(e.MemoryGB > 0): // negated, so NaN is rejected too
 			return nil, fmt.Errorf("catalog: type %q has non-positive memory %v", e.Name, e.MemoryGB)
 		case e.Units < 1 || e.Units&(e.Units-1) != 0:
 			return nil, fmt.Errorf("catalog: type %q has %d units, want a power of two", e.Name, e.Units)
-		case e.OnDemand <= 0:
+		case !(e.OnDemand > 0):
 			return nil, fmt.Errorf("catalog: type %q has non-positive on-demand price %v", e.Name, e.OnDemand)
 		}
 		if _, dup := c.byName[e.Name]; dup {

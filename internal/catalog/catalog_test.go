@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -42,6 +44,8 @@ func TestNewValidation(t *testing.T) {
 		{"zero units", func(e *Entry) { e.Units = 0 }},
 		{"non power-of-two units", func(e *Entry) { e.Units = 3 }},
 		{"zero price", func(e *Entry) { e.OnDemand = 0 }},
+		{"NaN memory", func(e *Entry) { e.MemoryGB = math.NaN() }},
+		{"NaN price", func(e *Entry) { e.OnDemand = math.NaN() }},
 	}
 	for _, tc := range cases {
 		e := base
@@ -134,4 +138,77 @@ func TestCompatibleMarketsSorted(t *testing.T) {
 	if _, err := def.CompatibleMarkets(set, "nope"); err == nil {
 		t.Error("unknown anchor accepted")
 	}
+}
+
+// fuzzNames are the entry names a fuzz record can pick; "" is invalid and
+// the short list makes duplicates likely.
+var fuzzNames = []market.InstanceType{"", "a", "b", "small", "medium", "xlarge"}
+
+// fuzzRecord is the size of one encoded entry: name index, vCPU (int8),
+// units (int16), memory and on-demand price (float64 bits), little-endian.
+const fuzzRecord = 20
+
+// encodeEntries is the inverse of the decoder in FuzzCatalogNew for
+// entries whose name is in fuzzNames.
+func encodeEntries(entries []Entry) []byte {
+	var out []byte
+	for _, e := range entries {
+		rec := make([]byte, fuzzRecord)
+		for i, n := range fuzzNames {
+			if n == e.Name {
+				rec[0] = byte(i)
+			}
+		}
+		rec[1] = byte(int8(e.VCPU))
+		binary.LittleEndian.PutUint16(rec[2:], uint16(int16(e.Units)))
+		binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(e.MemoryGB))
+		binary.LittleEndian.PutUint64(rec[12:], math.Float64bits(e.OnDemand))
+		out = append(out, rec...)
+	}
+	return out
+}
+
+// FuzzCatalogNew: a custom catalog comes from a stranger's fleet
+// definition. New must never panic, and every entry of a catalog it
+// accepts must have power-of-two units (so per-unit prices are exact),
+// positive memory and price, and be found by Lookup.
+func FuzzCatalogNew(f *testing.F) {
+	legacy := legacyEntries()
+	f.Add(encodeEntries(legacy[:2])) // small and medium
+	f.Add(encodeEntries([]Entry{{Name: "a", VCPU: 1, MemoryGB: 1, Units: 1024, OnDemand: 0.1}}))
+	f.Add(encodeEntries([]Entry{{Name: "a", VCPU: 1, MemoryGB: 1, Units: 3, OnDemand: 0.1}}))
+	f.Add(encodeEntries([]Entry{{Name: "b", VCPU: 2, MemoryGB: math.NaN(), Units: 2, OnDemand: 0.1}}))
+	f.Add(encodeEntries([]Entry{{Name: "a", VCPU: 1, MemoryGB: 1, Units: 1, OnDemand: 0.1}, {Name: "a", VCPU: 1, MemoryGB: 1, Units: 1, OnDemand: 0.1}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var entries []Entry
+		for ; len(data) >= fuzzRecord; data = data[fuzzRecord:] {
+			entries = append(entries, Entry{
+				Name:     fuzzNames[int(data[0])%len(fuzzNames)],
+				VCPU:     int(int8(data[1])),
+				Units:    int(int16(binary.LittleEndian.Uint16(data[2:]))),
+				MemoryGB: math.Float64frombits(binary.LittleEndian.Uint64(data[4:])),
+				OnDemand: math.Float64frombits(binary.LittleEndian.Uint64(data[12:])),
+			})
+		}
+		c, err := New(entries)
+		if err != nil {
+			return
+		}
+		for _, e := range entries {
+			if e.Units < 1 || e.Units&(e.Units-1) != 0 {
+				t.Fatalf("accepted %+v: units not a power of two", e)
+			}
+			if !(e.MemoryGB > 0) || !(e.OnDemand > 0) {
+				t.Fatalf("accepted %+v: memory or price not positive", e)
+			}
+			for _, p := range []float64{e.OnDemand, 0.0071, 1.7320508, 1e300, 5e-324} {
+				if p*e.InvUnits() != p/float64(e.Units) {
+					t.Fatalf("accepted %+v: p*InvUnits != p/Units for p=%v", e, p)
+				}
+			}
+			if got, ok := c.Lookup(e.Name); !ok || !reflect.DeepEqual(got, e) {
+				t.Fatalf("Lookup(%q) = %+v, %v, want %+v", e.Name, got, ok, e)
+			}
+		}
+	})
 }

@@ -154,7 +154,6 @@ func (r *Run) Options() experiments.Options {
 	}
 	if *r.days > 0 {
 		opts.Horizon = *r.days * sim.Day
-		opts.Market.Horizon = opts.Horizon
 	}
 	opts.Parallel = *r.parallel
 	opts.Context = r.ctx

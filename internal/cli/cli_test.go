@@ -44,8 +44,8 @@ func TestOptions(t *testing.T) {
 	r := parse(t, Flags{Quick: true, Stride: 11, Parallel: true, Trace: true, ObsOut: "x"},
 		"-quick", "-days", "2", "-parallel", "3", "-trace", "t.json", "-obs")
 	o := r.Options()
-	if o.Horizon != 2*sim.Day || o.Market.Horizon != 2*sim.Day {
-		t.Errorf("horizon = %v, market horizon = %v, want 2 days", o.Horizon, o.Market.Horizon)
+	if o.Horizon != 2*sim.Day {
+		t.Errorf("horizon = %v, want 2 days", o.Horizon)
 	}
 	if o.Parallel != 3 || o.Context == nil {
 		t.Errorf("parallel = %d, context = %v", o.Parallel, o.Context)

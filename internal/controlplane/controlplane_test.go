@@ -188,12 +188,20 @@ func TestRegisterValidation(t *testing.T) {
 		{"days over cap", "t", "f", testSpec(1, 91), "at most"},
 		{"bad strategy", "t", "f", Spec{Seed: 1, Days: 1, Fleet: scenario.FleetDef{Strategy: "bogus"}}, "unknown strategy"},
 		{"bad market", "t", "f", Spec{Seed: 1, Days: 1, Fleet: scenario.FleetDef{Markets: []string{"nowhere"}}}, "market"},
+		{"peak below base", "t", "f", Spec{Seed: 1, Days: 1, Fleet: scenario.FleetDef{BaseLoad: 100, PeakLoad: 50}}, "peak_load below base_load"},
+		{"negative tick", "t", "f", Spec{Seed: 1, Days: 1, Fleet: scenario.FleetDef{TickMinutes: -3}}, "negative parameter"},
+		{"tick below one", "t", "f", Spec{Seed: 1, Days: 1, Fleet: scenario.FleetDef{TickMinutes: 0.001}}, "tick_minutes"},
+		{"too many replicas", "t", "f", Spec{Seed: 1, Days: 1, Fleet: scenario.FleetDef{MaxReplicas: 65}}, "max_replicas"},
 	}
 	for _, tc := range cases {
 		_, err := p.Register(tc.tenant, tc.flt, tc.spec)
 		if err == nil {
 			t.Errorf("%s: want error", tc.name)
 			continue
+		}
+		// Register runs the scenario file's fleet checks, not a subset.
+		if verr := tc.spec.Fleet.Validate(); verr != nil && !strings.Contains(err.Error(), verr.Error()) {
+			t.Errorf("%s: error %q does not carry Validate's %q", tc.name, err, verr)
 		}
 		var ce *CapacityError
 		if errors.As(err, &ce) {

@@ -49,7 +49,7 @@ func Ablations(opts Options) (AblationResult, error) {
 	taus := []float64{1, 3, 10, 30}
 	hysts := []float64{0, 0.05, 0.15, 0.4}
 	lambdas := []float64{0, 0.5, 1, 2}
-	both := append(marketsIn(opts, "us-east-1b"), marketsIn(opts, figureRegion)...)
+	both := append(marketsIn("us-east-1b"), marketsIn(figureRegion)...)
 
 	var cfgs []sched.Config
 	for _, k := range bidMultiples {
@@ -69,7 +69,7 @@ func Ablations(opts Options) (AblationResult, error) {
 		cfgs = append(cfgs, cfg)
 	}
 	for _, h := range hysts {
-		cfg, err := fleetConfig(home, marketsIn(opts, figureRegion), FleetVMs)
+		cfg, err := fleetConfig(home, marketsIn(figureRegion), FleetVMs)
 		if err != nil {
 			return res, err
 		}

@@ -18,7 +18,7 @@ func runPolicies(opts Options, cfgs []sched.Config) ([]metrics.Report, error) {
 	for c := range cfgs {
 		prefixes[c] = fmt.Sprintf("cfg%02d/", c)
 	}
-	grid, err := sched.RunSeedsTracedCtx(opts.Context, opts.Market, cfgs, prefixes,
+	grid, err := sched.RunSeedsTracedCtx(opts.Context, opts.marketConfig(), cfgs, prefixes,
 		opts.Horizon, opts.Seeds, opts.Parallel, opts.Trace)
 	if err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func Figure6(opts Options) (Figure6Result, error) {
 	opts = opts.normalize()
 	res := Figure6Result{Region: figureRegion}
 	var cfgs []sched.Config
-	for _, ts := range opts.Market.Types {
+	for _, ts := range market.DefaultTypes() {
 		home := market.ID{Region: figureRegion, Type: ts.Name}
 		for _, b := range []sched.Bidding{sched.Reactive, sched.Proactive} {
 			cfg, err := singleMarketConfig(home, b, vm.CKPTLazy)
@@ -76,7 +76,7 @@ func Figure6(opts Options) (Figure6Result, error) {
 	if err != nil {
 		return res, err
 	}
-	for i, ts := range opts.Market.Types {
+	for i, ts := range market.DefaultTypes() {
 		res.Rows = append(res.Rows, Figure6Row{
 			Type:     ts.Name,
 			Reactive: reports[2*i],
@@ -195,7 +195,7 @@ func Figure11(opts Options) (Figure11Result, error) {
 	opts = opts.normalize()
 	res := Figure11Result{Region: figureRegion}
 	var cfgs []sched.Config
-	for _, ts := range opts.Market.Types {
+	for _, ts := range market.DefaultTypes() {
 		home := market.ID{Region: figureRegion, Type: ts.Name}
 		for _, b := range []sched.Bidding{sched.Proactive, sched.PureSpot} {
 			cfg, err := singleMarketConfig(home, b, vm.CKPTLazyLive)
@@ -209,7 +209,7 @@ func Figure11(opts Options) (Figure11Result, error) {
 	if err != nil {
 		return res, err
 	}
-	for i, ts := range opts.Market.Types {
+	for i, ts := range market.DefaultTypes() {
 		res.Rows = append(res.Rows, Figure11Row{
 			Type:     ts.Name,
 			Proact:   reports[2*i],

@@ -20,7 +20,6 @@ func TestExperimentCanceledMidRun(t *testing.T) {
 	opts := Quick()
 	opts.Seeds = []int64{99} // unshared seed: cells must simulate, not hit the cache
 	opts.Horizon = 60 * sim.Day
-	opts.Market.Horizon = 60 * sim.Day
 	opts.Parallel = 1 // one cell at a time, so polls arrive in a fixed order
 	const k = 20
 	ctx := newPollCancelCtx(k)

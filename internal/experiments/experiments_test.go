@@ -374,12 +374,4 @@ func TestOptionsNormalize(t *testing.T) {
 	if len(n.Seeds) == 0 || n.Horizon <= 0 {
 		t.Fatalf("normalize left zeros: %+v", n)
 	}
-	// Horizon clamps to the market horizon.
-	o = Defaults()
-	o.Market.Horizon = 5 * 86400
-	o.Horizon = 30 * 86400
-	n = o.normalize()
-	if n.Horizon != 5*86400 {
-		t.Fatalf("horizon not clamped: %v", n.Horizon)
-	}
 }

@@ -149,7 +149,7 @@ func Fleet(opts Options) (FleetResult, error) {
 	if err != nil {
 		return res, err
 	}
-	mc := opts.Market
+	mc := opts.marketConfig()
 	if opts.Catalog != nil {
 		// The candidate universe is every catalog-compatible market of
 		// the widened set, not the per-region small markets.

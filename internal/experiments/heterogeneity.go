@@ -59,7 +59,7 @@ func Heterogeneity(opts Options) (HeterogeneityResult, error) {
 
 	// Rows are arm-major (single, then typed), then strategy. Both arms
 	// share the typed universe via the market cache.
-	mc := opts.Market
+	mc := opts.marketConfig()
 	mc.Types = cat.TypeSpecs()
 	strategies := fleet.Strategies()
 	half := len(strategies)

@@ -25,9 +25,9 @@ func fleetConfig(home market.ID, markets []market.ID, count int) (sched.Config, 
 }
 
 // marketsIn lists all candidate markets of one region.
-func marketsIn(opts Options, r market.Region) []market.ID {
+func marketsIn(r market.Region) []market.ID {
 	var out []market.ID
-	for _, ts := range opts.Market.Types {
+	for _, ts := range market.DefaultTypes() {
 		out = append(out, market.ID{Region: r, Type: ts.Name})
 	}
 	return out
@@ -69,7 +69,7 @@ func Figure8(opts Options) (Figure8Result, error) {
 	perRegion := 0
 	for _, rs := range market.DefaultRegions() {
 		home := market.ID{Region: rs.Name, Type: "small"}
-		all := marketsIn(opts, rs.Name)
+		all := marketsIn(rs.Name)
 		perRegion = len(all) + 1
 		for _, m := range all {
 			cfg, err := fleetConfig(home, []market.ID{m}, FleetVMs)
@@ -114,7 +114,7 @@ func Figure8(opts Options) (Figure8Result, error) {
 func regionCorrelation(opts Options, r market.Region) (float64, error) {
 	sum := 0.0
 	for _, seed := range opts.Seeds {
-		set, _, err := cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
+		set, _, err := cloud.Seeded(opts.marketConfig(), cloud.DefaultParams(0), seed)
 		if err != nil {
 			return 0, err
 		}
@@ -190,13 +190,13 @@ func Figure9(opts Options) (Figure9Result, error) {
 			home := market.ID{Region: homeRegion.Name, Type: "small"}
 
 			for _, reg := range []market.Region{a.Name, b.Name} {
-				cfg, err := fleetConfig(home, marketsIn(opts, reg), FleetVMs)
+				cfg, err := fleetConfig(home, marketsIn(reg), FleetVMs)
 				if err != nil {
 					return res, err
 				}
 				cfgs = append(cfgs, cfg)
 			}
-			both := append(marketsIn(opts, a.Name), marketsIn(opts, b.Name)...)
+			both := append(marketsIn(a.Name), marketsIn(b.Name)...)
 			cfg, err := fleetConfig(home, both, FleetVMs)
 			if err != nil {
 				return res, err
@@ -214,7 +214,7 @@ func Figure9(opts Options) (Figure9Result, error) {
 
 		corr := 0.0
 		for _, seed := range opts.Seeds {
-			set, _, err := cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
+			set, _, err := cloud.Seeded(opts.marketConfig(), cloud.DefaultParams(0), seed)
 			if err != nil {
 				return res, err
 			}

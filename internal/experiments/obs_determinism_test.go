@@ -16,7 +16,6 @@ import (
 func TestTimelineDeterminism(t *testing.T) {
 	export := func(workers int) (string, string) {
 		opts := determinismOpts(workers)
-		opts.Horizon = opts.Market.Horizon
 		col := obs.NewCollector(obs.Config{Budget: 64})
 		opts.Obs = col
 		if _, err := Fleet(opts); err != nil {

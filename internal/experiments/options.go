@@ -24,11 +24,8 @@ type Options struct {
 	// universes; reported numbers are cross-seed means.
 	Seeds []int64
 	// Horizon is the hosting window (the paper simulates over month-long
-	// traces).
+	// traces) and the length of every generated universe.
 	Horizon sim.Duration
-	// Market is the synthetic-universe configuration (Seed overridden per
-	// run).
-	Market market.Config
 	// Parallel is the worker count for the run pool; every (config, seed)
 	// simulation cell is independent, so experiments fan out across
 	// workers. Zero means GOMAXPROCS. Rendered output is byte-identical
@@ -69,7 +66,6 @@ func Defaults() Options {
 	return Options{
 		Seeds:   []int64{11, 22, 33, 44, 55},
 		Horizon: 30 * sim.Day,
-		Market:  market.DefaultConfig(0),
 	}
 }
 
@@ -79,7 +75,6 @@ func Quick() Options {
 	o := Defaults()
 	o.Seeds = []int64{7, 13}
 	o.Horizon = 10 * sim.Day
-	o.Market.Horizon = 10 * sim.Day
 	return o
 }
 
@@ -92,17 +87,18 @@ func (o Options) normalize() Options {
 	if o.Horizon <= 0 {
 		o.Horizon = d.Horizon
 	}
-	if len(o.Market.Types) == 0 {
-		o.Market = d.Market
-		o.Market.Horizon = o.Horizon
-	}
-	if o.Market.Horizon < o.Horizon {
-		o.Horizon = o.Market.Horizon
-	}
 	if o.Context == nil {
 		o.Context = context.Background()
 	}
 	return o
+}
+
+// marketConfig is the synthetic-universe configuration: the default
+// generator over the hosting window (Seed is overridden per run).
+func (o Options) marketConfig() market.Config {
+	mc := market.DefaultConfig(0)
+	mc.Horizon = o.Horizon
+	return mc
 }
 
 // renderTable formats a fixed-width text table.

@@ -134,7 +134,7 @@ func Section6(opts Options) (Section6Result, error) {
 	if err != nil {
 		return Section6Result{}, err
 	}
-	reps, err := sched.RunSeedsTracedCtx(opts.Context, opts.Market, []sched.Config{cfg}, nil,
+	reps, err := sched.RunSeedsTracedCtx(opts.Context, opts.marketConfig(), []sched.Config{cfg}, nil,
 		opts.Horizon, opts.Seeds, opts.Parallel, opts.Trace)
 	if err != nil {
 		return Section6Result{}, err

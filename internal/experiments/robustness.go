@@ -43,7 +43,7 @@ func Robustness(opts Options) (RobustnessResult, error) {
 	// calibrated one.
 	universe := func(regime int, seed int64) (*market.Set, cloud.Params, error) {
 		if regime == 2 {
-			return cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
+			return cloud.Seeded(opts.marketConfig(), cloud.DefaultParams(0), seed)
 		}
 		rcfg := market.DefaultConfig(seed)
 		rcfg.Horizon = opts.Horizon

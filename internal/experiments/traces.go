@@ -28,7 +28,7 @@ type DailyPrice struct {
 // Figure1 generates the traces and computes the Fig. 1 views.
 func Figure1(opts Options) (Figure1Result, error) {
 	opts = opts.normalize()
-	set, _, err := cloud.Seeded(opts.Market, cloud.DefaultParams(0), opts.Seeds[0])
+	set, _, err := cloud.Seeded(opts.marketConfig(), cloud.DefaultParams(0), opts.Seeds[0])
 	if err != nil {
 		return Figure1Result{}, err
 	}
@@ -113,7 +113,7 @@ func Figure10(opts Options) (Figure10Result, error) {
 	res := Figure10Result{StdDev: map[market.Region]map[market.InstanceType]float64{}}
 	n := 0
 	for _, seed := range opts.Seeds {
-		set, _, err := cloud.Seeded(opts.Market, cloud.DefaultParams(0), seed)
+		set, _, err := cloud.Seeded(opts.marketConfig(), cloud.DefaultParams(0), seed)
 		if err != nil {
 			return Figure10Result{}, err
 		}

@@ -358,7 +358,7 @@ func (c *Controller) Start() {
 	now := c.eng.Now()
 	c.lastAccounted = now
 	switch c.cfg.Strategy.(type) {
-	case StabilityOptimized, *StabilityOptimized:
+	case StabilityOptimized:
 		// Only this strategy reads Candidate.Vol; the others get 0.
 		c.mktVol = make([]forecast.Volatility, len(c.markets))
 		for i, id := range c.markets {

@@ -84,26 +84,19 @@ func (LowestPrice) Pick(cands []Candidate, _ int) (market.ID, bool) {
 // LowestPrice, and when every market is at its cap it falls back to the
 // least-occupied market. Capping trades a little cost for bounded blast
 // radius — a revocation spike in one market can only take out about
-// MaxShare of the fleet.
-type Diversified struct {
-	// MaxShare is the per-market replica cap as a fraction of the target
-	// (0 < MaxShare <= 1). Zero means DefaultMaxShare.
-	MaxShare float64
-}
+// DefaultMaxShare of the fleet.
+type Diversified struct{}
 
 // DefaultMaxShare caps one market at roughly a third of the fleet.
-const DefaultMaxShare = 0.34
+const DefaultMaxShare float64 = 0.34
 
 // Name implements Strategy.
 func (Diversified) Name() string { return "diversified" }
 
 // limit returns the per-market cap for a fleet whose target is target:
-// MaxShare of it, rounded up, and at least one.
-func (d Diversified) limit(target int) int {
-	share := d.MaxShare
-	if share <= 0 || share > 1 {
-		share = DefaultMaxShare
-	}
+// DefaultMaxShare of it, rounded up, and at least one.
+func (Diversified) limit(target int) int {
+	share := DefaultMaxShare
 	return max(int(math.Ceil(share*float64(target))), 1)
 }
 
@@ -135,28 +128,21 @@ func (d Diversified) Pick(cands []Candidate, target int) (market.ID, bool) {
 	return cands[best].ID, true
 }
 
-// StabilityOptimized ranks markets by current price plus Lambda times
-// their decayed price volatility (forecast.Score): a cheap-but-jumpy
-// market loses to a slightly pricier stable one. Lambda = 0 degenerates to
-// LowestPrice.
-type StabilityOptimized struct {
-	// Lambda weights the volatility penalty. Zero means DefaultLambda.
-	Lambda float64
-}
+// StabilityOptimized ranks markets by current price plus DefaultLambda
+// times their decayed price volatility (forecast.Score): a cheap-but-jumpy
+// market loses to a slightly pricier stable one.
+type StabilityOptimized struct{}
 
-// DefaultLambda is the volatility weight used when Lambda is unset; one
-// standard deviation counts like one dollar of price.
-const DefaultLambda = 1.0
+// DefaultLambda is the volatility weight: one standard deviation counts
+// like one dollar of price.
+const DefaultLambda float64 = 1
 
 // Name implements Strategy.
 func (StabilityOptimized) Name() string { return "stability" }
 
 // Pick implements Strategy.
-func (s StabilityOptimized) Pick(cands []Candidate, _ int) (market.ID, bool) {
-	lambda := s.Lambda
-	if lambda <= 0 {
-		lambda = DefaultLambda
-	}
+func (StabilityOptimized) Pick(cands []Candidate, _ int) (market.ID, bool) {
+	lambda := DefaultLambda
 	best := 0
 	bestScore := score(&cands[0], lambda)
 	for i := 1; i < len(cands); i++ {
@@ -175,9 +161,9 @@ func score(c *Candidate, lambda float64) float64 {
 	return (c.Spot + lambda*c.Vol) * m
 }
 
-// StrategyFor returns the named strategy with its default parameters:
-// "lowest-price", "diversified" or "stability". ok=false for unknown
-// names.
+// StrategyFor returns the named strategy: "lowest-price", "diversified"
+// (capped at DefaultMaxShare per market) or "stability" (volatility
+// weighted by DefaultLambda). ok=false for unknown names.
 func StrategyFor(name string) (Strategy, bool) {
 	switch name {
 	case "lowest-price", "lowest", "cheapest":
@@ -190,7 +176,8 @@ func StrategyFor(name string) (Strategy, bool) {
 	return nil, false
 }
 
-// Strategies returns the three built-in strategies in report order.
+// Strategies returns the three built-in strategies in report order. None
+// has a parameter: the cap and the volatility weight are constants.
 func Strategies() []Strategy {
 	return []Strategy{LowestPrice{}, Diversified{}, StabilityOptimized{}}
 }

@@ -34,7 +34,7 @@ func TestLowestPriceTieBreaksByOrder(t *testing.T) {
 }
 
 func TestDiversifiedRespectsCap(t *testing.T) {
-	// Target 9, MaxShare 0.34 -> cap ceil(3.06) = 4 per market.
+	// Target 9, DefaultMaxShare 0.34 -> cap ceil(3.06) = 4 per market.
 	cands := []Candidate{
 		{ID: mid("a", "small"), Spot: 0.01, Replicas: 4}, // cheapest but full
 		{ID: mid("b", "small"), Spot: 0.03, Replicas: 1},
@@ -52,7 +52,7 @@ func TestDiversifiedFallsBackToLeastOccupied(t *testing.T) {
 		{ID: mid("a", "small"), Spot: 0.01, Replicas: 5},
 		{ID: mid("b", "small"), Spot: 0.03, Replicas: 4},
 	}
-	id, ok := Diversified{MaxShare: 0.5}.Pick(cands, 6) // cap = 3
+	id, ok := Diversified{}.Pick(cands, 6) // cap = ceil(2.04) = 3
 	if !ok || id != mid("b", "small") {
 		t.Fatalf("got %v, want b/small (least occupied)", id)
 	}
@@ -68,9 +68,8 @@ func TestStabilityPenalizesVolatility(t *testing.T) {
 		t.Fatalf("got %v, want stable b/small", id)
 	}
 	// Lambda ~ 0 degenerates to lowest price.
-	id, _ = StabilityOptimized{Lambda: 1e-9}.Pick(cands, 3)
-	if id != mid("a", "small") {
-		t.Fatalf("tiny lambda should pick cheapest, got %v", id)
+	if a, b := score(&cands[0], 1e-9), score(&cands[1], 1e-9); !(a < b) {
+		t.Fatalf("tiny lambda should rank cheapest first, scores %v vs %v", a, b)
 	}
 }
 

@@ -414,7 +414,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Days > 0 {
 		opts.Horizon = req.Days * sim.Day
-		opts.Market.Horizon = opts.Horizon
 	}
 
 	if !s.acquire() {

@@ -270,9 +270,16 @@ func TestTenantRouteErrors(t *testing.T) {
 	if resp, _ := get(t, srv.URL+"/v1/tenants/acme/fleets/ghost/stream"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown stream: status = %d, want 404", resp.StatusCode)
 	}
-	resp, body := post(t, srv.URL+"/v1/tenants/acme/fleets", `{"name": "f", "days": 1, "fleet": {"strategy": "bogus"}}`)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "unknown strategy") {
-		t.Errorf("bad spec: status = %d body = %s, want 400", resp.StatusCode, body)
+	for fleet, want := range map[string]string{
+		`{"strategy": "bogus"}`:               "unknown strategy",
+		`{"base_load": 100, "peak_load": 50}`: "peak_load below base_load",
+		`{"tick_minutes": 0.001}`:             "tick_minutes",
+		`{"max_replicas": 65}`:                "max_replicas",
+	} {
+		resp, body := post(t, srv.URL+"/v1/tenants/acme/fleets", `{"name": "f", "days": 1, "fleet": `+fleet+`}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, want) {
+			t.Errorf("bad spec %s: status = %d body = %s, want 400 mentioning %q", fleet, resp.StatusCode, body, want)
+		}
 	}
 }
 

@@ -11,8 +11,7 @@
 //
 // Timestamps are rebased so the earliest record is simulation time 0, AWS
 // instance-type names map onto the catalog's size names, and the
-// on-demand price book is filled from the default catalog (or the
-// caller's overrides).
+// on-demand price book is filled from the default catalog.
 package replay
 
 import (
@@ -36,18 +35,6 @@ type Record struct {
 	Type    string // AWS instance type, e.g. "m3.medium"
 	Product string // e.g. "Linux/UNIX"
 	Price   float64
-}
-
-// Options controls how records become traces.
-type Options struct {
-	// Product filters records by product description; empty keeps all.
-	Product string
-	// OnDemand overrides the on-demand price book per market. Markets
-	// not listed fall back to the default catalog for known sizes, then
-	// to the trace's maximum price.
-	OnDemand map[market.ID]float64
-	// Start and End clip the record window (zero values mean unbounded).
-	Start, End time.Time
 }
 
 // typeMap renames the 2015-era AWS instance families the paper used to
@@ -182,18 +169,13 @@ func ParseLegacy(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// Build converts records into a market.Set per the options.
-func Build(records []Record, opts Options) (*market.Set, error) {
+// Build converts records into a market.Set, keeping only those of the
+// given product description (empty keeps all).
+func Build(records []Record, product string) (*market.Set, error) {
 	// Filter and map.
 	var kept []Record
 	for _, rec := range records {
-		if opts.Product != "" && rec.Product != opts.Product {
-			continue
-		}
-		if !opts.Start.IsZero() && rec.Time.Before(opts.Start) {
-			continue
-		}
-		if !opts.End.IsZero() && !rec.Time.Before(opts.End) {
+		if product != "" && rec.Product != product {
 			continue
 		}
 		if rec.Price <= 0 {
@@ -264,16 +246,14 @@ func Build(records []Record, opts Options) (*market.Set, error) {
 			return nil, fmt.Errorf("replay: market %s: %w", id, err)
 		}
 		traces = append(traces, tr)
-		onDemand[id] = resolveOnDemand(id, tr, opts)
+		onDemand[id] = resolveOnDemand(id, tr)
 	}
 	return market.NewSet(traces, onDemand)
 }
 
-// resolveOnDemand picks the on-demand price for one imported market.
-func resolveOnDemand(id market.ID, tr *market.Trace, opts Options) float64 {
-	if p, ok := opts.OnDemand[id]; ok && p > 0 {
-		return p
-	}
+// resolveOnDemand picks the on-demand price for one imported market: the
+// default catalog's for known sizes, else the trace's maximum price.
+func resolveOnDemand(id market.ID, tr *market.Trace) float64 {
 	if ts, ok := market.FindType(market.DefaultTypes(), id.Type); ok {
 		if rs, ok := market.FindRegion(market.DefaultRegions(), id.Region); ok {
 			return market.OnDemandPrice(rs, ts)
@@ -288,8 +268,8 @@ func resolveOnDemand(id market.ID, tr *market.Trace, opts Options) float64 {
 // Load reads a price file in one of the trace formats: "csv"
 // (market.WriteCSV, as tracegen writes it), "aws-json"
 // (describe-spot-price-history) or "aws-legacy" (ec2-api-tools). The AWS
-// formats are parsed and built per opts.
-func Load(format string, r io.Reader, opts Options) (*market.Set, error) {
+// formats are parsed and built for the given product (see Build).
+func Load(format string, r io.Reader, product string) (*market.Set, error) {
 	var recs []Record
 	var err error
 	switch format {
@@ -305,5 +285,5 @@ func Load(format string, r io.Reader, opts Options) (*market.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Build(recs, opts)
+	return Build(recs, product)
 }

@@ -117,7 +117,7 @@ func FuzzParseJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		if recs, err := ParseJSON(strings.NewReader(in)); err == nil {
-			Build(recs, Options{})
+			Build(recs, "")
 		}
 	})
 }
@@ -130,7 +130,7 @@ func FuzzParseLegacy(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		if recs, err := ParseLegacy(strings.NewReader(in)); err == nil {
-			Build(recs, Options{})
+			Build(recs, "")
 		}
 	})
 }
@@ -140,7 +140,7 @@ func TestBuildFiltersAndRebases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := Build(recs, Options{Product: "Linux/UNIX"})
+	set, err := Build(recs, "Linux/UNIX")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,34 +172,19 @@ func TestBuildFiltersAndRebases(t *testing.T) {
 	}
 }
 
-func TestBuildWindowFilter(t *testing.T) {
-	recs, _ := ParseJSON(strings.NewReader(sampleJSON))
-	cut := time.Date(2015, 2, 1, 1, 30, 0, 0, time.UTC)
-	set, err := Build(recs, Options{Product: "Linux/UNIX", End: cut})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only records before 01:30 survive: small@00:00 and large@01:00.
-	if got := len(set.IDs()); got != 2 {
-		t.Fatalf("markets = %d", got)
-	}
-}
-
-func TestBuildOnDemandOverrideAndHeuristic(t *testing.T) {
+func TestBuildOnDemandCatalogFallback(t *testing.T) {
 	recs := []Record{
 		{Time: time.Unix(0, 0), Zone: "exotic-9z", Type: "weird.9xlarge", Product: "Linux/UNIX", Price: 0.5},
 		{Time: time.Unix(3600, 0), Zone: "exotic-9z", Type: "weird.9xlarge", Product: "Linux/UNIX", Price: 0.9},
 		{Time: time.Unix(0, 0), Zone: "exotic-9z", Type: "m1.small", Product: "Linux/UNIX", Price: 0.01},
 	}
-	override := market.ID{Region: "exotic-9z", Type: "weird.9xlarge"}
-	set, err := Build(recs, Options{
-		OnDemand: map[market.ID]float64{override: 2.5},
-	})
+	set, err := Build(recs, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := set.OnDemand(override); got != 2.5 {
-		t.Fatalf("override ignored: %v", got)
+	// Unknown size: the trace's maximum price.
+	if got := set.OnDemand(market.ID{Region: "exotic-9z", Type: "weird.9xlarge"}); got != 0.9 {
+		t.Fatalf("max heuristic = %v", got)
 	}
 	// Unknown region + known size: falls back to the base catalog price.
 	if got := set.OnDemand(market.ID{Region: "exotic-9z", Type: "small"}); got != 0.06 {
@@ -212,7 +197,7 @@ func TestBuildMaxHeuristicForUnknownSize(t *testing.T) {
 		{Time: time.Unix(0, 0), Zone: "z-1a", Type: "alien.big", Product: "L", Price: 0.2},
 		{Time: time.Unix(100, 0), Zone: "z-1a", Type: "alien.big", Product: "L", Price: 0.7},
 	}
-	set, err := Build(recs, Options{})
+	set, err := Build(recs, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +212,7 @@ func TestBuildDuplicateTimestamps(t *testing.T) {
 		{Time: time.Unix(0, 0), Zone: "z-1a", Type: "m1.small", Product: "L", Price: 0.02}, // dup wins
 		{Time: time.Unix(50, 0), Zone: "z-1a", Type: "m1.small", Product: "L", Price: 0.03},
 	}
-	set, err := Build(recs, Options{})
+	set, err := Build(recs, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +224,8 @@ func TestBuildDuplicateTimestamps(t *testing.T) {
 
 func TestBuildEmptyAfterFilter(t *testing.T) {
 	recs := []Record{{Time: time.Unix(0, 0), Zone: "z", Type: "t", Product: "Windows", Price: 0.1}}
-	if _, err := Build(recs, Options{Product: "Linux/UNIX"}); err == nil {
+	if _, err := Build(recs, "Linux/UNIX"); err == nil {
 		t.Fatal("empty filter result accepted")
-	}
-	if _, err := Build(recs, Options{Product: "Windows", Start: time.Unix(10, 0)}); err == nil {
-		t.Fatal("empty window accepted")
 	}
 }
 
@@ -269,7 +251,7 @@ func TestReplayEndToEnd(t *testing.T) {
 				r.price, r.at.Format(time.RFC3339))
 		}
 	}
-	set, err := Load("aws-legacy", strings.NewReader(b.String()), Options{Product: "Linux/UNIX"})
+	set, err := Load("aws-legacy", strings.NewReader(b.String()), "Linux/UNIX")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -363,7 +363,7 @@ func (sc Scenario) prices() (*market.Set, error) {
 	if format == "" {
 		format = "csv"
 	}
-	set, err := replay.Load(format, f, replay.Options{Product: sc.Product})
+	set, err := replay.Load(format, f, sc.Product)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: traces: %w", err)
 	}
@@ -424,16 +424,9 @@ const (
 	scenarioPlanQuantum    = 128
 )
 
-// Config builds the fleet controller config this definition describes
-// over the given horizon: the exported surface the control plane uses to
-// validate and instantiate registered fleets with exactly the semantics
-// of a scenario-file fleet (same defaults, same planner selection).
-func (f FleetDef) Config(horizon sim.Duration, seed int64) (fleet.Config, error) {
-	return f.config(horizon, seed)
-}
-
-// Validate checks the definition standalone (outside a Scenario document):
-// the same field checks Scenario.Validate applies per fleet.
+// Validate checks the definition standalone (outside a Scenario document).
+// Scenario.Validate applies it per fleet, and Config runs it before
+// building anything.
 func (f FleetDef) Validate() error {
 	if _, ok := fleet.StrategyFor(f.strategyName()); !ok {
 		return fmt.Errorf("unknown strategy %q", f.Strategy)
@@ -450,18 +443,30 @@ func (f FleetDef) Validate() error {
 	if f.TargetMs < 0 || f.TickMinutes < 0 || f.BidMultiple < 0 || f.MaxReplicas < 0 {
 		return fmt.Errorf("negative parameter")
 	}
+	// A run's work grows with 1/tick and with the replica cap, so both
+	// are bounded: one 90-day fleet must not hold a run slot for hours.
+	if f.TickMinutes != 0 && !(f.TickMinutes >= 1) {
+		return fmt.Errorf("tick_minutes %g must be 0 (the default) or at least 1", f.TickMinutes)
+	}
+	if f.MaxReplicas > fleet.DefaultMaxReplicas {
+		return fmt.Errorf("max_replicas %d above %d", f.MaxReplicas, fleet.DefaultMaxReplicas)
+	}
 	if _, err := f.resolveCatalog(); err != nil {
 		return err
 	}
 	return nil
 }
 
-// config builds one fleet's controller config over the scenario horizon.
-func (f FleetDef) config(horizon sim.Duration, seed int64) (fleet.Config, error) {
-	strat, ok := fleet.StrategyFor(f.strategyName())
-	if !ok {
-		return fleet.Config{}, fmt.Errorf("unknown strategy %q", f.Strategy)
+// Config validates the definition and builds the fleet controller config
+// it describes over the given horizon. Scenario runs and the control
+// plane both build fleets through it, so a registered fleet has exactly
+// the checks and semantics of a scenario-file fleet (same defaults, same
+// planner selection).
+func (f FleetDef) Config(horizon sim.Duration, seed int64) (fleet.Config, error) {
+	if err := f.Validate(); err != nil {
+		return fleet.Config{}, err
 	}
+	strat, _ := fleet.StrategyFor(f.strategyName())
 	markets, err := market.ParseIDs(f.Markets)
 	if err != nil {
 		return fleet.Config{}, err
@@ -616,7 +621,7 @@ func (sc Scenario) RunCtx(ctx context.Context, col *trace.Collector) (Result, er
 	// controller manages capacity, not individual long-lived VMs, so it
 	// shares traces with the portfolio but not a bill.
 	for _, fd := range sc.Fleets {
-		cfg, err := fd.config(horizon, sc.Seed)
+		cfg, err := fd.Config(horizon, sc.Seed)
 		if err != nil {
 			return Result{}, fmt.Errorf("scenario: fleet %q: %w", fd.Name, err)
 		}

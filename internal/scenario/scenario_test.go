@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -10,7 +11,9 @@ import (
 	"testing"
 
 	"spothost/internal/econ"
+	"spothost/internal/fleet"
 	"spothost/internal/market"
+	"spothost/internal/sim"
 )
 
 const goodDoc = `{
@@ -45,30 +48,33 @@ func TestLoadGood(t *testing.T) {
 
 // badDocs maps a label to a document Load must reject.
 var badDocs = map[string]string{
-	"not json":         `{`,
-	"unknown field":    `{"days": 5, "bogus": 1, "services": [{"name":"a","region":"r","type":"small"}]}`,
-	"no services":      `{"days": 5, "services": []}`,
-	"no days":          `{"services": [{"name":"a","region":"r","type":"small"}]}`,
-	"unnamed service":  `{"days": 5, "services": [{"region":"r","type":"small"}]}`,
-	"duplicate names":  `{"days": 5, "services": [{"name":"a","region":"r","type":"small"},{"name":"a","region":"r","type":"small"}]}`,
-	"missing region":   `{"days": 5, "services": [{"name":"a","type":"small"}]}`,
-	"bad policy":       `{"days": 5, "services": [{"name":"a","region":"r","type":"small","policy":"wishful"}]}`,
-	"bad mechanism":    `{"days": 5, "services": [{"name":"a","region":"r","type":"small","mechanism":"magic"}]}`,
-	"stop<start":       `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":10,"stop_hour":5}]}`,
-	"bad revenue":      `{"days": 5, "services": [{"name":"a","region":"r","type":"small","revenue":{"requests_per_second":-1}}]}`,
-	"unnamed fleet":    `{"days": 5, "fleets": [{"strategy": "diversified"}]}`,
-	"dup fleet name":   `{"days": 5, "services": [{"name":"a","region":"r","type":"small"}], "fleets": [{"name":"a"}]}`,
-	"bad strategy":     `{"days": 5, "fleets": [{"name":"f","strategy":"vibes"}]}`,
-	"bad fleet mkt":    `{"days": 5, "fleets": [{"name":"f","markets":["us-east-1a"]}]}`,
-	"peak<base":        `{"days": 5, "fleets": [{"name":"f","base_load":100,"peak_load":50}]}`,
-	"negative param":   `{"days": 5, "fleets": [{"name":"f","target_ms":-1}]}`,
-	"revenue overflow": `{"days": 5, "services": [{"name":"a","region":"r","type":"small","revenue":{"requests_per_second":1e200,"revenue_per_request":1e200}}]}`,
-	"start after end":  `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":500}]}`,
-	"start at end":     `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":120}]}`,
-	"negative start":   `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":-5}]}`,
-	"negative vms":     `{"days": 5, "services": [{"name":"a","region":"r","type":"small","vms":-1}]}`,
-	"too many vms":     `{"days": 5, "services": [{"name":"a","region":"r","type":"small","vms":65}]}`,
-	"too many entries": manyEntries(MaxEntries+1, 1),
+	"not json":          `{`,
+	"unknown field":     `{"days": 5, "bogus": 1, "services": [{"name":"a","region":"r","type":"small"}]}`,
+	"no services":       `{"days": 5, "services": []}`,
+	"no days":           `{"services": [{"name":"a","region":"r","type":"small"}]}`,
+	"unnamed service":   `{"days": 5, "services": [{"region":"r","type":"small"}]}`,
+	"duplicate names":   `{"days": 5, "services": [{"name":"a","region":"r","type":"small"},{"name":"a","region":"r","type":"small"}]}`,
+	"missing region":    `{"days": 5, "services": [{"name":"a","type":"small"}]}`,
+	"bad policy":        `{"days": 5, "services": [{"name":"a","region":"r","type":"small","policy":"wishful"}]}`,
+	"bad mechanism":     `{"days": 5, "services": [{"name":"a","region":"r","type":"small","mechanism":"magic"}]}`,
+	"stop<start":        `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":10,"stop_hour":5}]}`,
+	"bad revenue":       `{"days": 5, "services": [{"name":"a","region":"r","type":"small","revenue":{"requests_per_second":-1}}]}`,
+	"unnamed fleet":     `{"days": 5, "fleets": [{"strategy": "diversified"}]}`,
+	"dup fleet name":    `{"days": 5, "services": [{"name":"a","region":"r","type":"small"}], "fleets": [{"name":"a"}]}`,
+	"bad strategy":      `{"days": 5, "fleets": [{"name":"f","strategy":"vibes"}]}`,
+	"bad fleet mkt":     `{"days": 5, "fleets": [{"name":"f","markets":["us-east-1a"]}]}`,
+	"peak<base":         `{"days": 5, "fleets": [{"name":"f","base_load":100,"peak_load":50}]}`,
+	"negative param":    `{"days": 5, "fleets": [{"name":"f","target_ms":-1}]}`,
+	"revenue overflow":  `{"days": 5, "services": [{"name":"a","region":"r","type":"small","revenue":{"requests_per_second":1e200,"revenue_per_request":1e200}}]}`,
+	"start after end":   `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":500}]}`,
+	"start at end":      `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":120}]}`,
+	"negative start":    `{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":-5}]}`,
+	"negative vms":      `{"days": 5, "services": [{"name":"a","region":"r","type":"small","vms":-1}]}`,
+	"too many vms":      `{"days": 5, "services": [{"name":"a","region":"r","type":"small","vms":65}]}`,
+	"too many entries":  manyEntries(MaxEntries+1, 1),
+	"tick below one":    `{"days": 5, "fleets": [{"name":"f","tick_minutes":0.001}]}`,
+	"negative tick":     `{"days": 5, "fleets": [{"name":"f","tick_minutes":-3}]}`,
+	"too many replicas": `{"days": 5, "fleets": [{"name":"f","max_replicas":65}]}`,
 }
 
 // manyEntries is a document of n uniquely named services (every other
@@ -91,6 +97,7 @@ func TestLoadAcceptsBounds(t *testing.T) {
 	for _, doc := range []string{
 		manyEntries(MaxEntries, MaxServiceVMs),
 		`{"days": 5, "services": [{"name":"a","region":"r","type":"small","start_hour":119.5}]}`,
+		`{"days": 5, "fleets": [{"name":"f","tick_minutes":1,"max_replicas":64}]}`,
 	} {
 		if _, err := Load(strings.NewReader(doc)); err != nil {
 			t.Errorf("%v\n%s", err, doc)
@@ -392,6 +399,42 @@ func FuzzScenarioLoad(f *testing.F) {
 			if r := m.RevenuePerSecond(); math.IsInf(r, 0) || math.IsNaN(r) {
 				t.Fatalf("accepted service %q with revenue rate %v", s.Name, r)
 			}
+		}
+	})
+}
+
+// FuzzFleetDef: a tenant registration hands a stranger's fleet definition
+// to Validate and Config. Whatever Validate accepts, Config must build,
+// within the tick and replica bounds. Nothing is simulated.
+func FuzzFleetDef(f *testing.F) {
+	for _, doc := range []string{
+		`{}`,
+		`{"strategy": "stability", "tick_minutes": 1, "max_replicas": 64}`,
+		`{"base_load": 5000, "target_ms": 200, "max_replicas": 8}`,
+		`{"markets": ["us-east-1a/small"], "bid_multiple": 2, "reverse_hysteresis": -1}`,
+		`{"catalog": "default", "anchor_type": "small"}`,
+		`{"catalog": "custom", "anchor_type": "a", "catalog_entries": [{"name": "a", "vcpu": 1, "memory_gb": 1, "units": 2, "on_demand": 0.1}]}`,
+		`{"tick_minutes": 0.001}`,
+		`{"tick_minutes": -3}`,
+		`{"max_replicas": 65}`,
+		`{"base_load": 100, "peak_load": 50}`,
+	} {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		var def FleetDef
+		if json.Unmarshal([]byte(doc), &def) != nil || def.Validate() != nil {
+			return
+		}
+		cfg, err := def.Config(sim.Day, 1)
+		if err != nil {
+			t.Fatalf("Validate accepted %s, Config failed: %v", doc, err)
+		}
+		if cfg.Tick != 0 && !(cfg.Tick >= sim.Minute) {
+			t.Fatalf("accepted %s with tick %v", doc, cfg.Tick)
+		}
+		if cfg.MaxReplicas < 0 || cfg.MaxReplicas > fleet.DefaultMaxReplicas {
+			t.Fatalf("accepted %s with max replicas %d", doc, cfg.MaxReplicas)
 		}
 	})
 }

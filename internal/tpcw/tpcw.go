@@ -36,9 +36,6 @@ type RequestClass struct {
 type Config struct {
 	// EBs is the number of emulated browsers (the Fig. 12 x-axis).
 	EBs int
-	// ThinkTime is the mean think time between a response and the next
-	// request (TPC-W uses ~7 s).
-	ThinkTime sim.Duration
 	// Classes is the request mix; the paper's "ordering workload" is 50 %
 	// browsing, 50 % order transactions.
 	Classes []RequestClass
@@ -51,13 +48,15 @@ type Config struct {
 	Seed     int64
 }
 
+// thinkTime is each EB's mean think time between a response and its next
+// request (TPC-W uses ~7 s).
+const thinkTime sim.Duration = 7
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.EBs <= 0:
 		return fmt.Errorf("tpcw: EBs must be positive")
-	case c.ThinkTime < 0:
-		return fmt.Errorf("tpcw: negative think time")
 	case len(c.Classes) == 0:
 		return fmt.Errorf("tpcw: no request classes")
 	case c.Duration <= 0 || c.Warmup < 0 || c.Warmup >= c.Duration:
@@ -100,13 +99,12 @@ func DefaultConfig(ebs int, withImages, nested bool, seed int64) Config {
 		ov = vm.DefaultOverhead()
 	}
 	return Config{
-		EBs:       ebs,
-		ThinkTime: 7,
-		Classes:   OrderingMix(withImages),
-		Overhead:  ov,
-		Duration:  2000,
-		Warmup:    400,
-		Seed:      seed,
+		EBs:      ebs,
+		Classes:  OrderingMix(withImages),
+		Overhead: ov,
+		Duration: 2000,
+		Warmup:   400,
+		Seed:     seed,
 	}
 }
 
@@ -249,12 +247,12 @@ func Run(cfg Config) (Result, error) {
 			completed++
 		}
 		// The EB thinks, then issues its next request.
-		eng.PostAfter(rng.Exp(cfg.ThinkTime), newRequest)
+		eng.PostAfter(rng.Exp(thinkTime), newRequest)
 	}
 
 	// Launch the EBs with staggered initial thinks.
 	for i := 0; i < cfg.EBs; i++ {
-		eng.PostAfter(rng.Exp(cfg.ThinkTime), newRequest)
+		eng.PostAfter(rng.Exp(thinkTime), newRequest)
 	}
 	eng.RunUntil(cfg.Duration)
 

@@ -14,7 +14,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.EBs = 0 },
-		func(c *Config) { c.ThinkTime = -1 },
 		func(c *Config) { c.Classes = nil },
 		func(c *Config) { c.Duration = 0 },
 		func(c *Config) { c.Warmup = c.Duration },

@@ -1,9 +1,11 @@
-// Regrowth guard for internal/: every declaration there must have a caller
-// outside test files. All packages live under internal/, so only this
-// module's commands, benchmark driver and the packages themselves can call
-// them; a declaration none of them references is dead weight that the tests
-// alone keep alive. Examples do not count as callers: they should show API
-// that production code uses, not keep API alive on their own.
+// Regrowth guards for internal/: every declaration there must have a
+// caller outside test files, and every exported struct field a writer. All
+// packages live under internal/, so only this module's commands, benchmark
+// driver and the packages themselves can call them; a declaration none of
+// them references, or a field none of them sets, is dead weight that the
+// tests alone keep alive. Examples do not count as callers or writers:
+// they should show API that production code uses, not keep API alive on
+// their own.
 package spothost
 
 import (
@@ -53,6 +55,13 @@ var keptUnused = map[string]string{
 	"trace.Recorder.Spans":             "lets tests inspect span bookkeeping and scheduler sequences",
 }
 
+// keptUnset names the exported internal/ struct fields that no production
+// code writes but tests set to reach code the defaults never run. Keys are
+// "pkg.Type.Field"; each value is the reason the field stays.
+var keptUnset = map[string]string{
+	"sweep.Spec.Universe": "lets TestPruneDominatedSweep substitute an engineered universe",
+}
+
 // satisfiedStd lists the standard-library interfaces whose methods a module
 // type may implement without any module code calling them by name.
 var satisfiedStd = []struct{ pkg, name string }{
@@ -78,25 +87,46 @@ func TestNoUnusedInternalDecls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reportFindings(t, unused, keptUnused, "keptUnused", "unused internal/ declaration",
+		"has no non-test reference: delete it, or list it in keptUnused if tests use it as an oracle")
+}
+
+// TestNoTestOnlyFields fails on exported fields of exported internal/
+// structs that no non-test code writes: in production such a field is
+// always zero, so it is a named constant with a test-only knob attached.
+// Fields with a struct tag are exempt, because a decoder writes them.
+func TestNoTestOnlyFields(t *testing.T) {
+	u, err := loadModule([]string{"cmd", "internal", "perfbench"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportFindings(t, u.unsetFields(), keptUnset, "keptUnset", "unset internal/ field",
+		"is never written outside tests: make it a constant, or list it in keptUnset if tests need to set it")
+}
+
+// reportFindings fails t on every found key (mapped to its position) that
+// kept does not list, and on every kept entry that names nothing found.
+func reportFindings(t *testing.T, found, kept map[string]string, keptName, what, fix string) {
+	t.Helper()
 	var stale []string
-	for key := range keptUnused {
-		if _, ok := unused[key]; ok {
-			delete(unused, key)
+	for key := range kept {
+		if _, ok := found[key]; ok {
+			delete(found, key)
 		} else {
 			stale = append(stale, key)
 		}
 	}
 	sort.Strings(stale)
 	for _, key := range stale {
-		t.Errorf("keptUnused entry %q names no unused internal/ declaration: drop it", key)
+		t.Errorf("%s entry %q names no %s: drop it", keptName, key, what)
 	}
-	keys := make([]string, 0, len(unused))
-	for key := range unused {
+	keys := make([]string, 0, len(found))
+	for key := range found {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		t.Errorf("%s: %s has no non-test reference: delete it, or list it in keptUnused if tests use it as an oracle", unused[key], key)
+		t.Errorf("%s: %s %s", found[key], key, fix)
 	}
 }
 
@@ -338,6 +368,113 @@ func (m *module) references() map[types.Object]bool {
 		}
 	}
 	return used
+}
+
+// unsetFields returns the exported, untagged fields of exported internal/
+// struct types that no non-test code writes, keyed as in keptUnset, with
+// their positions.
+func (m *module) unsetFields() map[string]string {
+	written := m.writtenFields()
+	unset := map[string]string{}
+	prefix := modulePath + "/internal/"
+	for p, pkg := range m.pkgs {
+		if !strings.HasPrefix(p, prefix) {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, id := range scope.Names() {
+			tn, ok := scope.Lookup(id).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if f.Exported() && st.Tag(i) == "" && !written[f] {
+					unset[strings.TrimPrefix(p, prefix)+"."+id+"."+f.Name()] = m.fset.Position(f.Pos()).String()
+				}
+			}
+		}
+	}
+	return unset
+}
+
+// writtenFields collects the struct fields some non-test code writes: the
+// fields a composite literal fills (by key, or all of them when unkeyed),
+// and every field on the path of an assignment's left-hand side, an
+// increment or decrement, or an address taken with &. A path write
+// counts for each field it passes through, so t.Migrations.Forced += n
+// writes both Migrations and Forced.
+func (m *module) writtenFields() map[types.Object]bool {
+	written := map[types.Object]bool{}
+	writePath := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				sel, ok := m.info.Selections[x]
+				if !ok || sel.Kind() != types.FieldVal {
+					return
+				}
+				typ := sel.Recv()
+				for _, i := range sel.Index() {
+					st, ok := deref(typ).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					written[origin(st.Field(i))] = true
+					typ = st.Field(i).Type()
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := deref(m.info.Types[n].Type).Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := 0; i < st.NumFields(); i++ {
+							written[origin(st.Field(i))] = true
+						}
+						break
+					}
+					for _, elt := range n.Elts {
+						if id, ok := elt.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+							written[origin(m.info.Uses[id])] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						writePath(lhs)
+					}
+				case *ast.IncDecStmt:
+					writePath(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						writePath(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return written
 }
 
 // satisfyingMethods returns the methods of module types that implement an
